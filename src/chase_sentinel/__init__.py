@@ -42,13 +42,9 @@ from .chase import (
     BudgetExhausted,
     ChaseTrace,
     CyclicTermFound,
-    PathFailure,
     Saturated,
     datalog_first_filter,
     greedy_restricted,
-    longest_restricted_run,
-    restricted_chase_exhaustive,
-    run_path,
     skolem_chase,
 )
 from .critdb import (

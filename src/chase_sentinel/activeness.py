@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, check_condition, connected_components, cycle_function
@@ -37,7 +37,7 @@ from .hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from .model import Atom, IndexedConstant, Instance, Rule, RuleSet
+from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable
 
 
 class Status(enum.Enum):
@@ -126,7 +126,7 @@ class _Search:
                 if isinstance(p, IndexedConstant) and isinstance(c, IndexedConstant):
                     if p != c:
                         pairs.append((p, c))
-                elif p != c and not _is_variable(p):
+                elif p != c and not isinstance(p, Variable):
                     ok = False
                     break
             if ok and pairs:
@@ -188,12 +188,6 @@ class _Search:
         return False
 
 
-def _is_variable(t) -> bool:
-    from .model import Variable
-
-    return isinstance(t, Variable)
-
-
 def is_active_wrt(
     path: Sequence[Rule],
     database: Instance,
@@ -252,6 +246,24 @@ def is_path_active(
     """
     db = restricted_critical_db(path)
     meter = Meter(budget)
+
+    def check(rn: RenamingFunction, conflicts: Optional[list] = None) -> Optional[SafetyVerdict]:
+        """The verdict that ends the search under renaming `rn`, or None."""
+        verdict = is_active_wrt(
+            path,
+            apply_renaming(rn, db),
+            datalog_rules=datalog_rules,
+            datalog_first=datalog_first,
+            min_height=min_height,
+            meter=meter,
+            _collect=conflicts,
+        )
+        if verdict.status is Status.ACTIVE:
+            return SafetyVerdict(Status.ACTIVE, witness=replace(verdict.witness, renaming=rn))
+        if verdict.status is Status.INCONCLUSIVE:
+            return verdict
+        return None
+
     identity = RenamingFunction.identity()
     queue: List[Tuple[RenamingFunction, int]] = [(identity, 0)]
     seen = {identity.mapping}
@@ -260,28 +272,10 @@ def is_path_active(
 
     while queue:
         rn, depth = queue.pop(0)
-        base = apply_renaming(rn, db)
         conflicts: list = []
-        verdict = is_active_wrt(
-            path,
-            base,
-            datalog_rules=datalog_rules,
-            datalog_first=datalog_first,
-            min_height=min_height,
-            meter=meter,
-            _collect=conflicts,
-        )
-        if verdict.status is Status.INCONCLUSIVE:
-            return SafetyVerdict(Status.INCONCLUSIVE, reason=verdict.reason)
-        if verdict.status is Status.ACTIVE:
-            witness = ChainWitness(
-                rule_ids=verdict.witness.rule_ids,
-                initial=verdict.witness.initial,
-                steps=verdict.witness.steps,
-                chain=verdict.witness.chain,
-                renaming=rn,
-            )
-            return SafetyVerdict(Status.ACTIVE, witness=witness)
+        verdict = check(rn, conflicts)
+        if verdict is not None:
+            return verdict
         if not enable_renaming or depth >= len(path):
             continue
         for proposal in propose_merges(conflicts):
@@ -303,25 +297,9 @@ def is_path_active(
             if rn.mapping in seen:
                 continue
             seen.add(rn.mapping)
-            verdict = is_active_wrt(
-                path,
-                apply_renaming(rn, db),
-                datalog_rules=datalog_rules,
-                datalog_first=datalog_first,
-                min_height=min_height,
-                meter=meter,
-            )
-            if verdict.status is Status.INCONCLUSIVE:
-                return SafetyVerdict(Status.INCONCLUSIVE, reason=verdict.reason)
-            if verdict.status is Status.ACTIVE:
-                witness = ChainWitness(
-                    rule_ids=verdict.witness.rule_ids,
-                    initial=verdict.witness.initial,
-                    steps=verdict.witness.steps,
-                    chain=verdict.witness.chain,
-                    renaming=rn,
-                )
-                return SafetyVerdict(Status.ACTIVE, witness=witness)
+            verdict = check(rn)
+            if verdict is not None:
+                return verdict
 
     if inconclusive_reason is not None:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=inconclusive_reason)

@@ -1,5 +1,6 @@
-"""Chase execution: breadth-first skolem chase, path-driven runs, exhaustive
-restricted-chase enumeration, and the Datalog-first admissibility filter.
+"""Chase execution: the breadth-first skolem chase and one greedy restricted
+chase sequence, both selection policies over one budgeted trigger loop,
+plus the Datalog-first admissibility filter for cycle paths.
 
 All runs are budgeted; possibly-infinite chases come back with an explicit
 BudgetExhausted outcome instead of a verdict.
@@ -56,7 +57,6 @@ class Meter:
         self.budget = budget or Budget()
         self.steps = 0
         self.probes = 0
-        self.renamings = 0
         self._deadline = (
             time.monotonic() + self.budget.wall_clock_s
             if self.budget.wall_clock_s is not None
@@ -178,45 +178,33 @@ def _cyclic_term_in(atoms: Iterable[Atom]):
     return None
 
 
-def skolem_chase(
+def _run(
     database: Union[Instance, Iterable[Atom]],
-    rules: RuleSet,
-    budget: Optional[Budget] = None,
+    budget: Optional[Budget],
+    select: Callable[[Instance, Callable[[], None]], list],
     detect_cyclic_terms: bool = False,
 ) -> ChaseTrace:
-    """Breadth-first fixpoint: each round applies every not-yet-applied
-    trigger found against the previous round's instance."""
+    """The one whole-instance chase loop.  `select(inst, probe)` is the
+    policy: it returns the (rule, homomorphism) triggers to fire next, in
+    order, charging `probe` per candidate test; an empty list saturates.
+    The loop owns the budget, the instance checks and the trace."""
     inst = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
     meter = Meter(budget)
     trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
-    applied: set = set()
-    step = 0
-    while True:
-        reason = meter.check_instance(inst)
-        if reason is not None:
-            trace.outcome = BudgetExhausted(reason)
-            return trace
-        pending = []
+    reason = meter.check_instance(inst)
+    while reason is None:
         try:
-            for rule in rules:
-                for h in find_homomorphisms(rule.body, inst, probe=meter.charge_probe):
-                    key = (rule.id, freeze_bindings(h))
-                    if key not in applied:
-                        pending.append((rule, h, key))
+            batch = select(inst, meter.charge_probe)
         except BudgetExceeded as e:
-            trace.outcome = BudgetExhausted(e.reason)
+            reason = e.reason
+            break
+        if not batch:
             return trace
-        if not pending:
-            trace.outcome = Saturated()
-            return trace
-        for rule, h, key in pending:
-            applied.add(key)
-            step += 1
+        for rule, h in batch:
             reason = meter.charge_step()
             if reason is not None:
-                trace.outcome = BudgetExhausted(reason)
-                return trace
-            added, _ = apply_trigger(rule, h, inst, step)
+                break
+            added, _ = apply_trigger(rule, h, inst, meter.steps)
             trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             if detect_cyclic_terms:
                 t = _cyclic_term_in(added)
@@ -225,150 +213,32 @@ def skolem_chase(
                     return trace
             reason = meter.check_instance(inst)
             if reason is not None:
-                trace.outcome = BudgetExhausted(reason)
-                return trace
-
-
-@dataclass(frozen=True)
-class PathFailure:
-    step: int
-    reason: str  # 'NoTrigger' | 'NoActiveTrigger'
-
-
-def run_path(
-    database: Union[Instance, Iterable[Atom]],
-    path: Sequence[Rule],
-    mode: str = "restricted",
-    chooser: Optional[Callable[[int, Rule, list], Optional[dict]]] = None,
-    budget: Optional[Budget] = None,
-) -> Union[ChaseTrace, PathFailure]:
-    """Apply the rules of `path` in order. In restricted mode each step needs
-    an active trigger. `chooser(step, rule, homs)` picks among candidate
-    homomorphisms; default takes the first."""
-    if mode not in ("skolem", "restricted"):
-        raise ValueError("mode must be 'skolem' or 'restricted'")
-    inst = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
-    meter = Meter(budget)
-    trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
-    for i, rule in enumerate(path, start=1):
-        try:
-            homs = list(find_homomorphisms(rule.body, inst, probe=meter.charge_probe))
-        except BudgetExceeded as e:
-            trace.outcome = BudgetExhausted(e.reason)
-            return trace
-        if not homs:
-            return PathFailure(i, "NoTrigger")
-        if mode == "restricted":
-            homs = [h for h in homs if is_active_trigger(rule, h, inst)]
-            if not homs:
-                return PathFailure(i, "NoActiveTrigger")
-        h = chooser(i, rule, homs) if chooser is not None else homs[0]
-        if h is None:
-            return PathFailure(i, "NoActiveTrigger" if mode == "restricted" else "NoTrigger")
-        added, _ = apply_trigger(rule, h, inst, i)
-        trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
+                break
+    trace.outcome = BudgetExhausted(reason)
     return trace
 
 
-def active_triggers(
-    rules: Iterable[Rule], inst: Instance, probe: Optional[Callable[[], None]] = None
-) -> list:
-    out = []
-    for rule in rules:
-        for h in find_homomorphisms(rule.body, inst, probe=probe):
-            if is_active_trigger(rule, h, inst, probe=probe):
-                out.append((rule, h))
-    return out
-
-
-def restricted_chase_exhaustive(
+def skolem_chase(
     database: Union[Instance, Iterable[Atom]],
     rules: RuleSet,
     budget: Optional[Budget] = None,
-    max_traces: int = 10_000,
-    datalog_first: bool = False,
-) -> list:
-    """Every restricted chase sequence (every active-trigger choice at every
-    step) up to the step budget. Intended for small inputs only (documented
-    guidance: <= 4 rules, <= 30 reachable atoms)."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
-    initial_atoms = base.atoms()
-    meter = Meter(budget)
-    cap = meter.budget.max_steps
-    traces: list = []
-    steps: list = []
+    detect_cyclic_terms: bool = False,
+) -> ChaseTrace:
+    """Breadth-first fixpoint: each round applies every not-yet-applied
+    trigger found against the previous round's instance."""
+    applied: set = set()
 
-    def snapshot(outcome: Outcome) -> None:
-        traces.append(
-            ChaseTrace(initial=initial_atoms, steps=list(steps), outcome=outcome, final=None)
-        )
+    def round_of_triggers(inst: Instance, probe: Callable[[], None]) -> list:
+        pending = []
+        for rule in rules:
+            for h in find_homomorphisms(rule.body, inst, probe=probe):
+                key = (rule.id, freeze_bindings(h))
+                if key not in applied:
+                    applied.add(key)
+                    pending.append((rule, h))
+        return pending
 
-    def explore(inst: Instance, depth: int) -> None:
-        if len(traces) >= max_traces:
-            return
-        try:
-            options = active_triggers(rules, inst, probe=meter.charge_probe)
-        except BudgetExceeded as e:
-            snapshot(BudgetExhausted(e.reason))
-            return
-        if datalog_first and any(r.is_datalog for r, _ in options):
-            options = [(r, h) for r, h in options if r.is_datalog]
-        if not options:
-            snapshot(Saturated())
-            return
-        if cap is not None and depth >= cap:
-            snapshot(BudgetExhausted("steps"))
-            return
-        for rule, h in options:
-            if len(traces) >= max_traces:
-                return
-            added, undos = apply_trigger(rule, h, inst, depth + 1)
-            steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
-            explore(inst, depth + 1)
-            steps.pop()
-            for rec in reversed(undos):
-                inst.undo(rec)
-
-    explore(base, 0)
-    return traces
-
-
-def longest_restricted_run(
-    database: Union[Instance, Iterable[Atom]],
-    rules: RuleSet,
-    cap: int,
-    datalog_first: bool = False,
-) -> Optional[int]:
-    """Length of the longest restricted chase sequence, exploring the state
-    DAG with memoization; None when some sequence exceeds `cap` steps."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
-    memo: dict = {}
-
-    def longest(inst: Instance, depth: int) -> Optional[int]:
-        key = inst.fingerprint()
-        if key in memo:
-            return memo[key]
-        if depth > cap:
-            return None
-        options = active_triggers(rules, inst)
-        if datalog_first and any(r.is_datalog for r, _ in options):
-            options = [(r, h) for r, h in options if r.is_datalog]
-        best = 0
-        for rule, h in options:
-            _, undos = apply_trigger(rule, h, inst, depth + 1)
-            sub = longest(inst, depth + 1)
-            for rec in reversed(undos):
-                inst.undo(rec)
-            if sub is None:
-                return None
-            best = max(best, 1 + sub)
-            if depth + best > cap:
-                return None
-        memo[key] = best
-        return best
-
-    result = longest(base, 0)
-    return result
+    return _run(database, budget, round_of_triggers, detect_cyclic_terms)
 
 
 def greedy_restricted(
@@ -379,33 +249,18 @@ def greedy_restricted(
 ) -> ChaseTrace:
     """One restricted chase sequence, always firing the first active trigger
     in (rule order, homomorphism order); Datalog rules first when asked."""
-    inst = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
-    meter = Meter(budget)
-    trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
-    step = 0
-    while True:
-        reason = meter.check_instance(inst)
-        if reason is not None:
-            trace.outcome = BudgetExhausted(reason)
-            return trace
-        try:
-            options = active_triggers(rules, inst, probe=meter.charge_probe)
-        except BudgetExceeded as e:
-            trace.outcome = BudgetExhausted(e.reason)
-            return trace
-        if datalog_first and any(r.is_datalog for r, _ in options):
-            options = [(r, h) for r, h in options if r.is_datalog]
-        if not options:
-            trace.outcome = Saturated()
-            return trace
-        step += 1
-        reason = meter.charge_step()
-        if reason is not None:
-            trace.outcome = BudgetExhausted(reason)
-            return trace
-        rule, h = options[0]
-        added, _ = apply_trigger(rule, h, inst, step)
-        trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
+    order = list(rules)
+    if datalog_first:
+        order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
+
+    def first_active(inst: Instance, probe: Callable[[], None]) -> list:
+        for rule in order:
+            for h in find_homomorphisms(rule.body, inst, probe=probe):
+                if is_active_trigger(rule, h, inst, probe=probe):
+                    return [(rule, h)]
+        return []
+
+    return _run(database, budget, first_active)
 
 
 def datalog_first_filter(path: Sequence[Rule], rule_set: Optional[RuleSet] = None) -> bool:

@@ -31,7 +31,7 @@ from .chase import (
     skolem_chase,
 )
 from .cycles import enumerate_k_cycles, is_relevant
-from .deps import DependencyOracle, dependency_graph
+from .deps import dependency_graph
 from .gen import GenParams, GenerationError, generate
 from .model import rule_set_size
 
@@ -74,10 +74,37 @@ def _jobs_default() -> int:
     return 1
 
 
-def _load_rules(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    doc = dlgp.parse(text, path=path)
-    return doc
+class UsageError(Exception):
+    """Bad input from the command line; main() reports it and exits 3."""
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    convert.__name__ = "integer >= %d" % low
+    return convert
+
+
+def _bound_arg(spec: str):
+    try:
+        return parse_bound(spec)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
+def _load(path: str):
+    """The parsed document of a .dlgp file and its rule set."""
+    try:
+        doc = dlgp.parse(Path(path).read_text(encoding="utf-8"), path=path)
+        return doc, doc.rule_set()
+    except (OSError, ValueError) as e:
+        raise UsageError(e) from e
 
 
 def _witness_json(witness) -> Optional[dict]:
@@ -100,12 +127,7 @@ def _witness_json(witness) -> Optional[dict]:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        doc = _load_rules(args.file)
-        rs = doc.rule_set()
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    _, rs = _load(args.file)
     condition = Condition(args.condition)
     report = k_safe(
         rs,
@@ -171,11 +193,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        rs = _load_rules(args.file).rule_set()
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    _, rs = _load(args.file)
     condition = Condition(args.condition)
     res = check_condition(condition, rs, _budget_from_args(args))
     payload = {
@@ -198,19 +216,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_chase(args) -> int:
-    try:
-        doc = _load_rules(args.file)
-        rs = doc.rule_set()
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    db = doc.database()
+    doc, rs = _load(args.file)
     if args.database:
-        try:
-            db = _load_rules(args.database).database()
-        except (OSError, ValueError) as e:
-            print("error: %s" % e, file=sys.stderr)
-            return EXIT_USAGE
+        doc, _ = _load(args.database)
+    db = doc.database()
     budget = _budget_from_args(args)
     if args.variant == "skolem":
         trace = skolem_chase(db, rs, budget=budget, detect_cyclic_terms=args.detect_cyclic)
@@ -235,16 +244,11 @@ def cmd_chase(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    try:
-        rs = _load_rules(args.file).rule_set()
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    _, rs = _load(args.file)
     graph = dependency_graph(rs)
-    oracle = DependencyOracle(rs)
     stream = enumerate_k_cycles(rs, args.k, graph, limit=args.max_cycles)
     for cycle in stream:
-        flag = "relevant" if is_relevant(cycle.path, oracle) else "irrelevant"
+        flag = "relevant" if is_relevant(cycle.path, graph) else "irrelevant"
         print("%s  [%s]" % (" -> ".join(cycle.rule_ids()), flag))
     if stream.truncated:
         print("... truncated at %d cycles" % stream.emitted)
@@ -252,12 +256,8 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_bounded(args) -> int:
-    try:
-        rs = _load_rules(args.file).rule_set()
-        delta = parse_bound(args.delta)
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    _, rs = _load(args.file)
+    delta = args.delta
     result = memb_check(rs, delta, budget=_budget_from_args(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -301,8 +301,7 @@ def cmd_generate(args) -> int:
         )
         rs = generate(params)
     except GenerationError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(e) from e
     doc = dlgp.SourceDocument(facts=(), rules=rs.rules)
     text = dlgp.serialize(doc)
     if args.output:
@@ -315,8 +314,9 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print("error: %s is not a directory" % args.directory, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("%s is not a directory" % args.directory)
+    if args.k_max < args.k_min:
+        raise UsageError("--k-max %d is below --k-min %d" % (args.k_max, args.k_min))
     conditions = [Condition(c) for c in args.conditions.split(",")]
     ks = list(range(args.k_min, args.k_max + 1))
     budget = _budget_from_args(args)
@@ -329,8 +329,8 @@ def cmd_report(args) -> int:
     }
     for path in sorted(directory.glob("*.dlgp")):
         try:
-            rs = _load_rules(str(path)).rule_set()
-        except (OSError, ValueError):
+            _, rs = _load(str(path))
+        except UsageError:
             rows.append((path.name, ["parse-error"] * len(columns)))
             continue
         cells = []
@@ -353,11 +353,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        rs = _load_rules(args.file).rule_set()
-    except (OSError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    _, rs = _load(args.file)
     dot = dependency_graph(rs).to_dot()
     if args.output:
         Path(args.output).write_text(dot, encoding="utf-8")
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide k-safe membership")
     p.add_argument("file")
     p.add_argument("--condition", choices=[c.value for c in Condition], default="wa")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(0), default=1)
     p.add_argument("--datalog-first", action="store_true")
     p.add_argument("--jobs", type=int, default=_jobs_default())
     p.add_argument("--json", action="store_true")
@@ -403,13 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="list k-cycles with relevance flags")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(1), default=1)
     p.add_argument("--max-cycles", type=int, default=DEFAULT_BUDGET.max_cycles)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("bounded", help="depth-bounded membership test")
     p.add_argument("file")
-    p.add_argument("--delta", required=True, help="const:N | linear:A,B | exptower:K")
+    p.add_argument("--delta", type=_bound_arg, required=True,
+                   help="const:N | linear:A,B | exptower:K")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_bounded)
@@ -429,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="verdict grid over a directory of .dlgp files")
     p.add_argument("directory")
     p.add_argument("--conditions", default="wa,ja,agrd,mfa")
-    p.add_argument("--k-min", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--k-min", type=_int_at_least(0), default=0)
+    p.add_argument("--k-max", type=_int_at_least(0), default=2)
     p.add_argument("--datalog-first", action="store_true")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--jobs", type=int, default=_jobs_default())
@@ -451,7 +448,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

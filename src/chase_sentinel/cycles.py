@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from .deps import DependencyGraph, DependencyOracle
+from .deps import DependencyGraph, dependency_graph
 from .model import Rule, RuleSet
 
 
@@ -115,7 +115,6 @@ def enumerate_k_cycles(
     from .acyclicity import connected_components
 
     comps = components if components is not None else connected_components(graph)
-    oracle = DependencyOracle(rs)
 
     def depends_on_some_earlier(candidate: Rule, path: List[Rule]) -> bool:
         seen = set()
@@ -123,7 +122,7 @@ def enumerate_k_cycles(
             if earlier.id in seen:
                 continue
             seen.add(earlier.id)
-            if oracle.depends(candidate, earlier):
+            if graph.depends(candidate, earlier):
                 return True
         return False
 
@@ -134,13 +133,14 @@ def enumerate_k_cycles(
     return CycleStream(gen(), limit)
 
 
-def is_relevant(cycle_path: Sequence[Rule], oracle: Optional[DependencyOracle] = None) -> bool:
+def is_relevant(cycle_path: Sequence[Rule], graph: Optional[DependencyGraph] = None) -> bool:
     """A cycle is relevant when every element after the first has a
     dependency (piece-unifier passing the atom-erasing and productive tests)
-    on some earlier element."""
-    if oracle is None:
-        oracle = DependencyOracle(RuleSet(tuple(dict.fromkeys(cycle_path))))
+    on some earlier element.  `graph` is the dependency graph of a rule set
+    holding the cycle's rules; by default one is built over them."""
+    if graph is None:
+        graph = dependency_graph(RuleSet(tuple(dict.fromkeys(cycle_path))))
     for i in range(1, len(cycle_path)):
-        if not any(oracle.depends(cycle_path[i], cycle_path[j]) for j in range(i)):
+        if not any(graph.depends(cycle_path[i], cycle_path[j]) for j in range(i)):
             return False
     return True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional
 
 from .hom import apply_trigger, find_homomorphisms
@@ -273,11 +274,14 @@ class DependencyGraph:
     edges: tuple  # (i, j) rule indices: rules[j] depends on rules[i]
     witnesses: tuple  # PieceUnifier per edge, aligned with edges
 
-    def successors(self, i: int) -> list:
-        return [j for (a, j) in self.edges if a == i]
+    @cached_property
+    def _pairs(self) -> frozenset:
+        rules = self.rule_set.rules
+        return frozenset((rules[j].id, rules[i].id) for i, j in self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in set(self.edges)
+    def depends(self, later: Rule, earlier: Rule) -> bool:
+        """Whether `later` depends on `earlier`, by rule id."""
+        return (later.id, earlier.id) in self._pairs
 
     def to_dot(self) -> str:
         rules = self.rule_set.rules
@@ -301,17 +305,3 @@ def dependency_graph(rs: RuleSet) -> DependencyGraph:
                 edges.append((i, j))
                 witnesses.append(pu)
     return DependencyGraph(rule_set=rs, edges=tuple(edges), witnesses=tuple(witnesses))
-
-
-class DependencyOracle:
-    """Memoized depends_on keyed by rule ids, shared across one analysis."""
-
-    def __init__(self, rs: RuleSet):
-        self.rs = rs
-        self._cache: dict = {}
-
-    def depends(self, later: Rule, earlier: Rule) -> bool:
-        key = (later.id, earlier.id)
-        if key not in self._cache:
-            self._cache[key] = depends_on(later, earlier) is not None
-        return self._cache[key]

@@ -408,10 +408,6 @@ class Instance:
         self._ht = rec.prev_ht
 
 
-def instance_ht(inst: Instance) -> int:
-    return inst.ht()
-
-
 def full_relation_atoms(pred: str, arity: int, domain: Sequence[Term]) -> Iterator[Atom]:
     for combo in itertools.product(domain, repeat=arity):
         yield Atom(pred, tuple(combo))

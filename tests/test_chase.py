@@ -1,17 +1,16 @@
+import pytest
+
 import chase_sentinel as cs
 from chase_sentinel.chase import (
     Budget,
     BudgetExhausted,
     CyclicTermFound,
-    PathFailure,
     Saturated,
     datalog_first_filter,
     greedy_restricted,
-    longest_restricted_run,
-    restricted_chase_exhaustive,
-    run_path,
     skolem_chase,
 )
+from chase_sentinel.hom import find_homomorphisms, is_active_trigger
 
 from fixtures import (
     access_control,
@@ -20,6 +19,7 @@ from fixtures import (
     handshake_trusted,
     walk,
 )
+from oracles import longest_restricted_run, restricted_chase_exhaustive
 
 
 def _db(text):
@@ -92,25 +92,16 @@ def test_skolem_chase_monotone_growth():
     assert running.fingerprint() == inst.fingerprint()
 
 
-def test_run_path_restricted_handshake():
-    rs = handshake()
-    r1, r2 = rs.rules
-    ok = run_path(_db("typeB(t,r)."), (r1, r2), mode="restricted")
-    assert not isinstance(ok, PathFailure)
-    assert len(ok.steps) == 2
-    blocked = run_path(_db("typeB(t,r)."), (r1, r2, r1), mode="restricted")
-    assert blocked == PathFailure(3, "NoActiveTrigger")
-    missing = run_path(_db("typeB(t,r)."), (r2,), mode="restricted")
-    assert missing == PathFailure(1, "NoTrigger")
-
-
 def test_restricted_mode_traces_are_valid_skolem_traces():
+    # the restricted run saturates after the two steps the skolem chase
+    # starts with, and replays step for step under skolem application
     rs = handshake()
-    r1, r2 = rs.rules
-    restricted = run_path(_db("typeB(t,r)."), (r1, r2), mode="restricted")
-    skolem = run_path(_db("typeB(t,r)."), (r1, r2), mode="skolem")
-    assert restricted.rule_sequence() == skolem.rule_sequence()
-    assert [s.added for s in restricted.steps] == [s.added for s in skolem.steps]
+    restricted = greedy_restricted(_db("typeB(t,r)."), rs)
+    skolem = skolem_chase(_db("typeB(t,r)."), rs, budget=Budget(max_steps=2))
+    assert isinstance(restricted.outcome, Saturated)
+    assert restricted.rule_sequence() == skolem.rule_sequence() == ("r1", "r2")
+    assert restricted.steps == skolem.steps
+    assert restricted.replay(rs).fingerprint() == restricted.final.fingerprint()
 
 
 def test_exhaustive_restricted_trusted_handshake_saturates():
@@ -149,9 +140,12 @@ def test_trusted_handshake_two_cycle_blocks_at_fifth_step():
     # the alternating 2-cycle applies four steps and then finds no active
     # trigger for its closing element
     rs = handshake_trusted()
-    r3, r4 = rs.rules
-    res = run_path(_db("typeB(t,r)."), (r3, r4, r3, r4, r3), mode="restricted")
-    assert res == PathFailure(5, "NoActiveTrigger")
+    r3 = rs.by_id["r3"]
+    trace = greedy_restricted(_db("typeB(t,r)."), rs, budget=Budget(max_steps=4))
+    assert trace.rule_sequence() == ("r3", "r4", "r3", "r4")
+    homs = list(find_homomorphisms(r3.body, trace.final))
+    assert homs
+    assert not any(is_active_trigger(r3, h, trace.final) for h in homs)
 
 
 def test_greedy_restricted_trusted_handshake_saturates():
@@ -199,3 +193,21 @@ def test_trace_json_lines():
 
     first = json.loads(lines[0])
     assert first["step"] == 1 and first["rule"] in ("r1", "r2")
+
+
+_BUDGETS = {
+    "steps": Budget(max_steps=5),
+    "atoms": Budget(max_atoms=5),
+    "height": Budget(max_height=3),
+    "probes": Budget(max_probes=20),
+}
+
+
+@pytest.mark.parametrize("run", [skolem_chase, greedy_restricted])
+@pytest.mark.parametrize("reason", sorted(_BUDGETS))
+def test_every_budget_ends_the_walk_and_the_trace_replays(run, reason):
+    rs = walk()
+    trace = run(_db("e(a,b)."), rs, budget=_BUDGETS[reason])
+    assert trace.outcome == BudgetExhausted(reason)
+    assert trace.steps
+    assert trace.replay(rs).fingerprint() == trace.final.fingerprint()

@@ -161,3 +161,37 @@ def test_graph_dot(handshake_file, capsys):
     code, out, _ = run(capsys, "graph", handshake_file)
     assert code == 0
     assert out.startswith("digraph") and '"r1" -> "r2";' in out
+
+
+# Bad invocations, at least one per command: each is reported on stderr and
+# exits 3, whether argparse, the loader or the command itself rejects it.
+BAD_USAGE = {
+    "analyze": ("analyze", "{rules}", "--k", "-1"),
+    "check": ("check", "{missing}", "--condition", "wa"),
+    "chase": ("chase", "{rules}", "--database", "{missing}"),
+    "cycles": ("cycles", "{rules}", "--k", "0"),
+    "bounded": ("bounded", "{rules}", "--delta", "exptower:-1"),
+    "generate": ("generate", "--count", "3", "--arity", "0"),
+    "report": ("report", "{dir}", "--k-min", "-1"),
+    "report-k-order": ("report", "{dir}", "--k-min", "2", "--k-max", "1"),
+    "graph": ("graph", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_USAGE))
+def test_bad_usage_exits_three(tmp_path, capsys, case):
+    rules = tmp_path / "walk.dlgp"
+    rules.write_text(WALK, encoding="utf-8")
+    bad = tmp_path / "bad.dlgp"
+    bad.write_text("p(a,b).\np(a).\n", encoding="utf-8")
+    paths = {
+        "rules": rules.as_posix(),
+        "bad": bad.as_posix(),
+        "missing": (tmp_path / "missing.dlgp").as_posix(),
+        "dir": tmp_path.as_posix(),
+    }
+    argv = [arg.format(**paths) for arg in BAD_USAGE[case]]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error" in err and "Traceback" not in err

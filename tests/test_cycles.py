@@ -9,7 +9,7 @@ from chase_sentinel.cycles import (
     is_relevant,
     occurrence_counts,
 )
-from chase_sentinel.deps import DependencyOracle, dependency_graph
+from chase_sentinel.deps import dependency_graph
 
 from fixtures import handshake, handshake_trusted, triad, vacuous_self, walk
 
@@ -110,9 +110,9 @@ def brute_force_cycles(rules, k, depends):
 @pytest.mark.parametrize("k", [1, 2])
 def test_enumeration_matches_brute_force(k):
     for rs in (handshake(), triad(), walk()):
-        oracle = DependencyOracle(rs)
-        found = set(_ids(enumerate_k_cycles(rs, k, dependency_graph(rs))))
-        expected = brute_force_cycles(list(rs.rules), k, oracle.depends)
+        graph = dependency_graph(rs)
+        found = set(_ids(enumerate_k_cycles(rs, k, graph)))
+        expected = brute_force_cycles(list(rs.rules), k, graph.depends)
         assert found == expected
 
 

@@ -87,8 +87,9 @@ def test_terminating_filter_pipeline():
     # sets the analyzer keeps as terminating survive small exhaustive chases
     import random
 
-    from chase_sentinel.chase import Budget, longest_restricted_run
+    from chase_sentinel.chase import Budget
     from chase_sentinel.model import Constant, Instance
+    from oracles import longest_restricted_run
 
     rng = random.Random(1001)
     budget = Budget(max_atoms=5000, wall_clock_s=1.0, max_probes=30_000,

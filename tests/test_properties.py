@@ -11,12 +11,13 @@ import pytest
 
 import chase_sentinel as cs
 from chase_sentinel.acyclicity import Condition, check_condition
-from chase_sentinel.chase import Budget, longest_restricted_run
+from chase_sentinel.chase import Budget
 from chase_sentinel.cycles import _sequences, occurrence_counts
 from chase_sentinel.hom import apply_atom, find_homomorphisms
 from chase_sentinel.model import Constant, Instance, Variable
 
 from fixtures import handshake, handshake_trusted, triad, triad_guarded, vacuous_self, walk
+from oracles import longest_restricted_run
 
 
 # ---------------------------------------------------------------------------
