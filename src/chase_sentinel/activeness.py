@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, check_condition, connected_components, cycle_function
 from .chase import Budget, DEFAULT_BUDGET, Meter, TraceStep, datalog_first_filter
@@ -27,7 +27,7 @@ from .critdb import (
     propose_merges,
     restricted_critical_db,
 )
-from .cycles import KCycle, enumerate_k_cycles
+from .cycles import enumerate_k_cycles
 from .deps import dependency_graph
 from .hom import (
     BudgetExceeded,
@@ -247,7 +247,7 @@ def is_path_active(
     db = restricted_critical_db(path)
     meter = Meter(budget)
 
-    def check(rn: RenamingFunction, conflicts: Optional[list] = None) -> Optional[SafetyVerdict]:
+    def check(rn: RenamingFunction, conflicts: list) -> Optional[SafetyVerdict]:
         """The verdict that ends the search under renaming `rn`, or None."""
         verdict = is_active_wrt(
             path,
@@ -265,41 +265,38 @@ def is_path_active(
         return None
 
     identity = RenamingFunction.identity()
-    queue: List[Tuple[RenamingFunction, int]] = [(identity, 0)]
+    queue: Deque[Tuple[RenamingFunction, int]] = deque([(identity, 0)])
     seen = {identity.mapping}
     inconclusive_reason: Optional[str] = None
     max_renamings = meter.budget.max_renamings
+    # Small databases are also swept over every renaming not yet seen, one
+    # at a time once the demand-driven queue drains.  Sweep renamings enter
+    # at the depth limit, so they propose nothing.
+    sweep: Iterator[RenamingFunction] = iter(())
+    if enable_renaming and len(db.indexed_constants) <= exhaustive_limit:
+        sweep = (rn for rn in all_renamings(db.indexed_constants) if rn.mapping not in seen)
 
     while queue:
-        rn, depth = queue.pop(0)
+        rn, depth = queue.popleft()
         conflicts: list = []
         verdict = check(rn, conflicts)
         if verdict is not None:
             return verdict
-        if not enable_renaming or depth >= len(path):
-            continue
-        for proposal in propose_merges(conflicts):
-            composed = proposal.compose_after(rn)
-            if composed.mapping in seen:
-                continue
-            if max_renamings is not None and len(seen) > max_renamings:
-                inconclusive_reason = inconclusive_reason or "renamings"
-                break
-            seen.add(composed.mapping)
-            queue.append((composed, depth + 1))
-
-    if enable_renaming and len(db.indexed_constants) <= exhaustive_limit:
-        try:
-            fallback = all_renamings(db.indexed_constants)
-        except ValueError:
-            fallback = iter(())
-        for rn in fallback:
-            if rn.mapping in seen:
-                continue
-            seen.add(rn.mapping)
-            verdict = check(rn)
-            if verdict is not None:
-                return verdict
+        if enable_renaming and depth < len(path):
+            for proposal in propose_merges(conflicts):
+                composed = proposal.compose_after(rn)
+                if composed.mapping in seen:
+                    continue
+                if max_renamings is not None and len(seen) > max_renamings:
+                    inconclusive_reason = inconclusive_reason or "renamings"
+                    break
+                seen.add(composed.mapping)
+                queue.append((composed, depth + 1))
+        if not queue:
+            swept = next(sweep, None)
+            if swept is not None:
+                seen.add(swept.mapping)
+                queue.append((swept, len(path)))
 
     if inconclusive_reason is not None:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=inconclusive_reason)
@@ -348,7 +345,6 @@ class KSafeStats:
     cycles_condition_true: int = 0
     cycles_datalog_pruned: int = 0
     cycles_checked: int = 0
-    renamings_seen: int = 0
     truncated: bool = False
     elapsed_s: float = 0.0
 
@@ -372,22 +368,40 @@ def k_safe(
     budget: Optional[Budget] = None,
     jobs: int = 1,
     enable_renaming: bool = True,
-    exhaustive_limit: int = 6,
 ) -> KSafeReport:
     """Decide membership in the k-safe hierarchy for one acyclicity test.
 
     k = 0 is the bare acyclicity check.  For k >= 1, every k-cycle of a
-    component failing the condition is tested for activeness w.r.t. its
-    restricted critical database under renamings; one active cycle refutes
-    the proof attempt (NotProven), exhausted budgets yield
-    ResourceExhausted, and a clean sweep proves all-instance termination of
-    the restricted chase (Terminating).
+    component failing the condition is tested, in enumeration order, for
+    activeness w.r.t. its restricted critical database under renamings; one
+    active cycle refutes the proof attempt (NotProven), exhausted budgets
+    yield ResourceExhausted, and a clean sweep proves all-instance
+    termination of the restricted chase (Terminating).
+
+    `jobs` must be 1: cycles are checked one at a time.  The keyword stays
+    only because the benchmark runner passes `jobs=1`; it goes with the next
+    benchmark change (ROADMAP item 4).
     """
     start = time.monotonic()
-    stats = KSafeStats()
-    budget = budget or DEFAULT_BUDGET
+    if jobs != 1:
+        raise ValueError("jobs must be 1: cycles are checked one at a time")
     if k < 0:
         raise ValueError("k must be >= 0")
+    stats = KSafeStats()
+    budget = budget or DEFAULT_BUDGET
+
+    def report(verdict: Verdict, witness=None, condition_witness=None) -> KSafeReport:
+        stats.elapsed_s = time.monotonic() - start
+        return KSafeReport(
+            verdict=verdict,
+            k=k,
+            condition=condition,
+            datalog_first=datalog_first,
+            witness=witness,
+            condition_witness=condition_witness,
+            stats=stats,
+        )
+
     if k == 0:
         res = check_condition(condition, rs, budget)
         verdict = (
@@ -395,15 +409,7 @@ def k_safe(
             if res.value
             else (Verdict.NOT_PROVEN if res.value is False else Verdict.RESOURCE_EXHAUSTED)
         )
-        stats.elapsed_s = time.monotonic() - start
-        return KSafeReport(
-            verdict=verdict,
-            k=0,
-            condition=condition,
-            datalog_first=datalog_first,
-            condition_witness=res.witness,
-            stats=stats,
-        )
+        return report(verdict, condition_witness=res.witness)
 
     graph = dependency_graph(rs)
     phi = cycle_function(condition, budget)
@@ -418,49 +424,10 @@ def k_safe(
 
     datalog_rules = rs.datalog_rules if datalog_first else ()
     stream = enumerate_k_cycles(rs, k, graph, limit=budget.max_cycles, components=failing)
-    inconclusive = False
-
-    def check_cycle(cycle: KCycle) -> SafetyVerdict:
-        return is_path_active(
-            cycle.path,
-            budget=budget,
-            enable_renaming=enable_renaming,
-            exhaustive_limit=exhaustive_limit,
-            datalog_rules=datalog_rules,
-            datalog_first=datalog_first,
-        )
-
-    pending: List[KCycle] = []
-
-    def drain(batch: List[KCycle]) -> Optional[KSafeReport]:
-        nonlocal inconclusive
-        if not batch:
-            return None
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                verdicts = list(pool.map(check_cycle, batch))
-        else:
-            verdicts = [check_cycle(c) for c in batch]
-        for cycle, verdict in zip(batch, verdicts):
-            stats.cycles_checked += 1
-            if verdict.status is Status.ACTIVE:
-                stats.elapsed_s = time.monotonic() - start
-                return KSafeReport(
-                    verdict=Verdict.NOT_PROVEN,
-                    k=k,
-                    condition=condition,
-                    datalog_first=datalog_first,
-                    witness=verdict.witness,
-                    stats=stats,
-                )
-            if verdict.status is Status.INCONCLUSIVE:
-                inconclusive = True
-        return None
-
-    batch_size = max(1, jobs)
     deadline = (
         start + budget.total_wall_clock_s if budget.total_wall_clock_s is not None else None
     )
+    inconclusive = False
     for cycle in stream:
         if deadline is not None and time.monotonic() > deadline:
             inconclusive = True
@@ -472,25 +439,21 @@ def k_safe(
         if phi(rs, cycle):
             stats.cycles_condition_true += 1
             continue
-        pending.append(cycle)
-        if len(pending) >= batch_size:
-            report = drain(pending)
-            pending = []
-            if report is not None:
-                return report
-    report = drain(pending)
-    if report is not None:
-        return report
+        stats.cycles_checked += 1
+        safety = is_path_active(
+            cycle.path,
+            budget=budget,
+            enable_renaming=enable_renaming,
+            exhaustive_limit=6,
+            datalog_rules=datalog_rules,
+            datalog_first=datalog_first,
+        )
+        if safety.status is Status.ACTIVE:
+            return report(Verdict.NOT_PROVEN, witness=safety.witness)
+        if safety.status is Status.INCONCLUSIVE:
+            inconclusive = True
 
     stats.truncated = stream.truncated
-    stats.elapsed_s = time.monotonic() - start
-    verdict = Verdict.TERMINATING
     if inconclusive or stream.truncated:
-        verdict = Verdict.RESOURCE_EXHAUSTED
-    return KSafeReport(
-        verdict=verdict,
-        k=k,
-        condition=condition,
-        datalog_first=datalog_first,
-        stats=stats,
-    )
+        return report(Verdict.RESOURCE_EXHAUSTED)
+    return report(Verdict.TERMINATING)

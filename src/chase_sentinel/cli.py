@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -62,16 +61,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="wall clock seconds per cycle/run")
     p.add_argument("--max-probes", type=int, default=DEFAULT_BUDGET.max_probes)
     p.add_argument("--max-cycles", type=int, default=DEFAULT_BUDGET.max_cycles)
-
-
-def _jobs_default() -> int:
-    env = os.environ.get("CHASE_SENTINEL_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 class UsageError(Exception):
@@ -135,7 +124,6 @@ def cmd_analyze(args) -> int:
         condition,
         datalog_first=args.datalog_first,
         budget=_budget_from_args(args),
-        jobs=args.jobs,
     )
     stats = report.stats
     payload = {
@@ -336,8 +324,7 @@ def cmd_report(args) -> int:
         cells = []
         for c in conditions:
             for k in ks:
-                report = k_safe(rs, k, c, datalog_first=args.datalog_first,
-                                budget=budget, jobs=args.jobs)
+                report = k_safe(rs, k, c, datalog_first=args.datalog_first, budget=budget)
                 cells.append(short[report.verdict])
         rows.append((path.name, cells))
     if args.format == "csv":
@@ -374,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=[c.value for c in Condition], default="wa")
     p.add_argument("--k", type=_int_at_least(0), default=1)
     p.add_argument("--datalog-first", action="store_true")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     _add_budget_flags(p)
@@ -430,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_int_at_least(0), default=2)
     p.add_argument("--datalog-first", action="store_true")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     _add_budget_flags(p)
     p.set_defaults(func=cmd_report)
 

@@ -6,6 +6,7 @@ from indexed constants, and index-lowering renaming functions over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .model import (
@@ -95,6 +96,10 @@ class RenamingFunction:
         items = tuple(sorted(((s, t) for s, t in d.items() if s != t), key=lambda p: str(p[0])))
         return RenamingFunction(items)
 
+    @cached_property
+    def _map(self) -> Dict[IndexedConstant, IndexedConstant]:
+        return dict(self.mapping)
+
     def as_dict(self) -> Dict[IndexedConstant, IndexedConstant]:
         return dict(self.mapping)
 
@@ -107,27 +112,18 @@ class RenamingFunction:
 
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, IndexedConstant):
-            return self.as_dict().get(t, t)
+            return self._map.get(t, t)
         if isinstance(t, SkolemTerm):
             return SkolemTerm(t.fn, tuple(self.apply_term(a) for a in t.args))
         return t
 
     def apply_atom(self, a: Atom) -> Atom:
-        d = self.as_dict()
-
-        def conv(t: Term) -> Term:
-            if isinstance(t, IndexedConstant):
-                return d.get(t, t)
-            if isinstance(t, SkolemTerm):
-                return SkolemTerm(t.fn, tuple(conv(x) for x in t.args))
-            return t
-
-        return Atom(a.pred, tuple(conv(t) for t in a.args))
+        return Atom(a.pred, tuple(self.apply_term(t) for t in a.args))
 
     def compose_after(self, first: "RenamingFunction") -> "RenamingFunction":
         """self o first: apply `first`, then self."""
-        d_first = first.as_dict()
-        d_self = self.as_dict()
+        d_first = first._map
+        d_self = self._map
         domain = set(d_first) | set(d_self)
         out = {}
         for c in domain:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
 
 class Term:
@@ -49,7 +49,22 @@ class SkolemTerm(Term):
     args: tuple
 
     def __str__(self) -> str:
-        return "%s(%s)" % (self.fn, ",".join(str(a) for a in self.args))
+        # Iterative: chase nulls nest one level per step, deeper than the
+        # recursion limit.  The stack holds terms and literal text.
+        out: List[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, SkolemTerm):
+                out.append(item.fn + "(")
+                stack.append(")")
+                for i, arg in enumerate(reversed(item.args)):
+                    if i:
+                        stack.append(",")
+                    stack.append(arg)
+            else:
+                out.append(str(item))
+        return "".join(out)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import pytest
+
 import chase_sentinel as cs
 from chase_sentinel.activeness import Status, Verdict, is_active_wrt, is_path_active, k_safe, replay_witness
 from chase_sentinel.chase import Budget
@@ -124,11 +126,28 @@ def test_k_safe_budget_exhaustion_is_reported():
     assert starved.verdict is Verdict.RESOURCE_EXHAUSTED
 
 
-def test_k_safe_jobs_parallel_matches_serial():
-    rs = triad()
-    serial = k_safe(rs, 1, cs.Condition.WA, jobs=1)
-    parallel = k_safe(rs, 1, cs.Condition.WA, jobs=4)
-    assert serial.verdict is parallel.verdict
+def test_k_safe_checks_cycles_one_at_a_time():
+    with pytest.raises(ValueError):
+        k_safe(triad(), 1, cs.Condition.WA, jobs=2)
+
+
+def test_demand_driven_renamings_agree_with_the_sweep_on_fixture_one_cycles():
+    # The exhaustive sweep as an oracle: on every fixture 1-cycle small
+    # enough for k_safe to sweep, the demand-driven renamings alone reach
+    # the same status.
+    budget = Budget(max_probes=50_000)
+    swept = 0
+    for make in (access_control, datalog_first_pair, handshake, handshake_trusted,
+                 triad, triad_guarded, vacuous_self, walk):
+        rs = make()
+        for cycle in cs.enumerate_k_cycles(rs, 1, cs.dependency_graph(rs)):
+            if len(restricted_critical_db(cycle.path).indexed_constants) > 6:
+                continue
+            swept += 1
+            with_sweep = is_path_active(cycle.path, budget=budget)
+            demand_only = is_path_active(cycle.path, budget=budget, exhaustive_limit=0)
+            assert with_sweep.status is demand_only.status, cycle.rule_ids()
+    assert swept > 0
 
 
 def test_trusted_handshake_two_cycle_active_even_on_a_constant_database():

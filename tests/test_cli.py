@@ -102,6 +102,19 @@ def test_chase_walk_budget_exhaustion(tmp_path, capsys):
     assert "budget exhausted (steps)" in out
 
 
+def test_chase_prints_deeply_nested_skolem_terms(tmp_path, capsys):
+    # each skolem step nests the null one level deeper than the last
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK + "e(a,b).\n", encoding="utf-8")
+    code, out, _ = run(capsys, "chase", f.as_posix(), "--variant", "skolem",
+                       "--max-steps", "300")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 301
+    assert all(line.startswith("step ") for line in lines[:300])
+    assert lines[-1] == "budget exhausted (steps) after 300 steps"
+
+
 def test_cycles_command(tmp_path, capsys):
     f = tmp_path / "walk.dlgp"
     f.write_text(WALK, encoding="utf-8")
@@ -167,6 +180,7 @@ def test_graph_dot(handshake_file, capsys):
 # exits 3, whether argparse, the loader or the command itself rejects it.
 BAD_USAGE = {
     "analyze": ("analyze", "{rules}", "--k", "-1"),
+    "analyze-jobs": ("analyze", "{rules}", "--jobs", "2"),
     "check": ("check", "{missing}", "--condition", "wa"),
     "chase": ("chase", "{rules}", "--database", "{missing}"),
     "cycles": ("cycles", "{rules}", "--k", "0"),
