@@ -6,7 +6,8 @@ applies its rules in order and the steps form a chain from the first to the
 last: each chained step consumes at least one atom first derived by the
 previous chained step (intermediate steps may be skipped, endpoints may
 not).  Safety of a path is decided against its restricted critical
-database under every reachable index-lowering renaming.
+database under the index-lowering renamings proposed from homomorphism
+near misses (see `critdb` for what they cover).
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, check_condition, connected_components, cycle_function
 from .chase import Budget, DEFAULT_BUDGET, Meter, TraceStep, datalog_first_filter
 from .critdb import (
     Conflict,
     RenamingFunction,
-    all_renamings,
     apply_renaming,
     propose_merges,
     restricted_critical_db,
@@ -103,14 +103,12 @@ class _Search:
         inst: Instance,
         meter: Meter,
         datalog_rules: Sequence[Rule] = (),
-        datalog_first: bool = False,
         min_height: int = 0,
     ):
         self.path = list(path)
         self.inst = inst
         self.meter = meter
         self.datalog_rules = list(datalog_rules)
-        self.datalog_first = datalog_first
         self.min_height = min_height
         self.steps: List[TraceStep] = []
         self.used_steps: List[frozenset] = []
@@ -139,7 +137,8 @@ class _Search:
 
     def _datalog_blocked(self) -> bool:
         """Under the Datalog-first strategy a generating rule may not fire
-        while any Datalog rule of the set has an active trigger."""
+        while any of `datalog_rules` has an active trigger; with none given,
+        nothing blocks."""
         for d in self.datalog_rules:
             for h in find_homomorphisms(d.body, self.inst, probe=self.meter.charge_probe):
                 if is_active_trigger(d, h, self.inst, probe=self.meter.charge_probe):
@@ -161,7 +160,7 @@ class _Search:
             return False
         rule = self.path[i]
         step_no = i + 1
-        if self.datalog_first and not rule.is_datalog and self._datalog_blocked():
+        if not rule.is_datalog and self._datalog_blocked():
             return False
         on_miss = self._on_miss(step_no, rule)
         for h in find_homomorphisms(
@@ -193,21 +192,22 @@ def is_active_wrt(
     database: Instance,
     budget: Optional[Budget] = None,
     datalog_rules: Sequence[Rule] = (),
-    datalog_first: bool = False,
     min_height: int = 0,
     meter: Optional[Meter] = None,
     _collect: Optional[list] = None,
 ) -> SafetyVerdict:
     """Activeness of a path w.r.t. one fixed database (no renaming).
 
-    `min_height` restricts acceptance to chained sequences whose instance
-    reaches at least that term height (used by the bounded-membership
-    test, which only cares about height-breaching chains).  Passing a
-    `meter` shares one budget across several calls."""
+    A non-empty `datalog_rules` makes the search Datalog-first: a generating
+    step may not fire while one of them has an active trigger.  `min_height`
+    restricts acceptance to chained sequences whose instance reaches at
+    least that term height (used by the bounded-membership test, which only
+    cares about height-breaching chains).  Passing a `meter` shares one
+    budget across several calls."""
     if meter is None:
         meter = Meter(budget)
     inst = database.copy()
-    search = _Search(path, inst, meter, datalog_rules, datalog_first, min_height)
+    search = _Search(path, inst, meter, datalog_rules, min_height)
     try:
         found = search.run()
     except BudgetExceeded as e:
@@ -229,31 +229,35 @@ def is_active_wrt(
 def is_path_active(
     path: Sequence[Rule],
     budget: Optional[Budget] = None,
-    enable_renaming: bool = True,
-    exhaustive_limit: int = 8,
     datalog_rules: Sequence[Rule] = (),
-    datalog_first: bool = False,
     min_height: int = 0,
 ) -> SafetyVerdict:
     """Activeness of a path w.r.t. its restricted critical database under
     index-lowering renamings.
 
-    Renamings are proposed on demand from homomorphism near misses (a
-    variable that had to reach two distinct indexed constants) and composed
-    up to |path| times; when the database has at most `exhaustive_limit`
-    indexed constants, the full renaming space is swept as a fallback
-    before declaring the path safe.
+    One worklist decides: the identity first, then the renamings proposed
+    from the homomorphism near misses of each search (a pattern that needed
+    one indexed constant where the instance offered another, see `critdb`),
+    composed up to |path| deep.  The path is safe when the worklist drains;
+    it is inconclusive when the budget runs out, or when `max_renamings`
+    cut proposals off.  `datalog_rules` and `min_height` are passed to
+    every `is_active_wrt` search.
     """
     db = restricted_critical_db(path)
     meter = Meter(budget)
+    identity = RenamingFunction.identity()
+    queue: Deque[Tuple[RenamingFunction, int]] = deque([(identity, 0)])
+    seen = {identity.mapping}
+    inconclusive_reason: Optional[str] = None
+    max_renamings = meter.budget.max_renamings
 
-    def check(rn: RenamingFunction, conflicts: list) -> Optional[SafetyVerdict]:
-        """The verdict that ends the search under renaming `rn`, or None."""
+    while queue:
+        rn, depth = queue.popleft()
+        conflicts: list = []
         verdict = is_active_wrt(
             path,
             apply_renaming(rn, db),
             datalog_rules=datalog_rules,
-            datalog_first=datalog_first,
             min_height=min_height,
             meter=meter,
             _collect=conflicts,
@@ -262,41 +266,17 @@ def is_path_active(
             return SafetyVerdict(Status.ACTIVE, witness=replace(verdict.witness, renaming=rn))
         if verdict.status is Status.INCONCLUSIVE:
             return verdict
-        return None
-
-    identity = RenamingFunction.identity()
-    queue: Deque[Tuple[RenamingFunction, int]] = deque([(identity, 0)])
-    seen = {identity.mapping}
-    inconclusive_reason: Optional[str] = None
-    max_renamings = meter.budget.max_renamings
-    # Small databases are also swept over every renaming not yet seen, one
-    # at a time once the demand-driven queue drains.  Sweep renamings enter
-    # at the depth limit, so they propose nothing.
-    sweep: Iterator[RenamingFunction] = iter(())
-    if enable_renaming and len(db.indexed_constants) <= exhaustive_limit:
-        sweep = (rn for rn in all_renamings(db.indexed_constants) if rn.mapping not in seen)
-
-    while queue:
-        rn, depth = queue.popleft()
-        conflicts: list = []
-        verdict = check(rn, conflicts)
-        if verdict is not None:
-            return verdict
-        if enable_renaming and depth < len(path):
-            for proposal in propose_merges(conflicts):
-                composed = proposal.compose_after(rn)
-                if composed.mapping in seen:
-                    continue
-                if max_renamings is not None and len(seen) > max_renamings:
-                    inconclusive_reason = inconclusive_reason or "renamings"
-                    break
-                seen.add(composed.mapping)
-                queue.append((composed, depth + 1))
-        if not queue:
-            swept = next(sweep, None)
-            if swept is not None:
-                seen.add(swept.mapping)
-                queue.append((swept, len(path)))
+        if depth == len(path):
+            continue
+        for proposal in propose_merges(conflicts):
+            composed = proposal.compose_after(rn)
+            if composed.mapping in seen:
+                continue
+            if max_renamings is not None and len(seen) > max_renamings:
+                inconclusive_reason = inconclusive_reason or "renamings"
+                break
+            seen.add(composed.mapping)
+            queue.append((composed, depth + 1))
 
     if inconclusive_reason is not None:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=inconclusive_reason)
@@ -358,6 +338,7 @@ class KSafeReport:
     witness: Optional[ChainWitness] = None
     condition_witness: object = None
     stats: KSafeStats = field(default_factory=KSafeStats)
+    reason: Optional[str] = None  # the budget that ran out (ResourceExhausted only)
 
 
 def k_safe(
@@ -367,7 +348,6 @@ def k_safe(
     datalog_first: bool = False,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    enable_renaming: bool = True,
 ) -> KSafeReport:
     """Decide membership in the k-safe hierarchy for one acyclicity test.
 
@@ -375,8 +355,14 @@ def k_safe(
     component failing the condition is tested, in enumeration order, for
     activeness w.r.t. its restricted critical database under renamings; one
     active cycle refutes the proof attempt (NotProven), exhausted budgets
-    yield ResourceExhausted, and a clean sweep proves all-instance
+    yield ResourceExhausted, and a clean pass proves all-instance
     termination of the restricted chase (Terminating).
+
+    A ResourceExhausted report names the budget that ran out first in
+    `reason`: the first inconclusive cycle's reason (`probes`, `wall_clock`,
+    `renamings`), `cycles` when `max_cycles` truncated the enumeration,
+    `deadline` when `total_wall_clock_s` passed, or at k = 0 the reason of
+    the condition check (MFA's chase budget).
 
     `jobs` must be 1: cycles are checked one at a time.  The keyword stays
     only because the benchmark runner passes `jobs=1`; it goes with the next
@@ -390,7 +376,7 @@ def k_safe(
     stats = KSafeStats()
     budget = budget or DEFAULT_BUDGET
 
-    def report(verdict: Verdict, witness=None, condition_witness=None) -> KSafeReport:
+    def report(verdict: Verdict, witness=None, condition_witness=None, reason=None) -> KSafeReport:
         stats.elapsed_s = time.monotonic() - start
         return KSafeReport(
             verdict=verdict,
@@ -400,15 +386,16 @@ def k_safe(
             witness=witness,
             condition_witness=condition_witness,
             stats=stats,
+            reason=reason,
         )
 
     if k == 0:
         res = check_condition(condition, rs, budget)
-        verdict = (
-            Verdict.TERMINATING
-            if res.value
-            else (Verdict.NOT_PROVEN if res.value is False else Verdict.RESOURCE_EXHAUSTED)
-        )
+        if res.value is None:  # only MFA runs out; its witness names the budget
+            return report(
+                Verdict.RESOURCE_EXHAUSTED, condition_witness=res.witness, reason=res.witness
+            )
+        verdict = Verdict.TERMINATING if res.value else Verdict.NOT_PROVEN
         return report(verdict, condition_witness=res.witness)
 
     graph = dependency_graph(rs)
@@ -427,10 +414,10 @@ def k_safe(
     deadline = (
         start + budget.total_wall_clock_s if budget.total_wall_clock_s is not None else None
     )
-    inconclusive = False
+    reason: Optional[str] = None
     for cycle in stream:
         if deadline is not None and time.monotonic() > deadline:
-            inconclusive = True
+            reason = reason or "deadline"
             break
         stats.cycles_enumerated += 1
         if datalog_first and not datalog_first_filter(cycle.path, rs):
@@ -440,20 +427,15 @@ def k_safe(
             stats.cycles_condition_true += 1
             continue
         stats.cycles_checked += 1
-        safety = is_path_active(
-            cycle.path,
-            budget=budget,
-            enable_renaming=enable_renaming,
-            exhaustive_limit=6,
-            datalog_rules=datalog_rules,
-            datalog_first=datalog_first,
-        )
+        safety = is_path_active(cycle.path, budget=budget, datalog_rules=datalog_rules)
         if safety.status is Status.ACTIVE:
             return report(Verdict.NOT_PROVEN, witness=safety.witness)
         if safety.status is Status.INCONCLUSIVE:
-            inconclusive = True
+            reason = reason or safety.reason
 
     stats.truncated = stream.truncated
-    if inconclusive or stream.truncated:
-        return report(Verdict.RESOURCE_EXHAUSTED)
+    if stream.truncated:
+        reason = reason or "cycles"
+    if reason is not None:
+        return report(Verdict.RESOURCE_EXHAUSTED, reason=reason)
     return report(Verdict.TERMINATING)

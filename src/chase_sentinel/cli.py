@@ -133,6 +133,7 @@ def cmd_analyze(args) -> int:
         "k": args.k,
         "datalog_first": args.datalog_first,
         "status": report.verdict.value,
+        "reason": report.reason,
         "witness": _witness_json(report.witness),
         "stats": {
             "components": stats.components,
@@ -159,6 +160,8 @@ def cmd_analyze(args) -> int:
                 ", datalog-first" if args.datalog_first else "",
             )
         )
+        if report.reason is not None:
+            print("  budget exhausted: %s" % report.reason)
         if report.witness is not None:
             w = report.witness
             print("  active cycle: %s" % " -> ".join(w.rule_ids))

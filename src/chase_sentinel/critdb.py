@@ -1,6 +1,28 @@
 """Critical databases: the skolem one (full relations over the rule
 constants plus a reserved fresh constant), the per-path restricted one built
 from indexed constants, and index-lowering renaming functions over it.
+
+Renamings are proposed, not enumerated.  A near miss is a failed match of a
+body atom, under the bindings made so far, against an instance atom that
+differs from it only where both hold indexed constants (an unbound
+variable agrees with anything).  `propose_merges` turns each near miss into
+the renaming that sends the higher index of every differing pair to the
+lower, plus the union of all of them; `is_path_active` composes proposals
+with the renaming they were found under, up to |path| deep.
+
+No completeness argument is known.  A renaming never makes an inactive
+trigger active, so it helps through a new body match, a new chain edge
+(collapsed atoms move the step an atom is first derived at), or a blocking
+Datalog trigger it makes inactive.  Proposals miss a difference inside a
+skolem term (`q(f(<X,2>))` against `q(f(<X,1>))`), a repeated variable not
+yet bound (`p(X,X)` against `p(<Y,1>,<Z,2>)`), a pair that must meet at a
+third, lower constant no near miss names, and the last two kinds of help.
+The claim is empirical: the demand-driven renamings reach the status of
+the sweep over every renaming (`all_renamings`) on every cycle tried,
+including the renaming-dependent cycles of
+`tests/test_activeness.py::test_demand_driven_renamings_agree_with_the_sweep_oracle`
+and every `k_safe`/`memb_check` operation of the benchmark's `fixtures`
+and `generated` workloads.
 """
 
 from __future__ import annotations
@@ -205,8 +227,12 @@ def propose_merges(conflicts: Iterable[Conflict]) -> List[RenamingFunction]:
 
 def all_renamings(indexed: Sequence[IndexedConstant], limit: int = 100_000):
     """Exhaustive enumeration of valid renaming functions (each constant maps
-    to itself or to any constant of strictly smaller index); used as the
-    validation fallback for small indexed-constant counts."""
+    to itself or to any constant of strictly smaller index).
+
+    The library no longer calls it: it is the tests' oracle for the
+    demand-driven renamings (`tests/oracles.renaming_sweep`).  It stays here
+    only because the benchmark's tracer patches it by this name; it moves to
+    `tests/oracles.py` with the next benchmark change (ROADMAP item 3)."""
     consts = sorted(indexed, key=lambda c: (c.index, c.var))
     targets = []
     total = 1

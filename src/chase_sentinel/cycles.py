@@ -36,9 +36,6 @@ class KCycle:
     def rule_ids(self) -> tuple:
         return tuple(r.id for r in self.path)
 
-    def distinct_rules(self) -> tuple:
-        return tuple(dict.fromkeys(self.path))
-
 
 def occurrence_counts(path: Sequence[Rule]) -> dict:
     counts: dict = {}

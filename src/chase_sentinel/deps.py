@@ -77,8 +77,6 @@ def _unify_terms(uf: _UnionFind, a: Term, b: Term) -> bool:
     if isinstance(ra, SkolemTerm) and isinstance(rb, SkolemTerm):
         if ra.fn != rb.fn or len(ra.args) != len(rb.args):
             return False
-        if not uf.union(ra, rb):  # both rigid: merge structurally instead
-            pass
         return all(_unify_terms(uf, x, y) for x, y in zip(ra.args, rb.args))
     return uf.union(ra, rb)
 

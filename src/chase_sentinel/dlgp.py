@@ -248,18 +248,3 @@ def serialize(doc: SourceDocument) -> str:
         body = ", ".join(_render_atom(a, ordinal) for a in r.body)
         lines.append("[%s] %s :- %s." % (r.id, head, body))
     return "".join(line + "\n" for line in lines)
-
-
-def serialize_instance(inst: Instance) -> str:
-    """Ground atoms as dlgp facts; the reserved '*' constant prints as star0
-    and indexed constants print lowercased so the result stays parseable."""
-    out = []
-    for a in inst.atoms():
-        parts = []
-        for t in a.args:
-            s = str(t)
-            if s == "*":
-                s = "star0"
-            parts.append(s[0].lower() + s[1:] if s else s)
-        out.append("%s(%s)." % (a.pred, ",".join(parts)))
-    return "".join(line + "\n" for line in out)

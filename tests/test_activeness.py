@@ -15,6 +15,7 @@ from fixtures import (
     vacuous_self,
     walk,
 )
+from oracles import renaming_sweep
 
 
 def test_access_control_key_loop_is_safe_from_haskey_db():
@@ -65,8 +66,6 @@ def test_guarded_triad_needs_renaming():
     assert not rn.is_identity
     assert all(src.index == 3 and dst.index == 1 for src, dst in rn.mapping)
     replay_witness(with_renaming.witness, rs)
-    disabled = is_path_active(pi2, enable_renaming=False)
-    assert disabled.status is Status.SAFE
 
 
 def test_budget_yields_inconclusive():
@@ -119,11 +118,26 @@ def test_k_safe_datalog_first_changes_the_verdict():
 def test_k_safe_budget_exhaustion_is_reported():
     rs = walk()
     report = k_safe(rs, 1, cs.Condition.WA, budget=Budget(max_probes=1, max_cycles=10))
-    assert report.verdict in (Verdict.RESOURCE_EXHAUSTED, Verdict.NOT_PROVEN)
-    starved = k_safe(
-        rs, 1, cs.Condition.WA, budget=Budget(max_probes=1, max_cycles=10), enable_renaming=False
-    )
-    assert starved.verdict is Verdict.RESOURCE_EXHAUSTED
+    assert report.verdict is Verdict.RESOURCE_EXHAUSTED
+    assert report.reason == "probes"
+
+
+@pytest.mark.parametrize(
+    "k, condition, budget, reason",
+    [
+        (1, cs.Condition.WA, Budget(max_cycles=0), "cycles"),
+        (1, cs.Condition.WA, Budget(total_wall_clock_s=0.0), "deadline"),
+        (0, cs.Condition.MFA, Budget(max_steps=1), "steps"),
+    ],
+    ids=["cycles", "deadline", "mfa-steps"],
+)
+def test_k_safe_names_the_budget_that_ran_out(k, condition, budget, reason):
+    # the walk set is NotProven on the default budget; each of these budgets
+    # ends the analysis before that verdict is reached
+    report = k_safe(walk(), k, condition, budget=budget)
+    assert report.verdict is Verdict.RESOURCE_EXHAUSTED
+    assert report.reason == reason
+    assert k_safe(walk(), k, condition).reason is None
 
 
 def test_k_safe_checks_cycles_one_at_a_time():
@@ -131,23 +145,95 @@ def test_k_safe_checks_cycles_one_at_a_time():
         k_safe(triad(), 1, cs.Condition.WA, jobs=2)
 
 
-def test_demand_driven_renamings_agree_with_the_sweep_on_fixture_one_cycles():
-    # The exhaustive sweep as an oracle: on every fixture 1-cycle small
-    # enough for k_safe to sweep, the demand-driven renamings alone reach
-    # the same status.
-    budget = Budget(max_probes=50_000)
-    swept = 0
+# Cycles of random 3-rule sets that are safe on their plain restricted
+# critical database and active under an index-lowering renaming:
+# `tests/test_properties.random_rule_set(random.Random(0), 3)`, drawn in
+# order (0-based), each with at most 6 indexed constants.
+RENAMING_CYCLES = (
+    ("draw33", "[t1] q(X,X), p(Y,X) :- p(X,Y), s(X).", ("t1,t1",)),
+    (
+        "draw118",
+        """
+        [t1] s(X), q(E,E) :- q(Y,Y), q(X,Y).
+        [t2] q(Y,X) :- q(Y,Y), s(X).
+        [t3] q(E,E), q(E,X) :- s(X).
+        """,
+        ("t2,t1,t2",),
+    ),
+    (
+        "draw152",
+        """
+        [t1] p(E,Y), q(E,Y) :- s(Y).
+        [t2] s(Y), p(E,Y) :- q(X,Y), p(Y,X).
+        [t3] s(Y), p(Y,Y) :- q(X,X), p(Y,X).
+        """,
+        ("t1,t3,t1", "t1,t3,t2,t1", "t1,t3,t3,t1"),
+    ),
+    (
+        "draw232",
+        """
+        [t1] s(X), s(X) :- s(X).
+        [t2] q(Y,X), p(X,Y) :- q(Y,Y), q(X,Y).
+        [t3] q(X,X) :- q(X,Y), q(Y,Y).
+        """,
+        ("t2,t2",),
+    ),
+    (
+        "draw273",
+        """
+        [t1] q(Y,X), p(Y,Y) :- s(X), p(X,Y).
+        [t2] p(Y,Y) :- q(X,X), q(Y,X).
+        """,
+        ("t1,t1", "t1,t2,t1"),
+    ),
+    (
+        "draw274",
+        """
+        [t1] q(E,X) :- p(X,X).
+        [t2] q(E,X) :- p(Y,X), q(X,Y).
+        [t3] q(Y,X), p(Y,Y) :- s(X), q(X,Y).
+        """,
+        ("t3,t3",),
+    ),
+)
+
+
+def _renaming_differential_cases():
+    """(rule set, path ids, whether the verdict needs a renaming): every
+    fixture 1-cycle with at most 6 indexed constants, the guarded triad's
+    reverse rotation, and the random cycles above."""
     for make in (access_control, datalog_first_pair, handshake, handshake_trusted,
                  triad, triad_guarded, vacuous_self, walk):
         rs = make()
         for cycle in cs.enumerate_k_cycles(rs, 1, cs.dependency_graph(rs)):
-            if len(restricted_critical_db(cycle.path).indexed_constants) > 6:
-                continue
-            swept += 1
-            with_sweep = is_path_active(cycle.path, budget=budget)
-            demand_only = is_path_active(cycle.path, budget=budget, exhaustive_limit=0)
-            assert with_sweep.status is demand_only.status, cycle.rule_ids()
-    assert swept > 0
+            if len(restricted_critical_db(cycle.path).indexed_constants) <= 6:
+                ids = ",".join(cycle.rule_ids())
+                yield pytest.param(rs, ids, False, id="%s:%s" % (make.__name__, ids))
+    yield pytest.param(triad_guarded(), "r3,r2,r1", True, id="triad_guarded:r3,r2,r1")
+    for name, text, paths in RENAMING_CYCLES:
+        rs = cs.parse_rules(text)
+        for ids in paths:
+            yield pytest.param(rs, ids, True, id="%s:%s" % (name, ids))
+
+
+@pytest.mark.parametrize("rs, ids, needs_renaming", _renaming_differential_cases())
+def test_demand_driven_renamings_agree_with_the_sweep_oracle(rs, ids, needs_renaming):
+    # The exhaustive sweep over every index-lowering renaming as an oracle:
+    # the demand-driven renamings of is_path_active reach the same status.
+    # Where the plain critical database is safe and the oracle finds the
+    # path active, only a proposed renaming can agree with it.
+    path = tuple(rs.by_id[i] for i in ids.split(","))
+    budget = Budget(max_probes=50_000)
+    oracle = renaming_sweep(path, budget=budget)
+    assert oracle is not Status.INCONCLUSIVE
+    verdict = is_path_active(path, budget=budget)
+    assert verdict.status is oracle
+    if needs_renaming:
+        plain = is_active_wrt(path, restricted_critical_db(path).instance())
+        assert plain.status is Status.SAFE
+        assert oracle is Status.ACTIVE
+        assert not verdict.witness.renaming.is_identity
+        replay_witness(verdict.witness, rs)
 
 
 def test_trusted_handshake_two_cycle_active_even_on_a_constant_database():

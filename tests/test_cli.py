@@ -37,6 +37,18 @@ def test_analyze_json_stable(handshake_file, capsys):
     assert payload["status"] == "Terminating"
     assert payload["schema_version"] == 1
     assert "elapsed_s" not in payload
+    assert payload["reason"] is None
+
+
+def test_analyze_names_the_exhausted_budget(tmp_path, capsys):
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(f), "--k", "1", "--max-probes", "1")
+    assert code == 2 and "budget exhausted: probes" in out
+    code, out, _ = run(capsys, "analyze", str(f), "--k", "1", "--max-cycles", "0", "--json")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "ResourceExhausted"
+    assert payload["reason"] == "cycles"
 
 
 def test_analyze_parse_error_exit_three(tmp_path, capsys):

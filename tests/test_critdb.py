@@ -12,7 +12,7 @@ from chase_sentinel.critdb import (
 )
 from chase_sentinel.model import IndexedConstant
 
-from fixtures import triad_guarded, vacuous_self, walk
+from fixtures import vacuous_self, walk
 
 
 def test_skolem_critical_db_walk_rule():
@@ -141,22 +141,6 @@ def test_propose_merges_skips_equal_index_conflicts():
     b1 = IndexedConstant("B", 1)
     conflict = Conflict(step=1, rule_id="r", pairs=frozenset({(a1, b1)}))
     assert propose_merges([conflict]) == []
-
-
-def test_exhaustive_renamings_match_demand_driven_on_guarded_triad():
-    rs = triad_guarded()
-    r1, r2, r3 = rs.rules
-    path = (r3, r2, r1)
-    db = restricted_critical_db(path)
-    found_active = []
-    for rn in all_renamings(db.indexed_constants, limit=200_000):
-        base = apply_renaming(rn, db)
-        if cs.is_active_wrt(path, base).status is cs.Status.ACTIVE:
-            found_active.append(rn)
-    assert found_active, "some index-lowering renaming must activate the path"
-    demand = cs.is_path_active(path)
-    assert demand.status is cs.Status.ACTIVE
-    assert not demand.witness.renaming.is_identity
 
 
 def test_all_renamings_counts():
