@@ -61,7 +61,6 @@ from .deps import (
     PieceUnifier,
     dependency_graph,
     depends_on,
-    depends_on_wrt,
     piece_unifiers,
 )
 from .dlgp import ParseError, SourceDocument, parse, parse_rules, serialize

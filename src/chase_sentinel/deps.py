@@ -1,23 +1,53 @@
-"""Rule dependencies via piece-unification, plus the instance-relative test
-and the rule dependency graph.
+"""Rule dependencies via piece-unification, and the rule dependency graph.
 
-A piece-unifier of body(r2) with head(r1) is a substitution equating a
-body subset B with a head subset H, where existential head variables may
-only be merged with body variables that never occur outside B.  A unifier
-witnesses a genuine dependency when it is atom-erasing and productive.
+r2 depends on r1 when an application of r1 can produce an atom that a new
+application of r2 uses (Baget, Leclère, Mugnier & Salvat, AIJ 2011).  The
+syntactic test is a piece-unifier of body(r2) with head(r1): a unifier u
+of a body subset B with a head subset H such that every class holding an
+existential variable of r1 holds no other existential, no rigid term, no
+frontier variable of r1, and no variable of body(r2) that occurs outside
+B.  The dependency holds when some piece-unifier u is atom-erasing
+(u(body(r2)) is not contained in u(body(r1))) and productive (u(head(r2))
+is not contained in u(body(r1) + head(r1) + body(r2))).
+
+The search yields the most general single-piece unifiers (König, Leclère,
+Mugnier & Thomazo, SWJ 2015).  It starts from one body atom and one head
+atom with the same predicate and unifies them.  While a class holds an
+existential, every body atom with a variable in that class joins the
+piece, branching over the head atoms it can map to.  A branch fails as
+soon as a class holds two existentials, a rigid term or a frontier
+variable of r1, and also when it pulls in a body atom that comes before
+the start atom: that piece is grown from its own first atom.  When no
+atom is left to pull in, the piece is closed and its unifier is yielded.
+
+This is complete for the dependency test.  Take any piece-unifier u, the
+most general unifier of atom pairs P from B x H that cover B and H.
+Start from the first atom of B in body order and a head atom it is paired
+with in P, and let every body atom pulled in choose a head atom it is
+paired with in P.  Along that branch the unified pairs are a subset of P,
+so every class is contained in a class of u.  Hence no unification
+clashes and no class breaks the existential condition that u meets; and
+every atom pulled in has a variable in an existential class of u, so it
+lies in B and does not come before the start atom.  The branch therefore
+closes on a single-piece unifier v with u = t.v for some substitution t.
+Both tests survive generalisation: if v fails one, v(X) is contained in
+v(Y), and then t(v(X)) is contained in t(v(Y)), so u fails it too.  So if
+any piece-unifier passes both tests, one of the yielded unifiers does.
+This covers unifiers of several pieces and body atoms paired with more
+than one head atom.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, Optional
 
-from .hom import apply_trigger, find_homomorphisms
+# Not used here: bench/test_bench.py checks that the tracer patches
+# find_homomorphisms in this namespace too.
+from .hom import find_homomorphisms  # noqa: F401
 from .model import (
     Atom,
-    Instance,
     Rule,
     RuleSet,
     SkolemTerm,
@@ -30,6 +60,11 @@ from .model import (
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
+
+    def copy(self) -> "_UnionFind":
+        uf = _UnionFind()
+        uf.parent = dict(self.parent)
+        return uf
 
     def add(self, t: Term) -> None:
         self.parent.setdefault(t, t)
@@ -111,123 +146,79 @@ def _subst_from_classes(classes: dict) -> dict:
     return subst
 
 
-def _rename_apart(r: Rule, taken: frozenset) -> Rule:
-    """Fresh copy of r whose variables avoid `taken` (for self-dependency)."""
+def _rename_apart(r1: Rule, r2: Rule) -> Rule:
+    """r1 itself, or a fresh copy whose variables avoid those of r2 (for
+    self-dependency)."""
+    taken = r2.universals.union(r2.head_vars)
+    own = r1.universals.union(r1.head_vars)
+    if taken.isdisjoint(own):
+        return r1
     mapping = {}
-    for v in set(r.body_vars) | set(r.head_vars):
+    for v in own:
         name = v
         while name in taken:
             name = name + "~"
         mapping[v] = Variable(name)
-    body = tuple(apply_atom(mapping, a) for a in r.body)
-    head = tuple(apply_atom(mapping, a) for a in r.head)
-    return Rule(id=r.id + "~", body=body, head=head)
+    body = tuple(apply_atom(mapping, a) for a in r1.body)
+    head = tuple(apply_atom(mapping, a) for a in r1.head)
+    return Rule(id=r1.id + "~", body=body, head=head)
 
 
-def piece_unifiers(r1: Rule, r2: Rule, max_subset: int = 4) -> List[PieceUnifier]:
-    """All piece-unifiers of body(r2) with head(r1).
+def _single_pieces(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
+    """Most general single-piece unifiers of body(r2) with head(r1), for
+    rules that share no variable (see the module docstring)."""
+    body, head = r2.body, r1.head
+    existentials, frontier = r1.existentials, frozenset(r1.frontier)
 
-    Enumerates nonempty subsets B of the body and H of the head together
-    with coverings of B x H by predicate-compatible atom pairs; each
-    covering's most general unifier is kept when the existential-variable
-    side condition holds.  Subset sizes are capped (rules are small in
-    practice).
-    """
-    shared = (set(r1.body_vars) | set(r1.head_vars)) & (set(r2.body_vars) | set(r2.head_vars))
-    if shared:
-        r1 = _rename_apart(r1, frozenset(set(r2.body_vars) | set(r2.head_vars)))
-    body = list(r2.body)
-    head = list(r1.head)
-    r1_existentials = set(r1.existentials)
-    body_all_vars = set(r2.body_vars)
-    results: List[PieceUnifier] = []
-    seen = set()
+    def existential(t: Term) -> bool:
+        return isinstance(t, Variable) and t.name in existentials
 
-    body_idx = range(len(body))
-    head_idx = range(len(head))
-    for bsize in range(1, min(len(body), max_subset) + 1):
-        for B in itertools.combinations(body_idx, bsize):
-            for hsize in range(1, min(len(head), max_subset) + 1):
-                for H in itertools.combinations(head_idx, hsize):
-                    grid = [
-                        (b, h)
-                        for b in B
-                        for h in H
-                        if body[b].pred == head[h].pred and body[b].arity == head[h].arity
-                    ]
-                    if not grid:
-                        continue
-                    covered_b = {b for b, _ in grid}
-                    covered_h = {h for _, h in grid}
-                    if covered_b != set(B) or covered_h != set(H):
-                        continue
-                    max_pairs = len(B) + len(H)
-                    for size in range(max(len(B), len(H)), min(len(grid), max_pairs) + 1):
-                        for pairs in itertools.combinations(grid, size):
-                            if {b for b, _ in pairs} != set(B):
-                                continue
-                            if {h for _, h in pairs} != set(H):
-                                continue
-                            uf = _UnionFind()
-                            ok = all(
-                                _unify_atom_pair(uf, body[b], head[h]) for b, h in pairs
-                            )
-                            if not ok:
-                                continue
-                            classes = uf.classes()
-                            if not _existential_condition(
-                                classes, r1_existentials, body, B, body_all_vars
-                            ):
-                                continue
-                            subst = _subst_from_classes(classes)
-                            pu = PieceUnifier(
-                                body_subset=tuple(body[b] for b in sorted(set(B))),
-                                head_subset=tuple(head[h] for h in sorted(set(H))),
-                                subst=tuple(sorted(subst.items(), key=lambda kv: kv[0])),
-                            )
-                            key = (pu.body_subset, pu.head_subset, pu.subst)
-                            if key not in seen:
-                                seen.add(key)
-                                results.append(pu)
-    return results
+    def unify(uf: _UnionFind, i: int, j: int) -> Optional[_UnionFind]:
+        uf = uf.copy()
+        if not _unify_atom_pair(uf, body[i], head[j]):
+            return None
+        for members in uf.classes().values():
+            held = sum(map(existential, members))
+            if held and (
+                held > 1
+                or any(not isinstance(m, Variable) or m.name in frontier for m in members)
+            ):
+                return None
+        return uf
+
+    def grow(uf: _UnionFind, piece: frozenset, heads: frozenset) -> Iterator[PieceUnifier]:
+        roots = {uf.find(t) for t in uf.parent if existential(t)}
+        pending = next(
+            (
+                i
+                for i, a in enumerate(body)
+                if i not in piece and any(t in uf.parent and uf.find(t) in roots for t in a.args)
+            ),
+            None,
+        )
+        if pending is None:
+            yield PieceUnifier(
+                body_subset=tuple(body[i] for i in sorted(piece)),
+                head_subset=tuple(head[j] for j in sorted(heads)),
+                subst=tuple(sorted(_subst_from_classes(uf.classes()).items())),
+            )
+        elif pending > min(piece):  # else the search grows it from its first atom
+            for j in range(len(head)):
+                grown = unify(uf, pending, j)
+                if grown is not None:
+                    yield from grow(grown, piece | {pending}, heads | {j})
+
+    for i in range(len(body)):
+        for j in range(len(head)):
+            start = unify(_UnionFind(), i, j)
+            if start is not None:
+                yield from grow(start, frozenset((i,)), frozenset((j,)))
 
 
-def _existential_condition(
-    classes: dict,
-    r1_existentials: set,
-    body: list,
-    B: tuple,
-    body_all_vars: set,
-) -> bool:
-    """Existential head variables unify only with body variables of B that
-    do not occur in the rest of the body."""
-    b_vars: set = set()
-    for i in B:
-        for t in body[i].args:
-            if isinstance(t, Variable):
-                b_vars.add(t.name)
-    rest_vars: set = set()
-    rest = [body[i] for i in range(len(body)) if i not in set(B)]
-    for a in rest:
-        for t in a.args:
-            if isinstance(t, Variable):
-                rest_vars.add(t.name)
-    for rep, members in classes.items():
-        ex = [m for m in members if isinstance(m, Variable) and m.name in r1_existentials]
-        if not ex:
-            continue
-        if len(ex) > 1:
-            return False
-        for m in members:
-            if m in ex:
-                continue
-            if not isinstance(m, Variable):
-                return False
-            if m.name not in b_vars or m.name in rest_vars:
-                return False
-            if m.name not in body_all_vars:
-                return False
-    return True
+def piece_unifiers(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
+    """The most general single-piece unifiers of body(r2) with head(r1),
+    generated lazily; r1 is renamed apart from r2 first."""
+    return _single_pieces(_rename_apart(r1, r2), r2)
 
 
 def _atoms_set(atoms: Iterable[Atom], subst: dict) -> frozenset:
@@ -236,41 +227,26 @@ def _atoms_set(atoms: Iterable[Atom], subst: dict) -> frozenset:
 
 def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
     """r2 depends on r1 when some piece-unifier of body(r2) with head(r1) is
-    atom-erasing and productive; returns the witness or None."""
-    shared = (set(r1.body_vars) | set(r1.head_vars)) & (set(r2.body_vars) | set(r2.head_vars))
-    r1_eff = _rename_apart(r1, frozenset(set(r2.body_vars) | set(r2.head_vars))) if shared else r1
-    for pu in piece_unifiers(r1_eff, r2):
+    atom-erasing and productive; returns the first such unifier or None."""
+    r1 = _rename_apart(r1, r2)
+    for pu in _single_pieces(r1, r2):
         theta = pu.mapping()
         body2 = _atoms_set(r2.body, theta)
-        body1 = _atoms_set(r1_eff.body, theta)
+        body1 = _atoms_set(r1.body, theta)
         if body2 <= body1:  # atom-erasing fails
             continue
         head2 = _atoms_set(r2.head, theta)
-        head1 = _atoms_set(r1_eff.head, theta)
+        head1 = _atoms_set(r1.head, theta)
         if head2 <= (body1 | head1 | body2):  # not productive
             continue
         return pu
     return None
 
 
-def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:
-    """Instance-relative dependency: some application of r1 on `inst` derives
-    an atom that a fresh body match of r2 actually uses."""
-    for h in find_homomorphisms(r1.body, inst):
-        scratch = inst.copy()
-        _, _undos = apply_trigger(r1, h, scratch, step=1)
-        for g in find_homomorphisms(r2.body, scratch):
-            image = [apply_atom(g, a) for a in r2.body]
-            if any(a not in inst for a in image):
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class DependencyGraph:
     rule_set: RuleSet
     edges: tuple  # (i, j) rule indices: rules[j] depends on rules[i]
-    witnesses: tuple  # PieceUnifier per edge, aligned with edges
 
     @cached_property
     def _pairs(self) -> frozenset:
@@ -293,13 +269,11 @@ class DependencyGraph:
 
 
 def dependency_graph(rs: RuleSet) -> DependencyGraph:
-    edges = []
-    witnesses = []
     rules = rs.rules
-    for i, r1 in enumerate(rules):
-        for j, r2 in enumerate(rules):
-            pu = depends_on(r2, r1)
-            if pu is not None:
-                edges.append((i, j))
-                witnesses.append(pu)
-    return DependencyGraph(rule_set=rs, edges=tuple(edges), witnesses=tuple(witnesses))
+    edges = tuple(
+        (i, j)
+        for i, r1 in enumerate(rules)
+        for j, r2 in enumerate(rules)
+        if depends_on(r2, r1) is not None
+    )
+    return DependencyGraph(rule_set=rs, edges=edges)

@@ -1,15 +1,19 @@
 """Reference oracles for the tests, by brute-force enumeration: every
-restricted chase sequence, the length of the longest one, and the
-activeness of a path under every renaming of its critical database.
+restricted chase sequence, the length of the longest one, the activeness
+of a path under every renaming of its critical database, every
+piece-unifier of a rule pair, and the dependency of two rules with respect
+to one instance.
 
 They are slow and meant for small inputs only; the library's own chase runs
-live in `chase_sentinel.chase`, and its demand-driven renaming search in
-`chase_sentinel.activeness`.
+live in `chase_sentinel.chase`, its demand-driven renaming search in
+`chase_sentinel.activeness`, and its lazy single-piece unifier search in
+`chase_sentinel.deps`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+import itertools
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from chase_sentinel.activeness import Status, is_active_wrt
 from chase_sentinel.chase import (
@@ -29,7 +33,14 @@ from chase_sentinel.hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from chase_sentinel.model import Atom, Instance, Rule, RuleSet
+from chase_sentinel.deps import (
+    PieceUnifier,
+    _rename_apart,
+    _subst_from_classes,
+    _unify_atom_pair,
+    _UnionFind,
+)
+from chase_sentinel.model import Atom, Instance, Rule, RuleSet, Variable, apply_atom
 
 
 def _admissible(options: list, datalog_first: bool) -> list:
@@ -152,3 +163,86 @@ def renaming_sweep(path: Sequence[Rule], budget: Optional[Budget] = None) -> Sta
         if verdict.status is Status.INCONCLUSIVE:
             status = Status.INCONCLUSIVE
     return status
+
+
+def piece_unifiers_brute_force(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
+    """Every piece-unifier of body(r2) with head(r1), uncapped: each nonempty
+    body subset B and head subset H, each covering of B x H by atom pairs
+    of one predicate, kept when its most general unifier meets the
+    existential condition.  Exponential in the rule sizes."""
+    r1 = _rename_apart(r1, r2)
+    body, head = r2.body, r1.head
+    for bsize in range(1, len(body) + 1):
+        for B in itertools.combinations(range(len(body)), bsize):
+            for hsize in range(1, len(head) + 1):
+                for H in itertools.combinations(range(len(head)), hsize):
+                    grid = [(b, h) for b in B for h in H if body[b].pred == head[h].pred]
+                    if {b for b, _ in grid} != set(B) or {h for _, h in grid} != set(H):
+                        continue
+                    # more pairs than |B| + |H| only specialise a smaller covering
+                    for size in range(max(len(B), len(H)), min(len(grid), len(B) + len(H)) + 1):
+                        for pairs in itertools.combinations(grid, size):
+                            if {b for b, _ in pairs} != set(B) or {h for _, h in pairs} != set(H):
+                                continue
+                            uf = _UnionFind()
+                            if not all(_unify_atom_pair(uf, body[b], head[h]) for b, h in pairs):
+                                continue
+                            classes = uf.classes()
+                            if not _existential_condition(classes, r1, body, B):
+                                continue
+                            yield PieceUnifier(
+                                body_subset=tuple(body[b] for b in B),
+                                head_subset=tuple(head[h] for h in H),
+                                subst=tuple(sorted(_subst_from_classes(classes).items())),
+                            )
+
+
+def _existential_condition(classes: dict, r1: Rule, body: tuple, B: tuple) -> bool:
+    """Existential head variables unify only with body variables of B that
+    do not occur in the rest of the body."""
+
+    def variables(atoms) -> set:
+        return {t.name for a in atoms for t in a.args if isinstance(t, Variable)}
+
+    b_vars = variables(body[i] for i in B)
+    rest_vars = variables(body[i] for i in range(len(body)) if i not in B)
+    for members in classes.values():
+        ex = [m for m in members if isinstance(m, Variable) and m.name in r1.existentials]
+        if not ex:
+            continue
+        if len(ex) > 1:
+            return False
+        for m in members:
+            if m in ex:
+                continue
+            if not isinstance(m, Variable) or m.name not in b_vars or m.name in rest_vars:
+                return False
+    return True
+
+
+def depends_on_brute_force(r2: Rule, r1: Rule) -> bool:
+    """Whether some brute-force piece-unifier of body(r2) with head(r1) is
+    atom-erasing and productive."""
+    r1 = _rename_apart(r1, r2)
+    for pu in piece_unifiers_brute_force(r1, r2):
+        theta = pu.mapping()
+
+        def image(atoms) -> frozenset:
+            return frozenset(apply_atom(theta, a) for a in atoms)
+
+        body1, body2 = image(r1.body), image(r2.body)
+        if not body2 <= body1 and not image(r2.head) <= body1 | image(r1.head) | body2:
+            return True
+    return False
+
+
+def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:
+    """Instance-relative dependency: some application of r1 on `inst` derives
+    an atom that a fresh body match of r2 actually uses."""
+    for h in find_homomorphisms(r1.body, inst):
+        scratch = inst.copy()
+        apply_trigger(r1, h, scratch, step=1)
+        for g in find_homomorphisms(r2.body, scratch):
+            if any(apply_atom(g, a) not in inst for a in r2.body):
+                return True
+    return False

@@ -180,7 +180,7 @@ def test_criterion_4_vacuous_self_rule():
     with criterion(4, "vacuous self-join rule: (r,r) pruned, aGRD, fast terminating"):
         rs = vacuous_self()
         r = rs.rules[0]
-        assert cs.piece_unifiers(r, r) == []
+        assert list(cs.piece_unifiers(r, r)) == []
         assert not cs.is_relevant((r, r))
         assert cs.is_agrd(rs).value is True
         start = time.monotonic()

@@ -1,20 +1,25 @@
 import itertools
 
+import pytest
+
 import chase_sentinel as cs
+from chase_sentinel.acyclicity import Condition
 from chase_sentinel.deps import (
+    PieceUnifier,
     dependency_graph,
     depends_on,
-    depends_on_wrt,
     piece_unifiers,
 )
 from chase_sentinel.model import Constant, Instance
 
+import fixtures
 from fixtures import access_control, handshake, triad, vacuous_self
+from oracles import depends_on_brute_force, depends_on_wrt
 
 
 def test_no_piece_unifier_for_vacuous_self_rule():
     r = vacuous_self().rules[0]
-    assert piece_unifiers(r, r) == []
+    assert list(piece_unifiers(r, r)) == []
     assert depends_on(r, r) is None
 
 
@@ -22,7 +27,7 @@ def test_piece_unifier_between_handshake_rules():
     rs = handshake()
     r1, r2 = rs.rules
     # r1's two-atom head unifies with r2's typeA body pair
-    unifiers = piece_unifiers(r1, r2)
+    unifiers = list(piece_unifiers(r1, r2))
     assert unifiers
     assert any(len(pu.body_subset) == 2 and len(pu.head_subset) == 2 for pu in unifiers)
 
@@ -30,7 +35,7 @@ def test_piece_unifier_between_handshake_rules():
 def test_disjoint_predicates_have_no_unifier():
     a = cs.parse_rules("[a] q(X) :- p(X).").rules[0]
     b = cs.parse_rules("[b] s(Y) :- t(Y).").rules[0]
-    assert piece_unifiers(a, b) == []
+    assert list(piece_unifiers(a, b)) == []
     assert depends_on(b, a) is None
 
 
@@ -71,9 +76,9 @@ def test_depends_on_agrees_with_instance_search_on_fixture_pairs():
         if syntactic:
             # piece-unification is a necessary condition for dependency:
             # every semantic witness implies a unifier exists
-            assert piece_unifiers(earlier, later)
+            assert list(piece_unifiers(earlier, later))
         if semantic:
-            assert piece_unifiers(earlier, later)
+            assert list(piece_unifiers(earlier, later))
 
 
 def test_vacuous_self_rule_has_no_semantic_dependency_either():
@@ -136,7 +141,7 @@ def test_piece_unification_necessary_for_dependency_on_random_pairs():
         for atoms in itertools.combinations(universe, 2):
             inst = Instance(atoms)
             if depends_on_wrt(rb, ra, inst):
-                assert piece_unifiers(ra, rb), "case %d: %s" % (case, text)
+                assert list(piece_unifiers(ra, rb)), "case %d: %s" % (case, text)
                 break
 
 
@@ -167,3 +172,96 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert '"r1" -> "r2") ' not in dot
     assert '"r1" -> "r2";' in dot
+
+
+# ---------------------------------------------------------------------------
+# wide pieces: the single-piece search against the brute-force oracle
+
+# r2's body is one piece of five atoms: all of them share W, which meets
+# r1's existential Z.  A search capped at four body atoms misses it.
+WIDE_PIECE_LOOP = """
+[r1] p(X,Z) :- q(X).
+[r2] q(W) :- p(A,W), p(B,W), p(C,W), p(D,W), p(E,W).
+"""
+
+
+def test_five_atom_piece_gives_the_dependency_and_refutes_termination():
+    rs = cs.parse_rules(WIDE_PIECE_LOOP)
+    r1, r2 = rs.rules
+    pu = depends_on(r2, r1)
+    assert isinstance(pu, PieceUnifier)
+    assert len(pu.body_subset) == 5
+    # from q(a) the restricted chase never stops: every step is active
+    runs = [(Condition.AGRD, k) for k in (0, 1, 2)] + [(Condition.WA, k) for k in (1, 2)]
+    for condition, k in runs:
+        report = cs.k_safe(rs, k, condition)
+        assert report.verdict is cs.Verdict.NOT_PROVEN, (condition, k)
+        if k > 0:
+            cs.replay_witness(report.witness, rs)
+
+
+WIDE_PIECE_RULES = [
+    WIDE_PIECE_LOOP,
+    """
+    [a1] p(X,Z), p(Z,Y) :- s(X).
+    [a2] q(W) :- p(A,W), p(B,W), p(C,W), p(D,W), s(W).
+    [a3] s(A) :- p(A,W), p(W,V), p(V,U), p(U,T), p(T,A).
+    [a4] q(X) :- p(X,Y), p(Y,X), p(X,X), p(Y,Y), q(Y).
+    [a5] p(X,Z) :- q(X).
+    [a6] s(V) :- p(A,B), p(B,C), p(C,D), p(D,E), p(E,V).
+    """,
+    """
+    [b1] r(X,Z,Z) :- t(X).
+    [b2] t(Y) :- r(A,B,C), r(B,C,A), r(C,A,B), r(A,A,D), r(D,E,E).
+    [b3] r(X,Y,Z), r(Z,Y,X) :- t(X), t(Y).
+    [b4] u(W) :- r(A,W,B), r(B,W,A), r(a,W,C), r(C,C,W), u(A).
+    [b5] r(a,Z,Y), u(Z) :- u(X), t(Y).
+    """,
+    # every piece joins both body atoms, and only unifiers that map neither
+    # of them to p(X,Z) are productive: trying each atom pulled into a
+    # piece on its first fitting head atom only would miss the edge
+    """
+    [c1] p(X,Z), p(Y,Z), p(V,Z) :- s(X,X), s(X,Y), s(X,V), s(Y,X), s(V,X).
+    [c2] s(B,C) :- p(B,W), p(C,W).
+    """,
+]
+
+# the benchmark's `generated` workload parameters
+GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+                 body_atoms=1, head_atoms=2, head_shape="discrete")
+
+
+def _differential_corpus(name):
+    if name == "fixtures":
+        return [make() for make in (
+            fixtures.handshake, fixtures.handshake_trusted, fixtures.access_control,
+            fixtures.walk, fixtures.vacuous_self, fixtures.triad, fixtures.triad_guarded,
+            fixtures.datalog_first_pair,
+        )]
+    if name == "generated":
+        return [cs.generate(cs.GenParams(seed=s, **GENERATED)) for s in range(200)]
+    if name == "wide_generated":
+        return [
+            cs.generate(cs.GenParams(count=4, predicate_pool=4, arity=2, max_repeated_relations=4,
+                                     body_atoms=b, head_atoms=h, head_shape=shape, seed=s))
+            for b in (2, 3, 4)
+            for h in (2, 3)
+            for shape in ("chained", "discrete")
+            for s in range(60)
+        ]
+    return [cs.parse_rules(text) for text in WIDE_PIECE_RULES]
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated", "wide_generated", "wide_pieces"])
+def test_depends_on_agrees_with_brute_force_oracle(corpus):
+    disagreements = []
+    edges = 0
+    for rs in _differential_corpus(corpus):
+        for r1 in rs.rules:
+            for r2 in rs.rules:
+                found = depends_on(r2, r1) is not None
+                edges += found
+                if found != depends_on_brute_force(r2, r1):
+                    disagreements.append((str(r1), str(r2), found))
+    assert disagreements == []
+    assert edges > 0

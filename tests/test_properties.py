@@ -156,8 +156,8 @@ REGRESSIONS = [
 _SMALL_BUDGET = Budget(max_atoms=5000, wall_clock_s=1.0, max_probes=30_000, max_renamings=30,
                        total_wall_clock_s=8.0)
 
-_REGRESSION_BUDGET = Budget(max_atoms=20_000, wall_clock_s=5.0, max_probes=500_000,
-                            max_renamings=60, total_wall_clock_s=10.0)
+# Count-only, so the verdicts do not depend on the machine's speed.
+_REGRESSION_BUDGET = Budget(max_atoms=20_000, max_probes=5_000, max_renamings=5, max_cycles=50)
 
 
 def test_k_monotonicity_on_regressions():
