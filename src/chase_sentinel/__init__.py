@@ -65,7 +65,7 @@ from .deps import (
 )
 from .dlgp import ParseError, SourceDocument, parse, parse_rules, serialize
 from .gen import GenParams, GenerationError, generate
-from .hom import Trigger, apply_trigger, find_homomorphisms, is_active_trigger, make_trigger
+from .hom import apply_trigger, find_homomorphisms, is_active_trigger
 from .model import (
     Atom,
     Constant,

@@ -37,7 +37,7 @@ from .hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable
+from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable, apply_term
 
 
 class Status(enum.Enum):
@@ -117,17 +117,23 @@ class _Search:
         self.witness_chain: Optional[tuple] = None
 
     def _on_miss(self, step_index: int, rule: Rule):
-        def handler(pattern: Atom, candidate: Atom) -> None:
+        def handler(pattern: Atom, binding: dict, candidate: Atom) -> None:
+            # Substitutes one argument at a time and stops at the first
+            # difference that is not between two indexed constants.
             pairs = []
-            ok = True
             for p, c in zip(pattern.args, candidate.args):
-                if isinstance(p, IndexedConstant) and isinstance(c, IndexedConstant):
+                if p.__class__ is Variable:
+                    p = binding.get(p.name)
+                    if p is None:
+                        continue  # unbound: agrees with anything
+                elif not p.ground:
+                    p = apply_term(binding, p)
+                if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
                     if p != c:
                         pairs.append((p, c))
-                elif p != c and not isinstance(p, Variable):
-                    ok = False
-                    break
-            if ok and pairs:
+                elif p != c:
+                    return
+            if pairs:
                 key = frozenset(pairs)
                 self.conflicts.setdefault(
                     key, Conflict(step=step_index, rule_id=rule.id, pairs=key)

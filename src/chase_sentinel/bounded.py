@@ -11,6 +11,7 @@ critical databases; only an active path refutes the bound.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -41,6 +42,20 @@ class BoundFunction:
                 value = 2**value
             return value
         raise ValueError("unknown bound function kind %r" % self.kind)
+
+    def at_most(self, n: int, cap: int) -> Optional[int]:
+        """delta(n) when it is at most `cap`, else None.  A tower stops
+        growing as soon as it passes `cap`, so it is never built in full."""
+        if self.kind == "exptower":
+            (kappa,) = self.params
+            value = n
+            for _ in range(kappa):
+                if value >= cap.bit_length():  # then 2**value > cap
+                    return None
+                value = 2**value
+        else:
+            value = self(n)
+        return value if value <= cap else None
 
     def __str__(self) -> str:
         return "%s:%s" % (self.kind, ",".join(str(p) for p in self.params))
@@ -77,11 +92,12 @@ def parse_bound(spec: str) -> BoundFunction:
 @dataclass
 class MembCheckResult:
     value: Optional[bool]  # True / False / None (budget)
-    bound: int  # delta(||R||)
+    bound: int  # delta(||R||), or the reachable height when clamped
     phase: int  # 1 or 2
     breach_paths: tuple = ()  # rule-id tuples whose chains reached bound+1
     witness: Optional[object] = None  # ChainWitness for F verdicts
     reason: Optional[str] = None
+    bound_clamped: bool = False  # delta(||R||) exceeded the reachable height
 
 
 def _support_paths(trace: ChaseTrace, rules: RuleSet, bound: int) -> List[tuple]:
@@ -130,9 +146,21 @@ def memb_check(
 
     T is sound for arbitrary rule sets; for multi-head rule sets an F
     verdict may be spurious for unfair-only sequences (the report surfaces
-    this caveat)."""
-    bound = delta(rule_set_size(rs))
+    this caveat).
+
+    The bound is clamped to the height phase 1 can reach.  Each step nests
+    terms at most one level deeper, and only by adding an atom, so no run
+    within the step and atom budgets gets above 1 + min(max_steps,
+    max_atoms); an instance never holds more than sys.maxsize atoms.  A
+    bound at or above that height cannot be breached, so phase 2 is never
+    reached and the clamp changes no verdict; `bound_clamped` reports it."""
     base_budget = budget or Budget(max_steps=20_000, max_atoms=50_000, wall_clock_s=60.0)
+    limits = (base_budget.max_steps, base_budget.max_atoms, sys.maxsize)
+    reach = 1 + min(b for b in limits if b is not None)
+    bound = delta.at_most(rule_set_size(rs), reach)
+    clamped = bound is None
+    if clamped:
+        bound = reach
     phase1_budget = Budget(
         max_steps=base_budget.max_steps,
         max_height=bound + 1,
@@ -143,10 +171,10 @@ def memb_check(
     db = skolem_critical_db(rs)
     trace = skolem_chase(db, rs, budget=phase1_budget)
     if isinstance(trace.outcome, Saturated):
-        return MembCheckResult(value=True, bound=bound, phase=1)
+        return MembCheckResult(value=True, bound=bound, phase=1, bound_clamped=clamped)
     if isinstance(trace.outcome, BudgetExhausted) and trace.outcome.reason != "height":
         return MembCheckResult(
-            value=None, bound=bound, phase=1, reason=trace.outcome.reason
+            value=None, bound=bound, phase=1, reason=trace.outcome.reason, bound_clamped=clamped
         )
 
     paths = _support_paths(trace, rs, bound)

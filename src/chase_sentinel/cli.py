@@ -256,6 +256,7 @@ def cmd_bounded(args) -> int:
         "delta": str(delta),
         "size": rule_set_size(rs),
         "bound": result.bound,
+        "bound_clamped": result.bound_clamped,
         "value": result.value,
         "phase": result.phase,
         "breach_paths": [list(p) for p in result.breach_paths],
@@ -265,9 +266,10 @@ def cmd_bounded(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         label = {True: "T", False: "F", None: "ResourceExhausted"}[result.value]
+        clamp = " (clamped to the height the budget can reach)" if result.bound_clamped else ""
         print(
-            "%s: %s (delta=%s, ||R||=%d, bound=%d, phase %d)"
-            % (args.file, label, delta, payload["size"], result.bound, result.phase)
+            "%s: %s (delta=%s, ||R||=%d, bound=%d%s, phase %d)"
+            % (args.file, label, delta, payload["size"], result.bound, clamp, result.phase)
         )
         caveat = multi_head_caveat(rs)
         if caveat and result.value is False:

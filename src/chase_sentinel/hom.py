@@ -1,22 +1,32 @@
 """Homomorphism search from conjunctions into instances, plus triggers.
 
 The search backtracks over instance atoms per body atom, most-constrained
-atom first, candidates in instance insertion order.  Enumeration order is
-deterministic, so analyses are reproducible run to run.
+atom first, candidates in instance insertion order (derived atoms first
+when asked).  Enumeration order is deterministic, so analyses are
+reproducible run to run.
+
+Each pattern atom is matched through its `ArgPlan` (see `model`), built
+once per atom and kept on it: ground arguments are compared by cached
+hash and then equality, variables bind or compare, and only non-ground
+skolem terms are walked.  A rule's atoms are therefore compiled once per
+rule, not once per candidate; `order_atoms` reads the plans' variable sets.
+`is_active_trigger` matches the rule head itself under the trigger's
+bindings, so heads are compiled once per rule too.  Terms are not interned
+(see `model`), so equal terms may be distinct objects: a comparison tries
+identity, then the cached hashes, then equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .model import (
+    ArgPlan,
     Atom,
     Instance,
     Rule,
     SkolemTerm,
-    Term,
-    Variable,
     apply_atom,
 )
 
@@ -27,58 +37,39 @@ class BudgetExceeded(Exception):
         self.reason = reason
 
 
-def match_term(pattern: Term, value: Term, binding: dict, trail: list) -> bool:
-    """Match one pattern term against a ground term, extending `binding`.
-    New bindings are recorded on `trail` for rollback."""
-    if isinstance(pattern, Variable):
-        bound = binding.get(pattern.name)
+def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
+    """Extend `binding` so that the pattern of `plan` maps onto the ground
+    `args`; newly bound variable names go on `trail`, which the caller
+    unwinds on failure as well as on backtracking."""
+    for i, t in plan.consts:
+        v = args[i]
+        if v is not t and (v._hash != t._hash or not v == t):
+            return False
+    for i, name in plan.slots:
+        v = args[i]
+        bound = binding.get(name)
         if bound is None:
-            binding[pattern.name] = value
-            trail.append(pattern.name)
-            return True
-        return bound == value
-    if isinstance(pattern, SkolemTerm):
-        return (
-            isinstance(value, SkolemTerm)
-            and value.fn == pattern.fn
-            and len(value.args) == len(pattern.args)
-            and all(match_term(p, v, binding, trail) for p, v in zip(pattern.args, value.args))
-        )
-    return pattern == value
+            binding[name] = v
+            trail.append(name)
+        elif bound is not v and (bound._hash != v._hash or not bound == v):
+            return False
+    for i, fn, arity, sub in plan.nested:
+        v = args[i]
+        if (
+            v.__class__ is not SkolemTerm
+            or v.fn != fn
+            or len(v.args) != arity
+            or not match_args(sub, v.args, binding, trail)
+        ):
+            return False
+    return True
 
 
-def match_atom(pattern: Atom, value: Atom, binding: dict) -> Optional[list]:
-    """Extend `binding` so that pattern maps onto `value`; returns the trail
-    of newly bound variables, or None (binding restored) on failure."""
-    if pattern.pred != value.pred or len(pattern.args) != len(value.args):
-        return None
-    trail: list = []
-    for p, v in zip(pattern.args, value.args):
-        if not match_term(p, v, binding, trail):
-            for name in trail:
-                del binding[name]
-            return None
-    return trail
-
-
-def _atom_vars(a: Atom) -> frozenset:
-    out = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Variable):
-            out.add(t.name)
-        elif isinstance(t, SkolemTerm):
-            for s in t.args:
-                walk(s)
-
-    for t in a.args:
-        walk(t)
-    return frozenset(out)
-
-
-def order_atoms(conj: Sequence[Atom], inst: Instance) -> list:
+def order_atoms(conj: Sequence[Atom], inst: Instance, bound: Collection[str] = ()) -> list:
     """Most-constrained-first: fewest candidate atoms, preferring atoms that
-    share variables with ones already placed."""
+    share variables with ones already placed.  Variables in `bound` are
+    already fixed and count as constants."""
+    free = [a.plan.vars.difference(bound) if bound else a.plan.vars for a in conj]
     remaining = list(range(len(conj)))
     placed_vars: set = set()
     order = []
@@ -86,24 +77,13 @@ def order_atoms(conj: Sequence[Atom], inst: Instance) -> list:
         best = None
         best_key = None
         for idx in remaining:
-            a = conj[idx]
-            overlap = len(_atom_vars(a) & placed_vars)
-            key = (-overlap, len(inst.by_pred(a.pred)), idx)
+            key = (-len(free[idx] & placed_vars), len(inst.by_pred(conj[idx].pred)), idx)
             if best_key is None or key < best_key:
                 best, best_key = idx, key
         order.append(best)
-        placed_vars |= _atom_vars(conj[best])
+        placed_vars |= free[best]
         remaining.remove(best)
     return order
-
-
-def _candidates(inst: Instance, pred: str, derived_first: bool) -> Sequence[Atom]:
-    atoms = inst.by_pred(pred)
-    if not derived_first:
-        return atoms
-    derived = [a for a in atoms if inst.first_derived_at(a) > 0]
-    database = [a for a in atoms if inst.first_derived_at(a) == 0]
-    return derived + database
 
 
 def find_homomorphisms(
@@ -111,61 +91,57 @@ def find_homomorphisms(
     inst: Instance,
     derived_first: bool = False,
     probe: Optional[Callable[[], None]] = None,
-    on_miss: Optional[Callable[[Atom, Atom], None]] = None,
+    on_miss: Optional[Callable[[Atom, dict, Atom], None]] = None,
+    binding: Optional[Mapping] = None,
 ) -> Iterator[dict]:
-    """All substitutions h over vars(conj) with h(conj) contained in inst,
-    each exactly once, in deterministic order.
+    """All extensions h of `binding` (default empty) over vars(conj) with
+    h(conj) contained in inst, each exactly once, in deterministic order.
 
-    `probe` is charged once per candidate test; `on_miss` sees every
-    (substituted pattern, candidate) pair that failed to match.
+    `probe` is charged once per candidate test.  `on_miss(pattern, binding,
+    candidate)` sees every candidate that failed to match, with the
+    bindings made before that pattern; the dict is live, so read it during
+    the call only.
     """
+    binding = dict(binding) if binding else {}
     if not conj:
-        yield {}
+        yield dict(binding)
         return
-    order = order_atoms(conj, inst)
-    binding: dict = {}
+    order = order_atoms(conj, inst, binding.keys())
+    patterns = [conj[i] for i in order]
+    last = len(patterns) - 1
 
     def search(depth: int) -> Iterator[dict]:
-        if depth == len(order):
-            yield dict(binding)
-            return
-        pattern = conj[order[depth]]
-        for cand in _candidates(inst, pattern.pred, derived_first):
+        pattern = patterns[depth]
+        plan = pattern.plan
+        arity = len(pattern.args)
+        if derived_first:
+            candidates = chain(
+                inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
+            )
+        else:
+            candidates = inst.by_pred(pattern.pred)
+        for cand in candidates:
             if probe is not None:
                 probe()
-            trail = match_atom(pattern, cand, binding)
-            if trail is None:
-                if on_miss is not None:
-                    on_miss(apply_atom(binding, pattern), cand)
+            trail: list = []
+            if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
+                if depth == last:
+                    yield dict(binding)
+                else:
+                    yield from search(depth + 1)
+                for name in trail:
+                    del binding[name]
                 continue
-            yield from search(depth + 1)
             for name in trail:
                 del binding[name]
+            if on_miss is not None:
+                on_miss(pattern, binding, cand)
 
     yield from search(0)
 
 
-@dataclass(frozen=True)
-class Trigger:
-    """Rule plus body homomorphism; `active` is tri-state (None = unknown).
-    `triggering_steps` records when each matched body atom was derived."""
-
-    rule: Rule
-    h: tuple  # sorted (var, term) pairs
-    active: Optional[bool]
-    triggering_steps: frozenset
-
-    def bindings(self) -> dict:
-        return dict(self.h)
-
-
 def freeze_bindings(h: dict) -> tuple:
     return tuple(sorted(h.items()))
-
-
-def make_trigger(rule: Rule, h: dict, inst: Instance, active: Optional[bool] = None) -> Trigger:
-    steps = frozenset(inst.first_derived_at(apply_atom(h, a)) for a in rule.body)
-    return Trigger(rule=rule, h=freeze_bindings(h), active=active, triggering_steps=steps)
 
 
 def is_active_trigger(
@@ -176,10 +152,9 @@ def is_active_trigger(
 ) -> bool:
     """True iff no extension of h over the existentials maps the head into
     the instance. Datalog rules: active iff some head atom is missing."""
-    partial = [apply_atom(h, a) for a in rule.head]
     if rule.is_datalog:
-        return any(a not in inst for a in partial)
-    for _ext in find_homomorphisms(partial, inst, probe=probe):
+        return any(apply_atom(h, a) not in inst for a in rule.head)
+    for _ext in find_homomorphisms(rule.head, inst, probe=probe, binding=h):
         return False
     return True
 

@@ -1,56 +1,162 @@
 """Core value types: terms, atoms, rules, rule sets, and growing instances.
 
-Terms, atoms and rules are immutable and hashable.  An Instance is the one
-mutable structure in the package; it supports cheap LIFO rollback so the
-backtracking searches can apply and undo trigger applications without
-copying.
+Terms, atoms and rules are immutable and hashable.  Terms and atoms are
+slots-based frozen dataclasses that compute their hash once, at
+construction; a skolem term also caches its height and whether it is
+ground.  So a term nested thousands of levels deep hashes and measures in
+O(1), and equality compares hashes before it walks (iteratively) into the
+arguments.  The cached fields are left out of `repr` and of equality, so
+printed terms, witnesses and JSON are unchanged; pickling and copying go
+through the constructor, so a hash is never carried into a process whose
+string hashes differ.  `hom` reads `_hash`
+directly in its match loop to reject unequal terms without a call.  An
+atom used as a pattern also keeps its `ArgPlan`, built on first use, so a
+rule's atoms are compiled for matching once.
+
+There is no intern table: equal terms built apart stay distinct objects.
+A table would keep every term alive for the life of the process and raise
+peak memory, and the cached hash already makes lookups cheap.
+
+An Instance is the one mutable structure in the package; it supports cheap
+LIFO rollback so the backtracking searches can apply and undo trigger
+applications without copying.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
+_set = object.__setattr__
+
 
 class Term:
-    """Marker base class; concrete terms are the dataclasses below."""
+    """Marker base class; concrete terms are the dataclasses below.
+
+    Every term has `ground` and `height`; `height` (constants at 1) is
+    meaningful only for ground terms."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant(Term):
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    ground = True
+    height = 1
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash(name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Constant, (self.name,))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Constant:
+            return NotImplemented
+        return self.name == other.name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable(Term):
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    ground = False
+    height = 1
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash(name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Variable, (self.name,))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return self.name == other.name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkolemTerm(Term):
     """Function term naming a null.
 
     Instances only ever hold ground skolem terms; the skolemized rule heads
     cached on Rule contain skolem terms with variable arguments that get
-    substituted away on application.
+    substituted away on application.  Height, groundness and hash are
+    computed from the arguments' cached values, in O(arity).
     """
 
     fn: str
     args: tuple
+    height: int = field(init=False, repr=False, compare=False)
+    ground: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, fn: str, args: tuple):
+        height = 0
+        ground = True
+        for a in args:
+            if a.height > height:
+                height = a.height
+            if not a.ground:
+                ground = False
+        _set(self, "fn", fn)
+        _set(self, "args", args)
+        _set(self, "height", height + 1)
+        _set(self, "ground", ground)
+        _set(self, "_hash", hash((fn, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SkolemTerm, (self.fn, self.args))
+
+    def __eq__(self, other) -> bool:
+        # Iterative: chase nulls nest deeper than the recursion limit.
+        if self is other:
+            return True
+        if other.__class__ is not SkolemTerm:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            s, o = stack.pop()
+            if s._hash != o._hash or s.fn != o.fn or len(s.args) != len(o.args):
+                return False
+            for x, y in zip(s.args, o.args):
+                if x is y:
+                    continue
+                if x.__class__ is SkolemTerm and y.__class__ is SkolemTerm:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __str__(self) -> str:
-        # Iterative: chase nulls nest one level per step, deeper than the
-        # recursion limit.  The stack holds terms and literal text.
+        # Iterative, like __eq__.  The stack holds terms and literal text.
         out: List[str] = []
         stack: list = [self]
         while stack:
@@ -67,26 +173,104 @@ class SkolemTerm(Term):
         return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedConstant(Term):
     """Fresh constant <var, index> standing for variable `var` of the
     index-th rule of a path."""
 
     var: str
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    ground = True
+    height = 1
+
+    def __init__(self, var: str, index: int):
+        if index < 1:
             raise ValueError("indexed constant index must be >= 1")
+        _set(self, "var", var)
+        _set(self, "index", index)
+        _set(self, "_hash", hash((var, index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (IndexedConstant, (self.var, self.index))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not IndexedConstant:
+            return NotImplemented
+        return self.index == other.index and self.var == other.var
 
     def __str__(self) -> str:
         return "%s__%d" % (self.var, self.index)
 
 
-@dataclass(frozen=True)
+class ArgPlan:
+    """How a pattern's arguments match a ground argument tuple: `consts`
+    holds (position, ground term) pairs compared by equality, `slots`
+    (position, variable name) pairs, and `nested` (position, function,
+    arity, ArgPlan) entries for non-ground skolem terms.  `vars` is the set
+    of variable names anywhere in the arguments."""
+
+    __slots__ = ("consts", "slots", "nested", "vars")
+
+    def __init__(self, args: tuple):
+        consts, slots, nested, names = [], [], [], set()
+        for i, t in enumerate(args):
+            if t.__class__ is Variable:
+                slots.append((i, t.name))
+                names.add(t.name)
+            elif t.ground:
+                consts.append((i, t))
+            else:
+                sub = ArgPlan(t.args)
+                nested.append((i, t.fn, len(t.args), sub))
+                names |= sub.vars
+        self.consts = tuple(consts)
+        self.slots = tuple(slots)
+        self.nested = tuple(nested)
+        self.vars = frozenset(names)
+
+
+@dataclass(frozen=True, slots=True)
 class Atom:
+    """Predicate applied to a tuple of terms.  An atom used as a pattern
+    builds its ArgPlan on first use and keeps it, so a rule's atoms are
+    compiled once however often the rule is matched."""
+
     pred: str
     args: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+    _plan: Optional[ArgPlan] = field(init=False, repr=False, compare=False)
+
+    def __init__(self, pred: str, args: tuple):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((pred, args)))
+        _set(self, "_plan", None)
+
+    @property
+    def plan(self) -> ArgPlan:
+        if self._plan is None:
+            _set(self, "_plan", ArgPlan(self.args))
+        return self._plan
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Atom, (self.pred, self.args))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self._hash == other._hash and self.pred == other.pred and self.args == other.args
 
     def __str__(self) -> str:
         if not self.args:
@@ -120,21 +304,15 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             yield from iter_subterms(a)
 
 
-def term_is_ground(t: Term) -> bool:
-    return not any(isinstance(s, Variable) for s in iter_subterms(t))
-
-
 def atom_is_ground(a: Atom) -> bool:
-    return all(term_is_ground(t) for t in a.args)
+    return all(t.ground for t in a.args)
 
 
 def term_height(t: Term) -> int:
-    """Nesting depth with constants at height 1."""
-    if isinstance(t, Variable):
+    """Nesting depth with constants at height 1; read from the term."""
+    if not t.ground:
         raise ValueError("height undefined for non-ground term %s" % t)
-    if isinstance(t, SkolemTerm):
-        return 1 + max((term_height(a) for a in t.args), default=0)
-    return 1
+    return t.height
 
 
 def has_cyclic_nesting(t: Term) -> bool:
@@ -152,15 +330,17 @@ def has_cyclic_nesting(t: Term) -> bool:
 
 
 def apply_term(subst: Mapping[str, Term], t: Term) -> Term:
-    if isinstance(t, Variable):
+    """t with its variables replaced; ground subterms are returned as they
+    are, not rebuilt."""
+    if t.__class__ is Variable:
         return subst.get(t.name, t)
-    if isinstance(t, SkolemTerm):
-        return SkolemTerm(t.fn, tuple(apply_term(subst, a) for a in t.args))
-    return t
+    if t.ground:
+        return t
+    return SkolemTerm(t.fn, tuple([apply_term(subst, a) for a in t.args]))
 
 
 def apply_atom(subst: Mapping[str, Term], a: Atom) -> Atom:
-    return Atom(a.pred, tuple(apply_term(subst, t) for t in a.args))
+    return Atom(a.pred, tuple([apply_term(subst, t) for t in a.args]))
 
 
 def _ordered_vars(atoms: Iterable[Atom]) -> tuple:
@@ -312,31 +492,33 @@ def rule_set_size(rs: RuleSet) -> int:
 
 
 class _Undo:
-    __slots__ = ("atom", "new_terms", "prev_ht")
+    __slots__ = ("atom", "prev_ht")
 
-    def __init__(self, atom: Atom, new_terms: list, prev_ht: int):
+    def __init__(self, atom: Atom, prev_ht: int):
         self.atom = atom
-        self.new_terms = new_terms
         self.prev_ht = prev_ht
 
 
 class Instance:
     """Set of ground atoms with predicate index, derivation-step bookkeeping
-    and LIFO rollback. Step 0 marks database atoms."""
+    and LIFO rollback. Step 0 marks database atoms.
+
+    Each predicate keeps its atoms in insertion order three ways: all of
+    them, the derived ones (step > 0) and the database ones, so the
+    derived-first candidate order of `hom` needs no partitioning."""
 
     def __init__(self, atoms: Iterable[Atom] = (), step: int = 0):
         self._order: list = []
-        self._set: set = set()
+        self._fda: dict = {}  # atom -> first derivation step; also the set
         self._by_pred: dict = {}
-        self._fda: dict = {}
-        self._term_rc: dict = {}
-        self._term_order: list = []
+        self._derived: dict = {}
+        self._database: dict = {}
         self._ht = 1
         for a in atoms:
             self.add(a, step)
 
     def __contains__(self, a: Atom) -> bool:
-        return a in self._set
+        return a in self._fda
 
     def __len__(self) -> int:
         return len(self._order)
@@ -347,69 +529,54 @@ class Instance:
     def by_pred(self, pred: str) -> Sequence[Atom]:
         return self._by_pred.get(pred, ())
 
+    def derived_by_pred(self, pred: str) -> Sequence[Atom]:
+        return self._derived.get(pred, ())
+
+    def database_by_pred(self, pred: str) -> Sequence[Atom]:
+        return self._database.get(pred, ())
+
     def first_derived_at(self, a: Atom) -> int:
         return self._fda[a]
-
-    def terms(self) -> tuple:
-        """Top-level argument terms in insertion order."""
-        return tuple(self._term_order)
 
     def ht(self) -> int:
         return self._ht
 
-    def fingerprint(self) -> frozenset:
-        return frozenset(self._set)
-
     def copy(self) -> "Instance":
         new = Instance.__new__(Instance)
         new._order = list(self._order)
-        new._set = set(self._set)
-        new._by_pred = {p: list(v) for p, v in self._by_pred.items()}
         new._fda = dict(self._fda)
-        new._term_rc = dict(self._term_rc)
-        new._term_order = list(self._term_order)
+        new._by_pred = {p: list(v) for p, v in self._by_pred.items()}
+        new._derived = {p: list(v) for p, v in self._derived.items()}
+        new._database = {p: list(v) for p, v in self._database.items()}
         new._ht = self._ht
         return new
 
     def add(self, a: Atom, step: int) -> Optional[_Undo]:
         """Insert `a` with derivation step `step`; returns an undo record,
         or None when the atom was already present (step unchanged)."""
-        if a in self._set:
+        if a in self._fda:
             return None
-        if not atom_is_ground(a):
-            raise ValueError("instance atoms must be ground: %s" % a)
-        self._order.append(a)
-        self._set.add(a)
-        self._by_pred.setdefault(a.pred, []).append(a)
-        self._fda[a] = step
-        new_terms = []
-        prev_ht = self._ht
+        prev_ht = ht = self._ht
         for t in a.args:
-            rc = self._term_rc.get(t, 0)
-            self._term_rc[t] = rc + 1
-            if rc == 0:
-                self._term_order.append(t)
-                new_terms.append(t)
-                h = term_height(t)
-                if h > self._ht:
-                    self._ht = h
-        return _Undo(a, new_terms, prev_ht)
+            if not t.ground:
+                raise ValueError("instance atoms must be ground: %s" % a)
+            if t.height > ht:
+                ht = t.height
+        self._fda[a] = step
+        self._order.append(a)
+        self._by_pred.setdefault(a.pred, []).append(a)
+        (self._derived if step > 0 else self._database).setdefault(a.pred, []).append(a)
+        self._ht = ht
+        return _Undo(a, prev_ht)
 
     def undo(self, rec: _Undo) -> None:
         """Roll back one add(); only valid in reverse insertion order."""
         a = rec.atom
         assert self._order and self._order[-1] == a, "undo out of order"
         self._order.pop()
-        self._set.remove(a)
+        step = self._fda.pop(a)
         self._by_pred[a.pred].pop()
-        del self._fda[a]
-        for t in a.args:
-            self._term_rc[t] -= 1
-            if self._term_rc[t] == 0:
-                del self._term_rc[t]
-        for t in reversed(rec.new_terms):
-            assert self._term_order and self._term_order[-1] == t
-            self._term_order.pop()
+        (self._derived if step > 0 else self._database)[a.pred].pop()
         self._ht = rec.prev_ht
 
 

@@ -2,7 +2,9 @@
 restricted chase sequence, the length of the longest one, the activeness
 of a path under every renaming of its critical database, every
 piece-unifier of a rule pair, and the dependency of two rules with respect
-to one instance.
+to one instance.  Also the term-walking homomorphism search that the
+compiled match path of `chase_sentinel.hom` replaced, as a differential
+reference.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -40,7 +42,22 @@ from chase_sentinel.deps import (
     _unify_atom_pair,
     _UnionFind,
 )
-from chase_sentinel.model import Atom, Instance, Rule, RuleSet, Variable, apply_atom
+from chase_sentinel.model import (
+    Atom,
+    IndexedConstant,
+    Instance,
+    Rule,
+    RuleSet,
+    SkolemTerm,
+    Term,
+    Variable,
+    apply_atom,
+)
+
+
+def instance_terms(inst: Instance) -> list:
+    """Top-level argument terms of an instance, in first-occurrence order."""
+    return list(dict.fromkeys(t for a in inst.atoms() for t in a.args))
 
 
 def _admissible(options: list, datalog_first: bool) -> list:
@@ -125,7 +142,7 @@ def longest_restricted_run(
     memo: dict = {}
 
     def longest(inst: Instance, depth: int) -> Optional[int]:
-        key = inst.fingerprint()
+        key = frozenset(inst.atoms())
         if key in memo:
             return memo[key]
         if depth > cap:
@@ -246,3 +263,140 @@ def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:
             if any(apply_atom(g, a) not in inst for a in r2.body):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The homomorphism search as it was before argument plans: it walks pattern
+# terms per candidate, recomputes the atom order from the terms on every
+# call, and partitions candidates by first_derived_at for derived_first.
+
+
+def match_term(pattern: Term, value: Term, binding: dict, trail: list) -> bool:
+    if isinstance(pattern, Variable):
+        bound = binding.get(pattern.name)
+        if bound is None:
+            binding[pattern.name] = value
+            trail.append(pattern.name)
+            return True
+        return bound == value
+    if isinstance(pattern, SkolemTerm):
+        return (
+            isinstance(value, SkolemTerm)
+            and value.fn == pattern.fn
+            and len(value.args) == len(pattern.args)
+            and all(match_term(p, v, binding, trail) for p, v in zip(pattern.args, value.args))
+        )
+    return pattern == value
+
+
+def match_atom(pattern: Atom, value: Atom, binding: dict) -> Optional[list]:
+    if pattern.pred != value.pred or len(pattern.args) != len(value.args):
+        return None
+    trail: list = []
+    for p, v in zip(pattern.args, value.args):
+        if not match_term(p, v, binding, trail):
+            for name in trail:
+                del binding[name]
+            return None
+    return trail
+
+
+def _atom_vars(a: Atom) -> frozenset:
+    out = set()
+
+    def walk(t: Term) -> None:
+        if isinstance(t, Variable):
+            out.add(t.name)
+        elif isinstance(t, SkolemTerm):
+            for s in t.args:
+                walk(s)
+
+    for t in a.args:
+        walk(t)
+    return frozenset(out)
+
+
+def order_atoms_reference(conj: Sequence[Atom], inst: Instance) -> list:
+    remaining = list(range(len(conj)))
+    placed_vars: set = set()
+    order = []
+    while remaining:
+        best = None
+        best_key = None
+        for idx in remaining:
+            a = conj[idx]
+            overlap = len(_atom_vars(a) & placed_vars)
+            key = (-overlap, len(inst.by_pred(a.pred)), idx)
+            if best_key is None or key < best_key:
+                best, best_key = idx, key
+        order.append(best)
+        placed_vars |= _atom_vars(conj[best])
+        remaining.remove(best)
+    return order
+
+
+def _candidates_reference(inst: Instance, pred: str, derived_first: bool) -> Sequence[Atom]:
+    atoms = inst.by_pred(pred)
+    if not derived_first:
+        return atoms
+    derived = [a for a in atoms if inst.first_derived_at(a) > 0]
+    database = [a for a in atoms if inst.first_derived_at(a) == 0]
+    return derived + database
+
+
+def find_homomorphisms_reference(
+    conj: Sequence[Atom],
+    inst: Instance,
+    derived_first: bool = False,
+    probe: Optional[Callable[[], None]] = None,
+    on_miss: Optional[Callable[[Atom, Atom], None]] = None,
+) -> Iterator[dict]:
+    """`on_miss` sees (substituted pattern, candidate) per failed test."""
+    if not conj:
+        yield {}
+        return
+    order = order_atoms_reference(conj, inst)
+    binding: dict = {}
+
+    def search(depth: int) -> Iterator[dict]:
+        if depth == len(order):
+            yield dict(binding)
+            return
+        pattern = conj[order[depth]]
+        for cand in _candidates_reference(inst, pattern.pred, derived_first):
+            if probe is not None:
+                probe()
+            trail = match_atom(pattern, cand, binding)
+            if trail is None:
+                if on_miss is not None:
+                    on_miss(apply_atom(binding, pattern), cand)
+                continue
+            yield from search(depth + 1)
+            for name in trail:
+                del binding[name]
+
+    yield from search(0)
+
+
+def near_miss_pairs_reference(pattern: Atom, candidate: Atom) -> Optional[frozenset]:
+    """The (required, found) indexed-constant pairs of a near miss, given
+    the substituted pattern; None when another difference rules it out."""
+    pairs = []
+    for p, c in zip(pattern.args, candidate.args):
+        if isinstance(p, IndexedConstant) and isinstance(c, IndexedConstant):
+            if p != c:
+                pairs.append((p, c))
+        elif p != c and not isinstance(p, Variable):
+            return None
+    return frozenset(pairs) if pairs else None
+
+
+def is_active_trigger_reference(
+    rule: Rule, h: dict, inst: Instance, probe: Optional[Callable[[], None]] = None
+) -> bool:
+    partial = [apply_atom(h, a) for a in rule.head]
+    if rule.is_datalog:
+        return any(a not in inst for a in partial)
+    for _ext in find_homomorphisms_reference(partial, inst, probe=probe):
+        return False
+    return True

@@ -84,3 +84,31 @@ def test_terminating_sets_are_bounded_consistently():
             continue
         res = memb_check(rs, constant_bound(k * (k + 2)))
         assert res.value is True
+
+
+def test_at_most_cuts_a_tower_off_at_the_cap():
+    assert exp_tower_bound(2).at_most(3, 256) == 256
+    assert exp_tower_bound(2).at_most(3, 255) is None
+    assert exp_tower_bound(0).at_most(7, 7) == 7
+    # exptower:4 at n = 4 is 2^(2^65536): only the first three levels are built
+    assert exp_tower_bound(4).at_most(4, 10**6) is None
+    assert linear_bound(2, 1).at_most(5, 11) == 11
+    assert constant_bound(3).at_most(9, 2) is None
+
+
+def test_tower_bound_is_clamped_to_the_reachable_height():
+    # ||walk|| = 4, so exptower:3 is 2^65536 and exptower:4 is never built;
+    # 50 steps reach height 51 at most, so the bound becomes 51.
+    for kappa in (3, 4):
+        res = memb_check(walk(), exp_tower_bound(kappa), budget=Budget(max_steps=50, max_atoms=1000))
+        assert (res.value, res.bound, res.bound_clamped) == (None, 51, True)
+        assert (res.phase, res.reason) == (1, "steps")
+    res = memb_check(walk(), exp_tower_bound(3), budget=Budget(max_atoms=30))
+    assert (res.bound, res.bound_clamped, res.reason) == (31, True, "atoms")
+
+
+def test_clamp_keeps_a_phase_one_verdict():
+    rs = cs.parse_rules("[d1] q(X) :- p(X).\n[d2] p(Y) :- q(Y).")
+    res = memb_check(rs, exp_tower_bound(3), budget=Budget(max_steps=500))
+    assert (res.value, res.phase, res.bound, res.bound_clamped) == (True, 1, 501, True)
+    assert memb_check(handshake(), constant_bound(3)).bound_clamped is False

@@ -26,6 +26,10 @@ def _db(text):
     return cs.parse(text).database()
 
 
+def fingerprint(inst):
+    return frozenset(inst.atoms())
+
+
 def test_skolem_chase_empty_rule_set_saturates():
     trace = skolem_chase(_db("p(a)."), cs.RuleSet(()))
     assert isinstance(trace.outcome, Saturated)
@@ -89,7 +93,7 @@ def test_skolem_chase_monotone_growth():
         cs.apply_trigger(rule, dict(step.bindings), running, i)
         sizes.append(len(running))
     assert sizes == sorted(sizes)
-    assert running.fingerprint() == inst.fingerprint()
+    assert fingerprint(running) == fingerprint(inst)
 
 
 def test_restricted_mode_traces_are_valid_skolem_traces():
@@ -101,7 +105,7 @@ def test_restricted_mode_traces_are_valid_skolem_traces():
     assert isinstance(restricted.outcome, Saturated)
     assert restricted.rule_sequence() == skolem.rule_sequence() == ("r1", "r2")
     assert restricted.steps == skolem.steps
-    assert restricted.replay(rs).fingerprint() == restricted.final.fingerprint()
+    assert fingerprint(restricted.replay(rs)) == fingerprint(restricted.final)
 
 
 def test_exhaustive_restricted_trusted_handshake_saturates():
@@ -166,7 +170,7 @@ def test_grant_pair_skolem_and_exhaustive_restricted_agree():
     assert traces and all(isinstance(t.outcome, Saturated) for t in traces)
     for t in traces:
         final = t.replay(sub)
-        assert final.fingerprint() == skolem.final.fingerprint()
+        assert fingerprint(final) == fingerprint(skolem.final)
 
 
 def test_datalog_first_filter_examples():
@@ -210,4 +214,4 @@ def test_every_budget_ends_the_walk_and_the_trace_replays(run, reason):
     trace = run(_db("e(a,b)."), rs, budget=_BUDGETS[reason])
     assert trace.outcome == BudgetExhausted(reason)
     assert trace.steps
-    assert trace.replay(rs).fingerprint() == trace.final.fingerprint()
+    assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)

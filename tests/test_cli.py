@@ -139,9 +139,27 @@ def test_bounded_command(handshake_file, capsys):
     code, out, _ = run(capsys, "bounded", handshake_file, "--delta", "const:3", "--json")
     assert code == 0
     assert json.loads(out)["value"] is True
+    assert json.loads(out)["bound_clamped"] is False
     code, out, _ = run(capsys, "bounded", handshake_file, "--delta", "const:2", "--json")
     assert code == 1
     assert json.loads(out)["value"] is False
+
+
+@pytest.mark.parametrize("kappa", [3, 4])
+def test_bounded_tower_on_walk_is_clamped_not_a_traceback(tmp_path, capsys, kappa):
+    # exptower:3 is 2^65536 on the walk rule; exptower:4 is never built
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK, encoding="utf-8")
+    delta = "exptower:%d" % kappa
+    code, out, err = run(capsys, "bounded", f.as_posix(), "--delta", delta, "--max-steps", "200")
+    assert code == 2 and err == ""
+    assert "bound=201 (clamped to the height the budget can reach), phase 1" in out
+    code, out, err = run(
+        capsys, "bounded", f.as_posix(), "--delta", delta, "--max-steps", "200", "--json"
+    )
+    payload = json.loads(out)
+    assert code == 2 and err == ""
+    assert (payload["bound"], payload["bound_clamped"], payload["value"]) == (201, True, None)
 
 
 def test_generate_roundtrip(tmp_path, capsys):

@@ -17,7 +17,7 @@ from chase_sentinel.hom import apply_atom, find_homomorphisms
 from chase_sentinel.model import Constant, Instance, Variable
 
 from fixtures import handshake, handshake_trusted, triad, triad_guarded, vacuous_self, walk
-from oracles import longest_restricted_run
+from oracles import instance_terms, longest_restricted_run
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def brute_force_homs(conj, inst):
             if isinstance(t, Variable) and t.name not in variables:
                 variables.append(t.name)
     found = []
-    for combo in itertools.product(inst.terms(), repeat=len(variables)):
+    for combo in itertools.product(instance_terms(inst), repeat=len(variables)):
         h = dict(zip(variables, combo))
         if all(apply_atom(h, a) in inst for a in conj):
             found.append(tuple(sorted((v, str(t)) for v, t in h.items())))
