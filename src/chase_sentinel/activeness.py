@@ -21,7 +21,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from .acyclicity import Condition, check_condition, connected_components, cycle_function
 from .chase import Budget, DEFAULT_BUDGET, Meter, TraceStep, datalog_first_filter
 from .critdb import (
-    Conflict,
     RenamingFunction,
     apply_renaming,
     propose_merges,
@@ -94,8 +93,11 @@ def _chain_through(used_steps: List[frozenset]) -> Optional[tuple]:
 
 class _Search:
     """Backtracking search for a chained sequence of active triggers along a
-    fixed path.  Collects indexed-constant near misses for the renaming
-    machinery as it goes."""
+    fixed path.  Each trigger is retracted by rolling the instance back to
+    its length before the trigger fired.  As it goes, the search records
+    every indexed-constant near miss of a body match as the set of its
+    (required, found) pairs, once each in first-seen order, for
+    `propose_merges`."""
 
     def __init__(
         self,
@@ -112,34 +114,28 @@ class _Search:
         self.min_height = min_height
         self.steps: List[TraceStep] = []
         self.used_steps: List[frozenset] = []
-        self.conflicts: Dict[frozenset, Conflict] = {}
+        self.near_misses: Dict[frozenset, None] = {}
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
 
-    def _on_miss(self, step_index: int, rule: Rule):
-        def handler(pattern: Atom, binding: dict, candidate: Atom) -> None:
-            # Substitutes one argument at a time and stops at the first
-            # difference that is not between two indexed constants.
-            pairs = []
-            for p, c in zip(pattern.args, candidate.args):
-                if p.__class__ is Variable:
-                    p = binding.get(p.name)
-                    if p is None:
-                        continue  # unbound: agrees with anything
-                elif not p.ground:
-                    p = apply_term(binding, p)
-                if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
-                    if p != c:
-                        pairs.append((p, c))
-                elif p != c:
-                    return
-            if pairs:
-                key = frozenset(pairs)
-                self.conflicts.setdefault(
-                    key, Conflict(step=step_index, rule_id=rule.id, pairs=key)
-                )
-
-        return handler
+    def _on_miss(self, pattern: Atom, binding: dict, candidate: Atom) -> None:
+        # Substitutes one argument at a time and stops at the first
+        # difference that is not between two indexed constants.
+        pairs = []
+        for p, c in zip(pattern.args, candidate.args):
+            if p.__class__ is Variable:
+                p = binding.get(p.name)
+                if p is None:
+                    continue  # unbound: agrees with anything
+            elif not p.ground:
+                p = apply_term(binding, p)
+            if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
+                if p != c:
+                    pairs.append((p, c))
+            elif p != c:
+                return
+        if pairs:
+            self.near_misses.setdefault(frozenset(pairs))
 
     def _datalog_blocked(self) -> bool:
         """Under the Datalog-first strategy a generating rule may not fire
@@ -168,28 +164,27 @@ class _Search:
         step_no = i + 1
         if not rule.is_datalog and self._datalog_blocked():
             return False
-        on_miss = self._on_miss(step_no, rule)
         for h in find_homomorphisms(
             rule.body,
             self.inst,
             derived_first=True,
             probe=self.meter.charge_probe,
-            on_miss=on_miss,
+            on_miss=self._on_miss,
         ):
             if not is_active_trigger(rule, h, self.inst, probe=self.meter.charge_probe):
                 continue
             used = frozenset(
                 self.inst.first_derived_at(a) for a in body_image(rule, h)
             )
-            added, undos = apply_trigger(rule, h, self.inst, step_no)
+            size = len(self.inst)
+            added = apply_trigger(rule, h, self.inst, step_no)
             self.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             self.used_steps.append(used)
             if self._step(i + 1):
                 return True
             self.used_steps.pop()
             self.steps.pop()
-            for rec in reversed(undos):
-                self.inst.undo(rec)
+            self.inst.rollback(size)
         return False
 
 
@@ -219,7 +214,7 @@ def is_active_wrt(
     except BudgetExceeded as e:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=e.reason)
     if _collect is not None:
-        _collect.extend(search.conflicts.values())
+        _collect.extend(search.near_misses)
     if found:
         witness = ChainWitness(
             rule_ids=tuple(r.id for r in path),
@@ -259,14 +254,14 @@ def is_path_active(
 
     while queue:
         rn, depth = queue.popleft()
-        conflicts: list = []
+        near_misses: list = []
         verdict = is_active_wrt(
             path,
             apply_renaming(rn, db),
             datalog_rules=datalog_rules,
             min_height=min_height,
             meter=meter,
-            _collect=conflicts,
+            _collect=near_misses,
         )
         if verdict.status is Status.ACTIVE:
             return SafetyVerdict(Status.ACTIVE, witness=replace(verdict.witness, renaming=rn))
@@ -274,7 +269,7 @@ def is_path_active(
             return verdict
         if depth == len(path):
             continue
-        for proposal in propose_merges(conflicts):
+        for proposal in propose_merges(near_misses):
             composed = proposal.compose_after(rn)
             if composed.mapping in seen:
                 continue
@@ -304,7 +299,7 @@ def replay_witness(witness: ChainWitness, rs: RuleSet) -> Instance:
         if not is_active_trigger(rule, h, inst):
             raise AssertionError("witness: trigger at step %d is not active" % i)
         used_steps.append(frozenset(inst.first_derived_at(a) for a in image))
-        added, _ = apply_trigger(rule, h, inst, i)
+        added = apply_trigger(rule, h, inst, i)
         if tuple(added) != step.added:
             raise AssertionError("witness: step %d derived %s, recorded %s" % (i, added, step.added))
     chain = witness.chain

@@ -150,9 +150,9 @@ def is_ja(rs: RuleSet) -> CheckResult:
     return CheckResult(Condition.JA, True)
 
 
-def is_agrd(rs: RuleSet, graph: Optional[DependencyGraph] = None) -> CheckResult:
+def is_agrd(rs: RuleSet) -> CheckResult:
     """Acyclic graph of rule dependencies; self-loops count as cycles."""
-    g = graph if graph is not None else dependency_graph(rs)
+    g = dependency_graph(rs)
     adjacency: Dict[int, list] = {}
     for i, j in g.edges:
         adjacency.setdefault(i, []).append(j)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .activeness import Status, is_path_active
 from .chase import Budget, BudgetExhausted, ChaseTrace, Saturated, skolem_chase
@@ -104,9 +104,6 @@ def _support_paths(trace: ChaseTrace, rules: RuleSet, bound: int) -> List[tuple]
     """Rule paths reconstructed from derivation support chains of the atoms
     whose terms first reached bound+1."""
     inst = trace.final
-    if inst is None:
-        inst = trace.replay(rules)
-    step_of: Dict[int, int] = {}
     breach_steps = []
     for i, step in enumerate(trace.steps, start=1):
         for a in step.added:

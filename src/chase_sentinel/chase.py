@@ -138,7 +138,7 @@ class ChaseTrace:
             for a in body_image(rule, h):
                 if a not in inst:
                     raise AssertionError("replay: body atom %s missing at step %d" % (a, i))
-            added, _ = apply_trigger(rule, h, inst, i)
+            added = apply_trigger(rule, h, inst, i)
             if tuple(added) != step.added:
                 raise AssertionError(
                     "replay: step %d added %s, trace says %s" % (i, added, step.added)
@@ -204,7 +204,7 @@ def _run(
             reason = meter.charge_step()
             if reason is not None:
                 break
-            added, _ = apply_trigger(rule, h, inst, meter.steps)
+            added = apply_trigger(rule, h, inst, meter.steps)
             trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             if detect_cyclic_terms:
                 t = _cyclic_term_in(added)
@@ -263,18 +263,14 @@ def greedy_restricted(
     return _run(database, budget, first_active)
 
 
-def datalog_first_filter(path: Sequence[Rule], rule_set: Optional[RuleSet] = None) -> bool:
+def datalog_first_filter(path: Sequence[Rule], rule_set: RuleSet) -> bool:
     """Admissibility of a path under the Datalog-first strategy.
 
     Every non-final generating occurrence must come after all Datalog rules
-    of the set have been scheduled at least once; the final element of the
-    path (the closing occurrence of a cycle) is exempt.  When `rule_set` is
-    omitted the Datalog rules of the path itself are used.
+    of `rule_set` have been scheduled at least once; the final element of
+    the path (the closing occurrence of a cycle) is exempt.
     """
-    if rule_set is not None:
-        datalog = {r.id for r in rule_set.datalog_rules}
-    else:
-        datalog = {r.id for r in path if r.is_datalog}
+    datalog = {r.id for r in rule_set.datalog_rules}
     if not datalog:
         return True
     seen: set = set()

@@ -1,12 +1,13 @@
 """Command-line surface.
 
 Subcommands: analyze (k-safe decision), check (single acyclicity test),
-chase (run a chase variant), cycles (list k-cycles with relevance flags),
-bounded (depth-bounded membership), generate (benchmark TGDs), report
-(batch verdict grid over a directory), graph (dependency graph as DOT).
+chase (run a chase variant), cycles (list k-cycles), bounded
+(depth-bounded membership), generate (benchmark TGDs), report (batch
+verdict grid over a directory), graph (dependency graph as DOT).
 
 Exit codes for analyze/bounded: 0 proven, 1 not proven, 2 resources
-exhausted, 3 usage or parse error.
+exhausted, 3 usage or parse error.  chase exits 2 when its run ends on a
+budget and 0 when it saturates or finds a cyclic term.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from .activeness import Verdict, k_safe
 from .bounded import memb_check, multi_head_caveat, parse_bound
 from .chase import (
     Budget,
+    BudgetExhausted,
     CyclicTermFound,
     DEFAULT_BUDGET,
     Saturated,
     greedy_restricted,
     skolem_chase,
 )
-from .cycles import enumerate_k_cycles, is_relevant
+from .cycles import enumerate_k_cycles
 from .deps import dependency_graph
 from .gen import GenParams, GenerationError, generate
 from .model import rule_set_size
@@ -231,7 +233,7 @@ def cmd_chase(args) -> int:
             print("cyclic skolem term found: %s" % trace.outcome.term)
         else:
             print("budget exhausted (%s) after %d steps" % (trace.outcome.reason, len(trace.steps)))
-    return EXIT_PROVEN
+    return EXIT_EXHAUSTED if isinstance(trace.outcome, BudgetExhausted) else EXIT_PROVEN
 
 
 def cmd_cycles(args) -> int:
@@ -239,8 +241,7 @@ def cmd_cycles(args) -> int:
     graph = dependency_graph(rs)
     stream = enumerate_k_cycles(rs, args.k, graph, limit=args.max_cycles)
     for cycle in stream:
-        flag = "relevant" if is_relevant(cycle.path, graph) else "irrelevant"
-        print("%s  [%s]" % (" -> ".join(cycle.rule_ids()), flag))
+        print(" -> ".join(cycle.rule_ids()))
     if stream.truncated:
         print("... truncated at %d cycles" % stream.emitted)
     return EXIT_PROVEN
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.set_defaults(func=cmd_chase)
 
-    p = sub.add_parser("cycles", help="list k-cycles with relevance flags")
+    p = sub.add_parser("cycles", help="list k-cycles (every one is relevant)")
     p.add_argument("file")
     p.add_argument("--k", type=_int_at_least(1), default=1)
     p.add_argument("--max-cycles", type=int, default=DEFAULT_BUDGET.max_cycles)

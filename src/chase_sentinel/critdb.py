@@ -5,10 +5,13 @@ from indexed constants, and index-lowering renaming functions over it.
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
 differs from it only where both hold indexed constants (an unbound
-variable agrees with anything).  `propose_merges` turns each near miss into
-the renaming that sends the higher index of every differing pair to the
-lower, plus the union of all of them; `is_path_active` composes proposals
-with the renaming they were found under, up to |path| deep.
+variable agrees with anything); the search records it as the frozenset of
+its (required, found) pairs.  `propose_merges` turns each near miss into
+the renaming that sends the higher index of every pair to the lower.  It
+offers no union of several near misses: on every corpus tried, such a
+union changed no path status and no witness renaming.  `is_path_active`
+composes proposals with the renaming they were found under, up to |path|
+deep.
 
 No completeness argument is known.  A renaming never makes an inactive
 trigger active, so it helps through a new body match, a new chain edge
@@ -169,16 +172,6 @@ def apply_renaming(rn: RenamingFunction, db: RestrictedCriticalDB) -> Instance:
     return inst
 
 
-@dataclass(frozen=True)
-class Conflict:
-    """A body-match near miss: the pattern required one indexed constant
-    where the instance offered another.  Pairs are (required, found)."""
-
-    step: int
-    rule_id: str
-    pairs: frozenset  # frozenset of (IndexedConstant, IndexedConstant) tuples
-
-
 def _orient(pairs: Iterable[tuple]) -> Optional[Dict[IndexedConstant, IndexedConstant]]:
     """Merge each pair by renaming the higher index to the lower; None when a
     pair has equal indices (index-lowering cannot resolve it)."""
@@ -191,36 +184,20 @@ def _orient(pairs: Iterable[tuple]) -> Optional[Dict[IndexedConstant, IndexedCon
         hi, lo = (a, b) if a.index > b.index else (b, a)
         prev = out.get(hi)
         if prev is not None and prev != lo:
-            return None  # contradictory requirements in one conflict
+            return None  # contradictory requirements in one near miss
         out[hi] = lo
     return out or None
 
 
-def propose_merges(conflicts: Iterable[Conflict]) -> List[RenamingFunction]:
-    """Candidate renaming functions resolving recorded conflicts, smallest
-    first; the union of all orientable conflicts is offered last."""
+def propose_merges(near_misses: Iterable[frozenset]) -> List[RenamingFunction]:
+    """One candidate renaming function per orientable near miss, each a
+    frozenset of (required, found) indexed-constant pairs; duplicates
+    dropped, smallest first."""
     proposals: Dict[tuple, RenamingFunction] = {}
-    oriented: List[Dict[IndexedConstant, IndexedConstant]] = []
-    for c in conflicts:
-        d = _orient(c.pairs)
-        if d is None:
-            continue
-        oriented.append(d)
-        rn = RenamingFunction.from_dict(d)
-        proposals.setdefault(rn.mapping, rn)
-    if len(oriented) > 1:
-        union: Dict[IndexedConstant, IndexedConstant] = {}
-        consistent = True
-        for d in oriented:
-            for k, v in d.items():
-                if union.get(k, v) != v:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-            union.update(d)
-        if consistent and union:
-            rn = RenamingFunction.from_dict(union)
+    for pairs in near_misses:
+        d = _orient(pairs)
+        if d is not None:
+            rn = RenamingFunction.from_dict(d)
             proposals.setdefault(rn.mapping, rn)
     return sorted(proposals.values(), key=lambda r: (len(r), str(r)))
 

@@ -5,13 +5,14 @@ counted) in which some rule occurs exactly k+1 times and none more.  Cycles
 are generated inside one strongly connected component of the dependency
 graph at a time, and every element after the first must depend on some
 earlier element of the path; that linkage is what makes a cycle realizable
-as a chained derivation, and it prunes exactly the cycles the relevance
-test would discard.
+as a chained derivation, and it is the relevance test itself
+(`_depends_on_earlier`), so every enumerated cycle is relevant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .deps import DependencyGraph, dependency_graph
@@ -60,6 +61,14 @@ class CycleStream:
                 return
             self.emitted += 1
             yield cycle
+
+
+def _depends_on_earlier(graph: DependencyGraph, candidate: Rule, path: Sequence[Rule]) -> bool:
+    """Whether `candidate` depends on some rule of `path`."""
+    for earlier in path:
+        if graph.depends(candidate, earlier):
+            return True
+    return False
 
 
 def _sequences(
@@ -112,20 +121,11 @@ def enumerate_k_cycles(
     from .acyclicity import connected_components
 
     comps = components if components is not None else connected_components(graph)
-
-    def depends_on_some_earlier(candidate: Rule, path: List[Rule]) -> bool:
-        seen = set()
-        for earlier in path:
-            if earlier.id in seen:
-                continue
-            seen.add(earlier.id)
-            if graph.depends(candidate, earlier):
-                return True
-        return False
+    depends_on_earlier = partial(_depends_on_earlier, graph)
 
     def gen() -> Iterator[KCycle]:
         for comp in comps:
-            yield from _sequences(list(comp), k, depends_on_some_earlier)
+            yield from _sequences(list(comp), k, depends_on_earlier)
 
     return CycleStream(gen(), limit)
 
@@ -133,11 +133,12 @@ def enumerate_k_cycles(
 def is_relevant(cycle_path: Sequence[Rule], graph: Optional[DependencyGraph] = None) -> bool:
     """A cycle is relevant when every element after the first has a
     dependency (piece-unifier passing the atom-erasing and productive tests)
-    on some earlier element.  `graph` is the dependency graph of a rule set
-    holding the cycle's rules; by default one is built over them."""
+    on some earlier element; `enumerate_k_cycles` yields only such cycles.
+    `graph` is the dependency graph of a rule set holding the cycle's rules;
+    by default one is built over them."""
     if graph is None:
         graph = dependency_graph(RuleSet(tuple(dict.fromkeys(cycle_path))))
-    for i in range(1, len(cycle_path)):
-        if not any(graph.depends(cycle_path[i], cycle_path[j]) for j in range(i)):
-            return False
-    return True
+    return all(
+        _depends_on_earlier(graph, cycle_path[i], cycle_path[:i])
+        for i in range(1, len(cycle_path))
+    )

@@ -11,7 +11,9 @@ hash and then equality, variables bind or compare, and only non-ground
 skolem terms are walked.  A rule's atoms are therefore compiled once per
 rule, not once per candidate; `order_atoms` reads the plans' variable sets.
 `is_active_trigger` matches the rule head itself under the trigger's
-bindings, so heads are compiled once per rule too.  Terms are not interned
+bindings, so heads are compiled once per rule too.  `apply_trigger` returns
+only the atoms it added; a backtracking search retracts them by rolling
+the instance back to its earlier length.  Terms are not interned
 (see `model`), so equal terms may be distinct objects: a comparison tries
 identity, then the cached hashes, then equality.
 """
@@ -160,16 +162,14 @@ def is_active_trigger(
 
 
 def apply_trigger(rule: Rule, h: dict, inst: Instance, step: int) -> list:
-    """Add h(sk(head)) at `step`; returns (added atoms, undo records)."""
-    undos = []
+    """Add h(sk(head)) at `step`; returns the atoms that were new.  To undo
+    it, roll `inst` back to its length before the call."""
     added = []
     for a in rule.skolem_head:
         ground = apply_atom(h, a)
-        rec = inst.add(ground, step)
-        if rec is not None:
-            undos.append(rec)
+        if inst.add(ground, step):
             added.append(ground)
-    return [added, undos]
+    return added
 
 
 def body_image(rule: Rule, h: dict) -> list:

@@ -17,8 +17,9 @@ There is no intern table: equal terms built apart stay distinct objects.
 A table would keep every term alive for the life of the process and raise
 peak memory, and the cached hash already makes lookups cheap.
 
-An Instance is the one mutable structure in the package; it supports cheap
-LIFO rollback so the backtracking searches can apply and undo trigger
+An Instance is the one mutable structure in the package.  Its insertion
+order is its undo log: `rollback(n)` drops every atom added after the
+first n, so the backtracking searches apply and retract trigger
 applications without copying.
 """
 
@@ -170,6 +171,26 @@ class SkolemTerm(Term):
                     stack.append(arg)
             else:
                 out.append(str(item))
+        return "".join(out)
+
+    def __repr__(self) -> str:
+        # The dataclass repr, built iteratively like __str__; a one-element
+        # tuple keeps its trailing comma.
+        out: List[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+            elif item.__class__ is SkolemTerm:
+                out.append("SkolemTerm(fn=%r, args=(" % (item.fn,))
+                stack.append(",))" if len(item.args) == 1 else "))")
+                for i, arg in enumerate(reversed(item.args)):
+                    if i:
+                        stack.append(", ")
+                    stack.append(arg)
+            else:
+                out.append(repr(item))
         return "".join(out)
 
 
@@ -491,29 +512,26 @@ def rule_set_size(rs: RuleSet) -> int:
     return sum(len(a.args) for r in rs.rules for a in r.all_atoms)
 
 
-class _Undo:
-    __slots__ = ("atom", "prev_ht")
-
-    def __init__(self, atom: Atom, prev_ht: int):
-        self.atom = atom
-        self.prev_ht = prev_ht
-
-
 class Instance:
-    """Set of ground atoms with predicate index, derivation-step bookkeeping
-    and LIFO rollback. Step 0 marks database atoms.
+    """Set of ground atoms with predicate indexes, derivation-step bookkeeping
+    and an undo log.  Step 0 marks database atoms.
 
-    Each predicate keeps its atoms in insertion order three ways: all of
-    them, the derived ones (step > 0) and the database ones, so the
-    derived-first candidate order of `hom` needs no partitioning."""
+    The atoms live in one insertion-ordered dict from atom to the step that
+    first derived it, and `_hts` holds the height of the empty instance, 1,
+    then the instance height after each insertion, so the dict is also the
+    undo log: a backtracking search notes `len(inst)` before it applies a
+    trigger and calls `rollback` with that size afterwards, without
+    copying.  Each predicate keeps its atoms in
+    insertion order three ways: all of them, the derived ones (step > 0) and
+    the database ones, so the derived-first candidate order of `hom` needs
+    no partitioning."""
 
     def __init__(self, atoms: Iterable[Atom] = (), step: int = 0):
-        self._order: list = []
-        self._fda: dict = {}  # atom -> first derivation step; also the set
+        self._fda: dict = {}  # atom -> first derivation step, in insertion order
+        self._hts: list = [1]
         self._by_pred: dict = {}
         self._derived: dict = {}
         self._database: dict = {}
-        self._ht = 1
         for a in atoms:
             self.add(a, step)
 
@@ -521,10 +539,10 @@ class Instance:
         return a in self._fda
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._fda)
 
     def atoms(self) -> tuple:
-        return tuple(self._order)
+        return tuple(self._fda)
 
     def by_pred(self, pred: str) -> Sequence[Atom]:
         return self._by_pred.get(pred, ())
@@ -539,45 +557,42 @@ class Instance:
         return self._fda[a]
 
     def ht(self) -> int:
-        return self._ht
+        return self._hts[-1]
 
     def copy(self) -> "Instance":
         new = Instance.__new__(Instance)
-        new._order = list(self._order)
         new._fda = dict(self._fda)
+        new._hts = list(self._hts)
         new._by_pred = {p: list(v) for p, v in self._by_pred.items()}
         new._derived = {p: list(v) for p, v in self._derived.items()}
         new._database = {p: list(v) for p, v in self._database.items()}
-        new._ht = self._ht
         return new
 
-    def add(self, a: Atom, step: int) -> Optional[_Undo]:
-        """Insert `a` with derivation step `step`; returns an undo record,
-        or None when the atom was already present (step unchanged)."""
+    def add(self, a: Atom, step: int) -> bool:
+        """Insert `a` with derivation step `step`; False, with nothing
+        changed, when the atom was already present."""
         if a in self._fda:
-            return None
-        prev_ht = ht = self._ht
+            return False
+        ht = self._hts[-1]
         for t in a.args:
             if not t.ground:
                 raise ValueError("instance atoms must be ground: %s" % a)
             if t.height > ht:
                 ht = t.height
         self._fda[a] = step
-        self._order.append(a)
+        self._hts.append(ht)
         self._by_pred.setdefault(a.pred, []).append(a)
         (self._derived if step > 0 else self._database).setdefault(a.pred, []).append(a)
-        self._ht = ht
-        return _Undo(a, prev_ht)
+        return True
 
-    def undo(self, rec: _Undo) -> None:
-        """Roll back one add(); only valid in reverse insertion order."""
-        a = rec.atom
-        assert self._order and self._order[-1] == a, "undo out of order"
-        self._order.pop()
-        step = self._fda.pop(a)
-        self._by_pred[a.pred].pop()
-        (self._derived if step > 0 else self._database)[a.pred].pop()
-        self._ht = rec.prev_ht
+    def rollback(self, size: int) -> None:
+        """Remove the atoms added since the instance held `size` of them."""
+        fda = self._fda
+        while len(fda) > size:
+            a, step = fda.popitem()
+            self._hts.pop()
+            self._by_pred[a.pred].pop()
+            (self._derived if step > 0 else self._database)[a.pred].pop()
 
 
 def full_relation_atoms(pred: str, arity: int, domain: Sequence[Term]) -> Iterator[Atom]:

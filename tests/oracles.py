@@ -119,12 +119,12 @@ def restricted_chase_exhaustive(
         for rule, h in options:
             if len(traces) >= max_traces:
                 return
-            added, undos = apply_trigger(rule, h, inst, depth + 1)
+            size = len(inst)
+            added = apply_trigger(rule, h, inst, depth + 1)
             steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             explore(inst, depth + 1)
             steps.pop()
-            for rec in reversed(undos):
-                inst.undo(rec)
+            inst.rollback(size)
 
     explore(base, 0)
     return traces
@@ -150,10 +150,10 @@ def longest_restricted_run(
         options = _admissible(active_triggers(rules, inst), datalog_first)
         best = 0
         for rule, h in options:
-            _, undos = apply_trigger(rule, h, inst, depth + 1)
+            size = len(inst)
+            apply_trigger(rule, h, inst, depth + 1)
             sub = longest(inst, depth + 1)
-            for rec in reversed(undos):
-                inst.undo(rec)
+            inst.rollback(size)
             if sub is None:
                 return None
             best = max(best, 1 + sub)

@@ -180,8 +180,9 @@ def test_datalog_first_filter_examples():
     assert not datalog_first_filter((r1, r2, r1), rs)
     assert not datalog_first_filter((r1, r1), rs)
     # paths of only datalog rules are vacuously admissible
-    d = cs.parse_rules("[d] q(X) :- p(X).").rules[0]
-    assert datalog_first_filter((d, d))
+    ds = cs.parse_rules("[d] q(X) :- p(X).")
+    d = ds.rules[0]
+    assert datalog_first_filter((d, d), ds)
     # no Datalog rules in the set: nothing to prioritize
     trusted = handshake_trusted()
     r3, r4 = trusted.rules

@@ -84,10 +84,10 @@ def test_chase_command_restricted(tmp_path, capsys):
     assert "no active trigger" in out
     code, out, _ = run(capsys, "chase", f.as_posix(), "--variant", "skolem",
                        "--max-steps", "10", "--json")
-    assert code == 0
+    assert code == 2
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[0]["step"] == 1 and "rule" in lines[0]
-    assert lines[-1]["outcome"] in ("Saturated", "BudgetExhausted")
+    assert lines[-1] == {"outcome": "BudgetExhausted", "reason": "steps"}
 
 
 def test_chase_cyclic_detection(tmp_path, capsys):
@@ -109,7 +109,7 @@ def test_chase_walk_budget_exhaustion(tmp_path, capsys):
     f.write_text(WALK + "e(a,b).\n", encoding="utf-8")
     code, out, _ = run(capsys, "chase", f.as_posix(), "--variant", "restricted",
                        "--max-steps", "10")
-    assert code == 0
+    assert code == 2
     assert out.count("step ") == 10
     assert "budget exhausted (steps)" in out
 
@@ -120,7 +120,7 @@ def test_chase_prints_deeply_nested_skolem_terms(tmp_path, capsys):
     f.write_text(WALK + "e(a,b).\n", encoding="utf-8")
     code, out, _ = run(capsys, "chase", f.as_posix(), "--variant", "skolem",
                        "--max-steps", "300")
-    assert code == 0
+    assert code == 2
     lines = out.splitlines()
     assert len(lines) == 301
     assert all(line.startswith("step ") for line in lines[:300])
@@ -132,7 +132,7 @@ def test_cycles_command(tmp_path, capsys):
     f.write_text(WALK, encoding="utf-8")
     code, out, _ = run(capsys, "cycles", f.as_posix(), "--k", "1")
     assert code == 0
-    assert "r -> r" in out and "relevant" in out
+    assert out.splitlines() == ["r -> r"]
 
 
 def test_bounded_command(handshake_file, capsys):

@@ -2,7 +2,6 @@ import pytest
 
 import chase_sentinel as cs
 from chase_sentinel.critdb import (
-    Conflict,
     RenamingFunction,
     all_renamings,
     apply_renaming,
@@ -110,12 +109,11 @@ def test_renaming_composition_lowers_indices():
 
 
 def test_propose_merges_from_guarded_triad_conflict():
-    # the recorded conflict says z must reach index 1 while the database
+    # the recorded near miss says z must reach index 1 while the database
     # offers index 3: the proposal renames <z,3> to <z,1>
     z1 = IndexedConstant("Z", 1)
     z3 = IndexedConstant("Z", 3)
-    conflict = Conflict(step=3, rule_id="r1", pairs=frozenset({(z1, z3)}))
-    (rn,) = propose_merges([conflict])
+    (rn,) = propose_merges([frozenset({(z1, z3)})])
     assert rn.as_dict() == {z3: z1}
 
 
@@ -123,24 +121,22 @@ def test_propose_merges_empty_without_conflicts():
     assert propose_merges([]) == []
 
 
-def test_propose_merges_combines_independent_conflicts():
+def test_propose_merges_offers_each_near_miss_and_no_union():
     z1, z3 = IndexedConstant("Z", 1), IndexedConstant("Z", 3)
     w1, w2 = IndexedConstant("W", 1), IndexedConstant("W", 2)
-    c1 = Conflict(step=2, rule_id="a", pairs=frozenset({(z1, z3)}))
-    c2 = Conflict(step=3, rule_id="b", pairs=frozenset({(w2, w1)}))
-    proposals = propose_merges([c1, c2])
-    assert {z3: z1} in [p.as_dict() for p in proposals]
-    assert {w2: w1} in [p.as_dict() for p in proposals]
-    assert {z3: z1, w2: w1} in [p.as_dict() for p in proposals]
-    # ordered by merge size
-    assert [len(p) for p in proposals] == sorted(len(p) for p in proposals)
+    y1, y2 = IndexedConstant("Y", 1), IndexedConstant("Y", 2)
+    both = frozenset({(y2, y1), (w1, w2)})
+    near_misses = [frozenset({(z1, z3)}), both, frozenset({(w2, w1)}), frozenset({(z3, z1)})]
+    proposals = [p.as_dict() for p in propose_merges(near_misses)]
+    # one proposal per distinct orientation, smallest first, then by text;
+    # the union {z3: z1, w2: w1, y2: y1} is not offered
+    assert proposals == [{w2: w1}, {z3: z1}, {w2: w1, y2: y1}]
 
 
 def test_propose_merges_skips_equal_index_conflicts():
     a1 = IndexedConstant("A", 1)
     b1 = IndexedConstant("B", 1)
-    conflict = Conflict(step=1, rule_id="r", pairs=frozenset({(a1, b1)}))
-    assert propose_merges([conflict]) == []
+    assert propose_merges([frozenset({(a1, b1)})]) == []
 
 
 def test_all_renamings_counts():

@@ -34,23 +34,25 @@ def test_deep_term_hash_equality_height_and_str():
     text = str(t)
     assert len(text) == 3 * DEPTH + 1
     assert text.startswith("f(f(") and text.endswith("a" + ")" * DEPTH)
+    text = repr(t)
+    assert text.startswith("SkolemTerm(fn='f', args=(SkolemTerm(fn='f', args=(")
+    assert text.endswith("(Constant(name='a'),))" + ",))" * (DEPTH - 1))
 
 
 def test_deep_term_instance_add_undo_and_apply_trigger():
     t = _tower(DEPTH)
     inst = Instance([cs.atom("e", cs.Constant("a"), cs.Constant("b"))])
-    rec = inst.add(cs.atom("e", cs.Constant("b"), t), 1)
-    assert rec is not None and inst.ht() == DEPTH + 1
+    assert inst.add(cs.atom("e", cs.Constant("b"), t), 1) is True
+    assert inst.ht() == DEPTH + 1
     assert cs.atom("e", cs.Constant("b"), _tower(DEPTH)) in inst
-    assert inst.add(cs.atom("e", cs.Constant("b"), _tower(DEPTH)), 2) is None
+    assert inst.add(cs.atom("e", cs.Constant("b"), _tower(DEPTH)), 2) is False
     rule = walk().rules[0]
-    added, undos = apply_trigger(rule, {"X1_1": cs.Constant("b"), "X2_1": t}, inst, 2)
+    added = apply_trigger(rule, {"X1_1": cs.Constant("b"), "X2_1": t}, inst, 2)
     assert [str(a)[:6] for a in added] == ["e(f(f("]
     assert inst.ht() == DEPTH + 2
-    for r in reversed(undos):
-        inst.undo(r)
+    inst.rollback(2)
     assert inst.ht() == DEPTH + 1
-    inst.undo(rec)
+    inst.rollback(1)
     assert inst.ht() == 1 and len(inst) == 1
 
 
@@ -68,6 +70,6 @@ def test_cli_walk_skolem_chase_400_steps_ends_on_the_step_budget(tmp_path, capsy
     f.write_text(WALK + "e(a,b).\n", encoding="utf-8")
     code = cli.main(["chase", f.as_posix(), "--variant", "skolem", "--max-steps", "400"])
     out = capsys.readouterr()
-    assert code == 0
+    assert code == 2
     assert out.err == ""
     assert out.out.splitlines()[-1] == "budget exhausted (steps) after 400 steps"

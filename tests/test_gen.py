@@ -92,8 +92,7 @@ def test_terminating_filter_pipeline():
     from oracles import longest_restricted_run
 
     rng = random.Random(1001)
-    budget = Budget(max_atoms=5000, wall_clock_s=1.0, max_probes=30_000,
-                    total_wall_clock_s=5.0)
+    budget = Budget(max_atoms=5000, max_probes=30_000)  # count-only
     kept = 0
     for seed in range(12):
         rs = generate(GenParams(count=2, predicate_pool=6, arity=2,

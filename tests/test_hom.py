@@ -166,10 +166,10 @@ def test_apply_trigger_records_steps_and_keeps_existing():
     rule = rs.rules[0]
     inst = Instance([cs.atom("typeB", _c("t"), _c("r"))])
     h = {"X_1": _c("t"), "Y_1": _c("r")}
-    added, _ = cs.apply_trigger(rule, h, inst, step=1)
+    added = cs.apply_trigger(rule, h, inst, step=1)
     assert [str(a) for a in added] == ["typeA(t,f_U_1(t))", "typeA(f_U_1(t),t)"]
     assert all(inst.first_derived_at(a) == 1 for a in added)
-    again, _ = cs.apply_trigger(rule, h, inst, step=2)
+    again = cs.apply_trigger(rule, h, inst, step=2)
     assert again == []  # union idempotent, original steps kept
     assert all(inst.first_derived_at(a) == 1 for a in added)
 
@@ -220,11 +220,11 @@ def _assert_same_search(rules, inst):
             for derived_first in (False, True):
                 # the activeness near-miss handler, fed by the new search
                 search = _Search([rule], inst, Meter(None))
-                new = _run_new(conj, inst, derived_first, handler=search._on_miss(1, rule))
+                new = _run_new(conj, inst, derived_first, handler=search._on_miss)
                 ref = _run_reference(conj, inst, derived_first)
                 assert new == ref, (str(rule), derived_first)
                 pairs = (near_miss_pairs_reference(p, c) for p, c in ref[2])
-                assert list(search.conflicts) == list(dict.fromkeys(p for p in pairs if p))
+                assert list(search.near_misses) == list(dict.fromkeys(p for p in pairs if p))
         for h in itertools.islice(find_homomorphisms(rule.body, inst), 12):
             counts = [0, 0]
 

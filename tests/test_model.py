@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import chase_sentinel as cs
@@ -103,11 +105,59 @@ def test_rule_set_rejects_arity_conflicts_and_shared_vars():
 
 def test_instance_rollback():
     inst = Instance([cs.atom("p", cs.Constant("a"))])
-    rec = inst.add(cs.atom("p", cs.SkolemTerm("f", (cs.Constant("a"),))), step=1)
+    assert inst.add(cs.atom("p", cs.SkolemTerm("f", (cs.Constant("a"),))), step=1) is True
     assert len(inst) == 2 and inst.ht() == 2
-    inst.undo(rec)
+    inst.rollback(1)
     assert len(inst) == 1 and inst.ht() == 1
-    assert inst.add(cs.atom("p", cs.Constant("a")), step=5) is None  # already present
+    assert inst.add(cs.atom("p", cs.Constant("a")), step=5) is False  # already present
+    assert inst.first_derived_at(cs.atom("p", cs.Constant("a"))) == 0
+
+
+def _state(inst, preds):
+    return (
+        inst.atoms(),
+        inst.ht(),
+        [list(inst.by_pred(p)) for p in preds],
+        [list(inst.derived_by_pred(p)) for p in preds],
+        [list(inst.database_by_pred(p)) for p in preds],
+        [inst.first_derived_at(a) for a in inst.atoms()],
+    )
+
+
+def test_rollback_matches_an_instance_built_from_the_first_atoms():
+    # Random adds of flat and deep skolem atoms at mixed steps, repeats
+    # included; rolling back to n atoms must leave exactly the instance
+    # built from the first n, and adding the rest again must restore it.
+    rng = random.Random(8)
+    consts = [cs.Constant(c) for c in "abc"]
+    preds = ("p", "q")
+
+    def term(depth):
+        t = rng.choice(consts)
+        for _ in range(depth):
+            t = cs.SkolemTerm(rng.choice("fg"), (t,))
+        return t
+
+    def built(log):
+        inst = Instance()
+        for a, step in log:
+            inst.add(a, step)
+        return inst
+
+    for _ in range(200):
+        inst = Instance()
+        log = []  # (atom, step) of each add that changed the instance
+        for _ in range(rng.randrange(1, 20)):
+            a = cs.atom(rng.choice(preds), term(rng.choice([0, 0, 1, 3, 1500])), rng.choice(consts))
+            step = rng.choice([0, 0, 1, 2, 3])
+            if inst.add(a, step):
+                log.append((a, step))
+        for n in sorted(rng.sample(range(len(log) + 1), min(3, len(log) + 1)), reverse=True):
+            inst.rollback(n)
+            assert _state(inst, preds) == _state(built(log[:n]), preds)
+        for a, step in log[len(inst):]:
+            assert inst.add(a, step)
+        assert _state(inst, preds) == _state(built(log), preds)
 
 
 def test_instance_requires_ground_atoms():
