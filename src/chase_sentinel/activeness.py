@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, check_condition, connected_components, cycle_function
-from .chase import Budget, DEFAULT_BUDGET, Meter, TraceStep, datalog_first_filter
+from .chase import DEFAULT_BUDGET, Budget, BudgetExceeded, Meter, TraceStep, datalog_first_filter
 from .critdb import (
     RenamingFunction,
     apply_renaming,
@@ -29,7 +29,6 @@ from .critdb import (
 from .cycles import enumerate_k_cycles
 from .deps import dependency_graph
 from .hom import (
-    BudgetExceeded,
     apply_trigger,
     body_image,
     find_homomorphisms,

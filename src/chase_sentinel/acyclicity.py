@@ -179,9 +179,6 @@ def is_mfa(rs: RuleSet, budget: Optional[Budget] = None) -> CheckResult:
     return CheckResult(Condition.MFA, None, witness=trace.outcome.reason)
 
 
-_MFA_DEFAULT_BUDGET = Budget(max_steps=20_000, max_atoms=50_000, wall_clock_s=30.0)
-
-
 def check_condition(
     condition: Condition, rs: RuleSet, budget: Optional[Budget] = None
 ) -> CheckResult:
@@ -192,7 +189,7 @@ def check_condition(
     if condition is Condition.AGRD:
         return is_agrd(rs)
     if condition is Condition.MFA:
-        return is_mfa(rs, budget=budget or _MFA_DEFAULT_BUDGET)
+        return is_mfa(rs, budget=budget)
     raise ValueError("unknown condition %r" % condition)
 
 

@@ -12,11 +12,11 @@ critical databases; only an active path refutes the bound.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .activeness import Status, is_path_active
-from .chase import Budget, BudgetExhausted, ChaseTrace, Saturated, skolem_chase
+from .chase import DEFAULT_BUDGET, Budget, BudgetExhausted, ChaseTrace, Saturated, skolem_chase
 from .critdb import skolem_critical_db
 from .hom import body_image
 from .model import RuleSet, rule_set_size, term_height
@@ -74,13 +74,15 @@ def exp_tower_bound(kappa: int) -> BoundFunction:
 
 
 def parse_bound(spec: str) -> BoundFunction:
-    """Parse 'const:3', 'linear:a,b' or 'exptower:k'."""
+    """Parse 'const:c' (c >= 1), 'linear:a,b' (a >= 0, a + b >= 1) or
+    'exptower:k' (k >= 0): exactly the specs whose function maps every
+    positive integer to a positive integer."""
     kind, _, rest = spec.partition(":")
     try:
         params = tuple(int(p) for p in rest.split(",")) if rest else ()
-        if kind == "const" and len(params) == 1:
+        if kind == "const" and len(params) == 1 and params[0] >= 1:
             return constant_bound(params[0])
-        if kind == "linear" and len(params) == 2:
+        if kind == "linear" and len(params) == 2 and params[0] >= 0 and sum(params) >= 1:
             return linear_bound(*params)
         if kind == "exptower" and len(params) == 1 and params[0] >= 0:
             return exp_tower_bound(params[0])
@@ -150,23 +152,23 @@ def memb_check(
     within the step and atom budgets gets above 1 + min(max_steps,
     max_atoms); an instance never holds more than sys.maxsize atoms.  A
     bound at or above that height cannot be breached, so phase 2 is never
-    reached and the clamp changes no verdict; `bound_clamped` reports it."""
-    base_budget = budget or Budget(max_steps=20_000, max_atoms=50_000, wall_clock_s=60.0)
-    limits = (base_budget.max_steps, base_budget.max_atoms, sys.maxsize)
+    reached and the clamp changes no verdict; `bound_clamped` reports it.
+
+    Without a budget the run gets DEFAULT_BUDGET.  Raises ValueError when
+    delta(||R||) < 1: a bound function maps positive integers to positive
+    integers."""
+    budget = budget or DEFAULT_BUDGET
+    limits = (budget.max_steps, budget.max_atoms, sys.maxsize)
     reach = 1 + min(b for b in limits if b is not None)
-    bound = delta.at_most(rule_set_size(rs), reach)
+    size = rule_set_size(rs)
+    bound = delta.at_most(size, reach)
     clamped = bound is None
     if clamped:
         bound = reach
-    phase1_budget = Budget(
-        max_steps=base_budget.max_steps,
-        max_height=bound + 1,
-        max_atoms=base_budget.max_atoms,
-        wall_clock_s=base_budget.wall_clock_s,
-        max_probes=base_budget.max_probes,
-    )
+    elif bound < 1:
+        raise ValueError("delta(%d) = %d is not a positive integer" % (size, bound))
     db = skolem_critical_db(rs)
-    trace = skolem_chase(db, rs, budget=phase1_budget)
+    trace = skolem_chase(db, rs, budget=replace(budget, max_height=bound + 1))
     if isinstance(trace.outcome, Saturated):
         return MembCheckResult(value=True, bound=bound, phase=1, bound_clamped=clamped)
     if isinstance(trace.outcome, BudgetExhausted) and trace.outcome.reason != "height":
@@ -174,13 +176,14 @@ def memb_check(
             value=None, bound=bound, phase=1, reason=trace.outcome.reason, bound_clamped=clamped
         )
 
+    # The critical database has height 1, below bound + 1, so a height stop
+    # means some step added a term above the bound; that step lies in its own
+    # support path, so `paths` is never empty.
     paths = _support_paths(trace, rs, bound)
-    if not paths:
-        return MembCheckResult(value=None, bound=bound, phase=2, reason="no support path")
     inconclusive = None
     for path_ids in paths:
         path = tuple(rs.by_id[rid] for rid in path_ids)
-        verdict = is_path_active(path, budget=base_budget, min_height=bound + 1)
+        verdict = is_path_active(path, budget=budget, min_height=bound + 1)
         if verdict.status is Status.ACTIVE:
             return MembCheckResult(
                 value=False,

@@ -2,8 +2,9 @@
 chase sequence, both selection policies over one budgeted trigger loop,
 plus the Datalog-first admissibility filter for cycle paths.
 
-All runs are budgeted; possibly-infinite chases come back with an explicit
-BudgetExhausted outcome instead of a verdict.
+All runs are budgeted: a run called without a budget gets DEFAULT_BUDGET,
+so a possibly-infinite chase comes back with an explicit BudgetExhausted
+outcome naming the limit it reached, never runs on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from .hom import (
-    BudgetExceeded,
     apply_trigger,
     body_image,
     find_homomorphisms,
@@ -25,8 +25,9 @@ from .model import Atom, Instance, Rule, RuleSet, has_cyclic_nesting
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits; None means unlimited.
+    """Resource limits; a field set to None means that limit is unlimited.
 
+    Passing `budget=None` to a run is different: it means DEFAULT_BUDGET.
     max_height halts a run as soon as a term of that height appears, which
     is how callers probe "does the chase reach depth H".
     """
@@ -50,11 +51,22 @@ DEFAULT_BUDGET = Budget(
 )
 
 
+class BudgetExceeded(Exception):
+    """A Meter found a limit reached; `reason` names the Budget limit."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 class Meter:
-    """Mutable counters enforcing a Budget."""
+    """Mutable counters enforcing a Budget (DEFAULT_BUDGET when None).
+
+    The meter alone decides that a run is over: every charge or check that
+    finds a limit reached raises BudgetExceeded with the limit's name."""
 
     def __init__(self, budget: Optional[Budget]):
-        self.budget = budget or Budget()
+        self.budget = budget or DEFAULT_BUDGET
         self.steps = 0
         self.probes = 0
         self._deadline = (
@@ -72,25 +84,20 @@ class Meter:
             if time.monotonic() > self._deadline:
                 raise BudgetExceeded("wall_clock")
 
-    def out_of_time(self) -> bool:
-        return self._deadline is not None and time.monotonic() > self._deadline
-
-    def charge_step(self) -> Optional[str]:
+    def charge_step(self) -> None:
         self.steps += 1
         b = self.budget
         if b.max_steps is not None and self.steps > b.max_steps:
-            return "steps"
-        if self.out_of_time():
-            return "wall_clock"
-        return None
+            raise BudgetExceeded("steps")
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise BudgetExceeded("wall_clock")
 
-    def check_instance(self, inst: Instance) -> Optional[str]:
+    def check_instance(self, inst: Instance) -> None:
         b = self.budget
         if b.max_atoms is not None and len(inst) > b.max_atoms:
-            return "atoms"
+            raise BudgetExceeded("atoms")
         if b.max_height is not None and inst.ht() >= b.max_height:
-            return "height"
-        return None
+            raise BudgetExceeded("height")
 
 
 @dataclass(frozen=True)
@@ -187,34 +194,29 @@ def _run(
     """The one whole-instance chase loop.  `select(inst, probe)` is the
     policy: it returns the (rule, homomorphism) triggers to fire next, in
     order, charging `probe` per candidate test; an empty list saturates.
-    The loop owns the budget, the instance checks and the trace."""
+    The loop owns the trace; its meter ends the run by raising
+    BudgetExceeded, which becomes the BudgetExhausted outcome."""
     inst = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
     meter = Meter(budget)
     trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
-    reason = meter.check_instance(inst)
-    while reason is None:
-        try:
+    try:
+        meter.check_instance(inst)
+        while True:
             batch = select(inst, meter.charge_probe)
-        except BudgetExceeded as e:
-            reason = e.reason
-            break
-        if not batch:
-            return trace
-        for rule, h in batch:
-            reason = meter.charge_step()
-            if reason is not None:
-                break
-            added = apply_trigger(rule, h, inst, meter.steps)
-            trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
-            if detect_cyclic_terms:
-                t = _cyclic_term_in(added)
-                if t is not None:
-                    trace.outcome = CyclicTermFound(t)
-                    return trace
-            reason = meter.check_instance(inst)
-            if reason is not None:
-                break
-    trace.outcome = BudgetExhausted(reason)
+            if not batch:
+                return trace
+            for rule, h in batch:
+                meter.charge_step()
+                added = apply_trigger(rule, h, inst, meter.steps)
+                trace.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
+                if detect_cyclic_terms:
+                    t = _cyclic_term_in(added)
+                    if t is not None:
+                        trace.outcome = CyclicTermFound(t)
+                        return trace
+                meter.check_instance(inst)
+    except BudgetExceeded as e:
+        trace.outcome = BudgetExhausted(e.reason)
     return trace
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -56,13 +57,14 @@ def _budget_from_args(args) -> Budget:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--max-height", type=int, default=None)
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_BUDGET.max_atoms)
-    p.add_argument("--timeout", type=float, default=DEFAULT_BUDGET.wall_clock_s,
+    count = _int_at_least(0)
+    p.add_argument("--max-steps", type=count, default=None)
+    p.add_argument("--max-height", type=count, default=None)
+    p.add_argument("--max-atoms", type=count, default=DEFAULT_BUDGET.max_atoms)
+    p.add_argument("--timeout", type=_seconds, default=DEFAULT_BUDGET.wall_clock_s,
                    help="wall clock seconds per cycle/run")
-    p.add_argument("--max-probes", type=int, default=DEFAULT_BUDGET.max_probes)
-    p.add_argument("--max-cycles", type=int, default=DEFAULT_BUDGET.max_cycles)
+    p.add_argument("--max-probes", type=count, default=DEFAULT_BUDGET.max_probes)
+    p.add_argument("--max-cycles", type=count, default=DEFAULT_BUDGET.max_cycles)
 
 
 class UsageError(Exception):
@@ -80,6 +82,26 @@ def _int_at_least(low: int):
 
     convert.__name__ = "integer >= %d" % low
     return convert
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a finite, non-negative number of seconds (a NaN
+    deadline would never pass)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(text)
+    return value
+
+
+_seconds.__name__ = "finite seconds >= 0"
+
+
+def _conditions(text: str) -> list:
+    """An argparse type: a comma-separated list of condition names."""
+    return [Condition(c) for c in text.split(",")]
+
+
+_conditions.__name__ = "condition list"
 
 
 def _bound_arg(spec: str):
@@ -201,7 +223,9 @@ def cmd_check(args) -> int:
     else:
         label = {True: "holds", False: "fails", None: "unknown"}[res.value]
         print("%s: %s %s" % (args.file, condition.value, label))
-        if res.witness is not None:
+        if res.value is None:  # only MFA runs out; its witness names the budget
+            print("  budget exhausted: %s" % res.witness)
+        elif res.witness is not None:
             print("  witness: %s" % (res.witness,))
     if res.value is True:
         return EXIT_PROVEN
@@ -311,10 +335,9 @@ def cmd_report(args) -> int:
         raise UsageError("%s is not a directory" % args.directory)
     if args.k_max < args.k_min:
         raise UsageError("--k-max %d is below --k-min %d" % (args.k_max, args.k_min))
-    conditions = [Condition(c) for c in args.conditions.split(",")]
     ks = list(range(args.k_min, args.k_max + 1))
     budget = _budget_from_args(args)
-    columns = ["%s@k=%d" % (c.value, k) for c in conditions for k in ks]
+    columns = ["%s@k=%d" % (c.value, k) for c in args.conditions for k in ks]
     rows = []
     short = {
         Verdict.TERMINATING: "T",
@@ -328,7 +351,7 @@ def cmd_report(args) -> int:
             rows.append((path.name, ["parse-error"] * len(columns)))
             continue
         cells = []
-        for c in conditions:
+        for c in args.conditions:
             for k in ks:
                 report = k_safe(rs, k, c, datalog_first=args.datalog_first, budget=budget)
                 cells.append(short[report.verdict])
@@ -392,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="list k-cycles (every one is relevant)")
     p.add_argument("file")
     p.add_argument("--k", type=_int_at_least(1), default=1)
-    p.add_argument("--max-cycles", type=int, default=DEFAULT_BUDGET.max_cycles)
+    p.add_argument("--max-cycles", type=_int_at_least(0), default=DEFAULT_BUDGET.max_cycles)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("bounded", help="depth-bounded membership test")
@@ -417,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="verdict grid over a directory of .dlgp files")
     p.add_argument("directory")
-    p.add_argument("--conditions", default="wa,ja,agrd,mfa")
+    p.add_argument("--conditions", type=_conditions, default="wa,ja,agrd,mfa")
     p.add_argument("--k-min", type=_int_at_least(0), default=0)
     p.add_argument("--k-max", type=_int_at_least(0), default=2)
     p.add_argument("--datalog-first", action="store_true")

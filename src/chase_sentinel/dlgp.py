@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .model import Atom, Constant, Instance, Rule, RuleSet, Variable
@@ -82,23 +81,12 @@ class SourceDocument:
     facts: tuple
     rules: tuple
     path: Optional[str] = None
-    statement_lines: tuple = ()  # (kind, label-or-index, line) per statement
 
     def rule_set(self) -> RuleSet:
         return RuleSet(self.rules)
 
     def database(self) -> Instance:
         return Instance(self.facts, step=0)
-
-    @cached_property
-    def schema(self) -> dict:
-        out: dict = {}
-        for a in self.facts:
-            out.setdefault(a.pred, a.arity)
-        for r in self.rules:
-            for a in r.all_atoms:
-                out.setdefault(a.pred, a.arity)
-        return out
 
 
 class _Parser:
@@ -109,7 +97,6 @@ class _Parser:
         self.arities: dict = {}
         self.facts: list = []
         self.rules: list = []
-        self.lines: list = []
         self.labels: set = set()
 
     def _peek(self) -> Optional[_Token]:
@@ -161,17 +148,11 @@ class _Parser:
     def parse(self) -> SourceDocument:
         while self._peek() is not None:
             self._statement()
-        return SourceDocument(
-            facts=tuple(self.facts),
-            rules=tuple(self.rules),
-            path=self.path,
-            statement_lines=tuple(self.lines),
-        )
+        return SourceDocument(facts=tuple(self.facts), rules=tuple(self.rules), path=self.path)
 
     def _statement(self) -> None:
         label = None
-        start = self._peek()
-        if start.kind == "[":
+        if self._peek().kind == "[":
             self._next("[")
             label_tok = self._next("word")
             label = label_tok.text
@@ -186,7 +167,6 @@ class _Parser:
                     if is_var:
                         raise ParseError("variable %s in a fact" % name, line)
                 self.facts.append(Atom(pred, tuple(Constant(n) for _, n in raw)))
-                self.lines.append(("fact", len(self.facts) - 1, line))
             return
         if tok.kind != "impl":
             raise ParseError("expected '.' or ':-' after atom list", tok.line)
@@ -210,7 +190,6 @@ class _Parser:
 
         rule = Rule(id=rid, head=build(first), body=build(body))
         self.rules.append(rule)
-        self.lines.append(("rule", rid, start.line))
 
 
 def parse(text: str, path: Optional[str] = None) -> SourceDocument:

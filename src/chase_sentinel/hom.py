@@ -33,12 +33,6 @@ from .model import (
 )
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
     """Extend `binding` so that the pattern of `plan` maps onto the ground
     `args`; newly bound variable names go on `trail`, which the caller

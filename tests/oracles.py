@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from chase_sentinel.activeness import Status, is_active_wrt
 from chase_sentinel.chase import (
     Budget,
+    BudgetExceeded,
     BudgetExhausted,
     ChaseTrace,
     Meter,
@@ -29,7 +30,6 @@ from chase_sentinel.chase import (
 )
 from chase_sentinel.critdb import all_renamings, apply_renaming, restricted_critical_db
 from chase_sentinel.hom import (
-    BudgetExceeded,
     apply_trigger,
     find_homomorphisms,
     freeze_bindings,

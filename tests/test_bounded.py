@@ -32,9 +32,20 @@ def test_parse_bound():
     assert parse_bound("const:3")(10) == 3
     assert parse_bound("linear:2,5")(3) == 11
     assert parse_bound("exptower:1")(3) == 8
-    for bad in ("const", "linear:1", "exptower:-1", "cubic:2"):
+    assert parse_bound("linear:0,1")(7) == 1
+    assert parse_bound("linear:1,0")(1) == 1
+    bad_specs = ("const", "linear:1", "exptower:-1", "cubic:2")
+    non_positive = ("const:0", "const:-3", "linear:-1,0", "linear:-1,5", "linear:0,0")
+    for bad in bad_specs + non_positive:
         with pytest.raises(ValueError):
             parse_bound(bad)
+
+
+@pytest.mark.parametrize("delta", [constant_bound(0), linear_bound(-1, 0), linear_bound(0, 0)])
+def test_memb_check_rejects_a_non_positive_bound(delta):
+    # a bound function maps positive integers to positive integers
+    with pytest.raises(ValueError, match="not a positive integer"):
+        memb_check(walk(), delta, budget=Budget(max_steps=10))
 
 
 def test_handshake_bounded_at_three():

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 import chase_sentinel as cs
@@ -214,5 +216,25 @@ def test_every_budget_ends_the_walk_and_the_trace_replays(run, reason):
     rs = walk()
     trace = run(_db("e(a,b)."), rs, budget=_BUDGETS[reason])
     assert trace.outcome == BudgetExhausted(reason)
+    assert trace.steps
+    assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)
+
+
+@pytest.mark.parametrize("run", [skolem_chase, greedy_restricted])
+def test_unbudgeted_walk_ends_on_the_default_probe_budget(run):
+    # budget=None means DEFAULT_BUDGET: the diverging walk stops on its
+    # probe limit; the alarm turns a chase that never stops into a failure
+    def give_up(signum, frame):
+        raise TimeoutError("the unbudgeted chase ran for 120 s")
+
+    rs = walk()
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(120)
+    try:
+        trace = run(_db("e(a,b)."), rs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert trace.outcome == BudgetExhausted("probes")
     assert trace.steps
     assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)

@@ -76,6 +76,25 @@ def test_check_command(handshake_file, capsys):
     assert code == 1  # cyclic skolem term under the skolem chase
 
 
+def test_check_names_the_exhausted_budget(tmp_path, capsys):
+    f = tmp_path / "keys.dlgp"
+    f.write_text(
+        "[r2] enters(X,U), keyOpens(Y,U) :- hasKey(X,Y).\n"
+        "[r3] hasKey(X,V), keyOpens(V,Y) :- enters(X,Y).\n",
+        encoding="utf-8",
+    )
+    args = ("check", f.as_posix(), "--condition", "mfa", "--max-steps", "1")
+    code, out, _ = run(capsys, *args)
+    assert code == 2
+    assert out.splitlines()[1:] == ["  budget exhausted: steps"]
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 2
+    assert out == (
+        '{"condition": "mfa", "file": "%s", "schema_version": 1, "value": null, '
+        '"witness": "steps"}\n' % f.as_posix()
+    )
+
+
 def test_chase_command_restricted(tmp_path, capsys):
     f = tmp_path / "trusted.dlgp"
     f.write_text(HANDSHAKE_TRUSTED + "typeB(t,r).\n", encoding="utf-8")
@@ -218,6 +237,20 @@ BAD_USAGE = {
     "generate": ("generate", "--count", "3", "--arity", "0"),
     "report": ("report", "{dir}", "--k-min", "-1"),
     "report-k-order": ("report", "{dir}", "--k-min", "2", "--k-max", "1"),
+    "report-conditions": ("report", "{dir}", "--conditions", "wa,xx"),
+    "bounded-const-zero": ("bounded", "{rules}", "--delta", "const:0"),
+    "bounded-const-negative": ("bounded", "{rules}", "--delta", "const:-3"),
+    "bounded-linear-negative": ("bounded", "{rules}", "--delta", "linear:-1,0"),
+    "bounded-linear-zero": ("bounded", "{rules}", "--delta", "linear:0,0"),
+    "budget-max-steps": ("chase", "{rules}", "--max-steps", "-1"),
+    "budget-max-height": ("bounded", "{rules}", "--delta", "const:3", "--max-height", "-1"),
+    "budget-max-atoms": ("check", "{rules}", "--condition", "mfa", "--max-atoms", "-1"),
+    "budget-max-probes": ("analyze", "{rules}", "--max-probes", "-1"),
+    "budget-max-cycles": ("analyze", "{rules}", "--max-cycles", "-1"),
+    "budget-timeout-negative": ("analyze", "{rules}", "--timeout", "-1"),
+    "budget-timeout-nan": ("chase", "{rules}", "--timeout", "nan"),
+    "budget-timeout-inf": ("report", "{dir}", "--timeout", "inf"),
+    "cycles-max-cycles": ("cycles", "{rules}", "--max-cycles", "-1"),
     "graph": ("graph", "{bad}"),
 }
 
