@@ -5,6 +5,13 @@ plus the Datalog-first admissibility filter for cycle paths.
 All runs are budgeted: a run called without a budget gets DEFAULT_BUDGET,
 so a possibly-infinite chase comes back with an explicit BudgetExhausted
 outcome naming the limit it reached, never runs on.
+
+Both policies are incremental, since the loop never removes an atom: the
+skolem chase runs semi-naive rounds that match only homomorphisms using an
+atom of the last round, and the restricted chase never tests a trigger
+again once it found it inactive.  Each step then costs probes in proportion
+to what changed, not to the whole instance, and the traces are those of a
+full rescan (`tests/oracles.py` keeps the rescanning policies to check it).
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ class Budget:
     total_wall_clock_s: Optional[float] = None  # whole-analysis deadline
 
 
+# The height limit bounds what a diverging chase can print: writing out a
+# trace of deep terms takes space quadratic in their height.
 DEFAULT_BUDGET = Budget(
     max_steps=None,
-    max_height=None,
+    max_height=1_000,
     max_atoms=100_000,
     wall_clock_s=60.0,
     max_probes=1_000_000,
@@ -131,6 +140,11 @@ class ChaseTrace:
     steps: List[TraceStep]
     outcome: Outcome
     final: Optional[Instance] = None
+
+    def __repr__(self) -> str:
+        # the steps of a long run hold deep terms; printing them all can
+        # take longer than the run did
+        return "ChaseTrace(outcome=%r, steps=%d)" % (self.outcome, len(self.steps))
 
     def rule_sequence(self) -> tuple:
         return tuple(s.rule_id for s in self.steps)
@@ -226,19 +240,29 @@ def skolem_chase(
     budget: Optional[Budget] = None,
     detect_cyclic_terms: bool = False,
 ) -> ChaseTrace:
-    """Breadth-first fixpoint: each round applies every not-yet-applied
-    trigger found against the previous round's instance."""
-    applied: set = set()
+    """Breadth-first fixpoint: each round applies every trigger found
+    against the previous round's instance that no earlier round applied.
+
+    Rounds are semi-naive.  A round notes, per body predicate, how many
+    atoms the instance holds, and the next round asks `find_homomorphisms`
+    only for the homomorphisms that use an atom added since.  That drops
+    exactly the triggers applied before: the instance only grows, so every
+    homomorphism into an earlier round's instance was enumerated, and
+    scheduled, in that round; and one whose image uses a newer atom was no
+    homomorphism into any earlier instance, so no round enumerated it.
+    As the filtered enumeration keeps the full one's order, every round,
+    and so the trace, is the same as with a full rescan."""
+    preds = {a.pred for rule in rules for a in rule.body}
+    sizes: Optional[dict] = None  # predicate sizes at the previous round
 
     def round_of_triggers(inst: Instance, probe: Callable[[], None]) -> list:
-        pending = []
-        for rule in rules:
-            for h in find_homomorphisms(rule.body, inst, probe=probe):
-                key = (rule.id, freeze_bindings(h))
-                if key not in applied:
-                    applied.add(key)
-                    pending.append((rule, h))
-        return pending
+        nonlocal sizes
+        since, sizes = sizes, {p: len(inst.by_pred(p)) for p in preds}
+        return [
+            (rule, h)
+            for rule in rules
+            for h in find_homomorphisms(rule.body, inst, probe=probe, since=since)
+        ]
 
     return _run(database, budget, round_of_triggers, detect_cyclic_terms)
 
@@ -250,16 +274,25 @@ def greedy_restricted(
     datalog_first: bool = False,
 ) -> ChaseTrace:
     """One restricted chase sequence, always firing the first active trigger
-    in (rule order, homomorphism order); Datalog rules first when asked."""
+    in (rule order, homomorphism order); Datalog rules first when asked.
+
+    A trigger found inactive is remembered by its rule and body bindings
+    and never tested again: the loop only adds atoms, so the head match (or,
+    for a Datalog rule, the head atoms) that made it inactive stays."""
     order = list(rules)
     if datalog_first:
         order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
+    dead: set = set()
 
     def first_active(inst: Instance, probe: Callable[[], None]) -> list:
         for rule in order:
             for h in find_homomorphisms(rule.body, inst, probe=probe):
+                key = (rule.id, tuple(h[v] for v in rule.body_vars))
+                if key in dead:
+                    continue
                 if is_active_trigger(rule, h, inst, probe=probe):
                     return [(rule, h)]
+                dead.add(key)
         return []
 
     return _run(database, budget, first_active)

@@ -59,7 +59,7 @@ def _budget_from_args(args) -> Budget:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     count = _int_at_least(0)
     p.add_argument("--max-steps", type=count, default=None)
-    p.add_argument("--max-height", type=count, default=None)
+    p.add_argument("--max-height", type=count, default=DEFAULT_BUDGET.max_height)
     p.add_argument("--max-atoms", type=count, default=DEFAULT_BUDGET.max_atoms)
     p.add_argument("--timeout", type=_seconds, default=DEFAULT_BUDGET.wall_clock_s,
                    help="wall clock seconds per cycle/run")
@@ -286,6 +286,7 @@ def cmd_bounded(args) -> int:
         "phase": result.phase,
         "breach_paths": [list(p) for p in result.breach_paths],
         "caveat": multi_head_caveat(rs),
+        "reason": result.reason,
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -296,6 +297,8 @@ def cmd_bounded(args) -> int:
             "%s: %s (delta=%s, ||R||=%d, bound=%d%s, phase %d)"
             % (args.file, label, delta, payload["size"], result.bound, clamp, result.phase)
         )
+        if result.reason is not None:
+            print("  budget exhausted: %s" % result.reason)
         caveat = multi_head_caveat(rs)
         if caveat and result.value is False:
             print("  note: %s" % caveat)

@@ -3,7 +3,9 @@
 The search backtracks over instance atoms per body atom, most-constrained
 atom first, candidates in instance insertion order (derived atoms first
 when asked).  Enumeration order is deterministic, so analyses are
-reproducible run to run.
+reproducible run to run.  Given per-predicate counts of old atoms, the same
+search is semi-naive: it yields, in that order, only the homomorphisms that
+use a newer atom, which is how the skolem chase finds each round's triggers.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
 once per atom and kept on it: ground arguments are compared by cached
@@ -20,7 +22,7 @@ identity, then the cached hashes, then equality.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .model import (
@@ -89,6 +91,7 @@ def find_homomorphisms(
     probe: Optional[Callable[[], None]] = None,
     on_miss: Optional[Callable[[Atom, dict, Atom], None]] = None,
     binding: Optional[Mapping] = None,
+    since: Optional[Mapping[str, int]] = None,
 ) -> Iterator[dict]:
     """All extensions h of `binding` (default empty) over vars(conj) with
     h(conj) contained in inst, each exactly once, in deterministic order.
@@ -97,25 +100,56 @@ def find_homomorphisms(
     candidate)` sees every candidate that failed to match, with the
     bindings made before that pattern; the dict is live, so read it during
     the call only.
+
+    `since` makes the search semi-naive.  It maps a predicate to the number
+    of its atoms that are old (a predicate it does not name has none); as
+    `Instance.by_pred` lists are in insertion order, the new atoms are the
+    suffix after that many.  The search then yields exactly the extensions
+    whose image uses at least one new atom, in the order the full
+    enumeration yields them, and skips what cannot lead to one: while no
+    earlier depth has matched a new atom, a depth whose later patterns have
+    no new atoms scans only its new suffix.  Once a new atom is matched,
+    the deeper depths run the full search and every leaf reached is
+    yielded.  It relies on insertion order, so it does not combine with
+    `derived_first`, and the instance must not change while it runs.
     """
     binding = dict(binding) if binding else {}
     if not conj:
-        yield dict(binding)
+        if since is None:
+            yield dict(binding)
         return
     order = order_atoms(conj, inst, binding.keys())
     patterns = [conj[i] for i in order]
     last = len(patterns) - 1
 
-    def search(depth: int) -> Iterator[dict]:
+    if since is not None:
+        # new_after[d]: some pattern after depth d has a new candidate atom
+        new_after = [False] * len(patterns)
+        for d in range(last, 0, -1):
+            pred = patterns[d].pred
+            new_after[d - 1] = new_after[d] or len(inst.by_pred(pred)) > since.get(pred, 0)
+
+    # `fresh`: an earlier depth matched a new atom (always, without `since`);
+    # `candidates`: the part of this depth's candidates to scan, if not all
+    def search(depth: int, fresh: bool, candidates=None) -> Iterator[dict]:
         pattern = patterns[depth]
+        if candidates is None:
+            if derived_first:
+                candidates = chain(
+                    inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
+                )
+            else:
+                candidates = inst.by_pred(pattern.pred)
+            if not fresh:
+                # semi-naive, no new atom matched yet: old candidates lead
+                # to a yield only through a later new atom
+                old = since.get(pattern.pred, 0)
+                if new_after[depth]:
+                    yield from search(depth, False, islice(candidates, old))
+                yield from search(depth, True, candidates[old:])
+                return
         plan = pattern.plan
         arity = len(pattern.args)
-        if derived_first:
-            candidates = chain(
-                inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
-            )
-        else:
-            candidates = inst.by_pred(pattern.pred)
         for cand in candidates:
             if probe is not None:
                 probe()
@@ -124,7 +158,7 @@ def find_homomorphisms(
                 if depth == last:
                     yield dict(binding)
                 else:
-                    yield from search(depth + 1)
+                    yield from search(depth + 1, fresh)
                 for name in trail:
                     del binding[name]
                 continue
@@ -133,7 +167,7 @@ def find_homomorphisms(
             if on_miss is not None:
                 on_miss(pattern, binding, cand)
 
-    yield from search(0)
+    yield from search(0, since is None)
 
 
 def freeze_bindings(h: dict) -> tuple:

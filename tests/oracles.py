@@ -3,8 +3,9 @@ restricted chase sequence, the length of the longest one, the activeness
 of a path under every renaming of its critical database, every
 piece-unifier of a rule pair, and the dependency of two rules with respect
 to one instance.  Also the term-walking homomorphism search that the
-compiled match path of `chase_sentinel.hom` replaced, as a differential
-reference.
+compiled match path of `chase_sentinel.hom` replaced, and the rescanning
+chase policies that the semi-naive skolem rounds and the dead-trigger memo
+of `chase_sentinel.chase` replaced, as differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -27,6 +28,7 @@ from chase_sentinel.chase import (
     Outcome,
     Saturated,
     TraceStep,
+    _run,
 )
 from chase_sentinel.critdb import all_renamings, apply_renaming, restricted_critical_db
 from chase_sentinel.hom import (
@@ -400,3 +402,48 @@ def is_active_trigger_reference(
     for _ext in find_homomorphisms_reference(partial, inst, probe=probe):
         return False
     return True
+
+
+def skolem_chase_rescanning(
+    database: Union[Instance, Iterable[Atom]],
+    rules: RuleSet,
+    budget: Optional[Budget] = None,
+    detect_cyclic_terms: bool = False,
+) -> ChaseTrace:
+    """`skolem_chase` by full rescans: every round matches every body
+    against the whole instance and drops the triggers applied before."""
+    applied: set = set()
+
+    def round_of_triggers(inst: Instance, probe: Callable[[], None]) -> list:
+        pending = []
+        for rule in rules:
+            for h in find_homomorphisms(rule.body, inst, probe=probe):
+                key = (rule.id, freeze_bindings(h))
+                if key not in applied:
+                    applied.add(key)
+                    pending.append((rule, h))
+        return pending
+
+    return _run(database, budget, round_of_triggers, detect_cyclic_terms)
+
+
+def greedy_restricted_rescanning(
+    database: Union[Instance, Iterable[Atom]],
+    rules: RuleSet,
+    budget: Optional[Budget] = None,
+    datalog_first: bool = False,
+) -> ChaseTrace:
+    """`greedy_restricted` without its memo: every step tests the
+    activeness of every trigger again, from the first rule on."""
+    order = list(rules)
+    if datalog_first:
+        order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
+
+    def first_active(inst: Instance, probe: Callable[[], None]) -> list:
+        for rule in order:
+            for h in find_homomorphisms(rule.body, inst, probe=probe):
+                if is_active_trigger(rule, h, inst, probe=probe):
+                    return [(rule, h)]
+        return []
+
+    return _run(database, budget, first_active)

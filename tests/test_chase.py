@@ -1,3 +1,4 @@
+import random
 import signal
 
 import pytest
@@ -12,16 +13,27 @@ from chase_sentinel.chase import (
     greedy_restricted,
     skolem_chase,
 )
+from chase_sentinel.critdb import skolem_critical_db
+from chase_sentinel.gen import GenParams, generate
 from chase_sentinel.hom import find_homomorphisms, is_active_trigger
+from chase_sentinel.model import Atom, Constant
 
 from fixtures import (
     access_control,
     datalog_first_pair,
     handshake,
     handshake_trusted,
+    triad,
+    triad_guarded,
+    vacuous_self,
     walk,
 )
-from oracles import longest_restricted_run, restricted_chase_exhaustive
+from oracles import (
+    greedy_restricted_rescanning,
+    longest_restricted_run,
+    restricted_chase_exhaustive,
+    skolem_chase_rescanning,
+)
 
 
 def _db(text):
@@ -220,10 +232,15 @@ def test_every_budget_ends_the_walk_and_the_trace_replays(run, reason):
     assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)
 
 
-@pytest.mark.parametrize("run", [skolem_chase, greedy_restricted])
-def test_unbudgeted_walk_ends_on_the_default_probe_budget(run):
+@pytest.mark.parametrize(
+    "run, reason, steps",
+    [(skolem_chase, "height", 999), (greedy_restricted, "probes", 815)],
+    ids=["skolem_chase", "greedy_restricted"],
+)
+def test_unbudgeted_walk_ends_on_a_default_budget(run, reason, steps):
     # budget=None means DEFAULT_BUDGET: the diverging walk stops on its
-    # probe limit; the alarm turns a chase that never stops into a failure
+    # height limit (skolem) or probe limit (restricted); the alarm turns a
+    # chase that never stops into a failure
     def give_up(signum, frame):
         raise TimeoutError("the unbudgeted chase ran for 120 s")
 
@@ -235,6 +252,106 @@ def test_unbudgeted_walk_ends_on_the_default_probe_budget(run):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert trace.outcome == BudgetExhausted("probes")
-    assert trace.steps
+    assert trace.outcome.reason == reason
+    assert repr(trace) == "ChaseTrace(outcome=BudgetExhausted(reason=%r), steps=%d)" % (
+        reason,
+        steps,
+    )
     assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)
+
+
+@pytest.mark.parametrize(
+    "run, budget",
+    [
+        (skolem_chase, Budget(max_steps=10_000, max_probes=20_000)),
+        (greedy_restricted, Budget(max_steps=200, max_probes=100_000)),
+    ],
+    ids=["skolem_chase", "greedy_restricted"],
+)
+def test_walk_probes_grow_linearly_with_the_steps(run, budget):
+    # semi-naive rounds charge the skolem walk one probe a step, and the
+    # dead-trigger memo leaves the restricted walk one activeness test a
+    # step; rescanning runs out of these probe budgets after 199 and 81 steps
+    rs = walk()
+    trace = run(_db("e(a,b)."), rs, budget=budget)
+    assert trace.outcome == BudgetExhausted("steps")
+    assert len(trace.steps) == budget.max_steps
+    assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)
+
+
+# The differential runs compare the incremental loop with the rescanning
+# oracles under budgets that end on steps, atoms or height, or on a cyclic
+# term: never on probes, whose counts legitimately differ.
+
+_POLICIES = [
+    pytest.param(skolem_chase, skolem_chase_rescanning, {}, id="skolem"),
+    pytest.param(
+        skolem_chase, skolem_chase_rescanning, {"detect_cyclic_terms": True}, id="skolem-cyclic"
+    ),
+    pytest.param(greedy_restricted, greedy_restricted_rescanning, {}, id="restricted"),
+    pytest.param(
+        greedy_restricted,
+        greedy_restricted_rescanning,
+        {"datalog_first": True},
+        id="restricted-datalog-first",
+    ),
+]
+
+
+def assert_same_run(run, oracle, database, rs, budget, **kwargs):
+    got = run(database, rs, budget=budget, **kwargs)
+    want = oracle(database, rs, budget=budget, **kwargs)
+    assert budget.max_probes is None
+    assert got.to_json_lines() == want.to_json_lines()
+    assert got.final.atoms() == want.final.atoms()
+
+
+def _access_facts(rng, n):
+    people, rooms, keys = (["%s%d" % (k, i) for i in range(3)] for k in ("p", "room", "key"))
+    shapes = [
+        lambda: "memOf(%s,%s)." % (rng.choice(people), rng.choice(rooms)),
+        lambda: "hasKey(%s,%s)." % (rng.choice(people), rng.choice(keys)),
+        lambda: "keyOpens(%s,%s)." % (rng.choice(keys), rng.choice(rooms)),
+        lambda: "grants(%s,%s,%s)." % (rng.choice(people), rng.choice(people), rng.choice(keys)),
+        lambda: "emp(%s)." % rng.choice(people),
+    ]
+    return "".join(shapes[i % 5]() for i in range(n))
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_fixtures(run, oracle, kwargs):
+    budget = Budget(max_steps=150, max_atoms=3_000, max_height=5)
+    for make in (access_control, datalog_first_pair, handshake, handshake_trusted,
+                 triad, triad_guarded, vacuous_self, walk):
+        rs = make()
+        assert_same_run(run, oracle, skolem_critical_db(rs), rs, budget, **kwargs)
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_the_walk(run, oracle, kwargs):
+    steps = 300 if run is skolem_chase else 100
+    assert_same_run(run, oracle, _db("e(a,b)."), walk(), Budget(max_steps=steps), **kwargs)
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_access_facts(run, oracle, kwargs):
+    rs = access_control()
+    for seed in range(5):
+        db = _db(_access_facts(random.Random(seed), 10 + 5 * seed))
+        assert_same_run(run, oracle, db, rs, Budget(max_steps=200, max_height=4), **kwargs)
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_generated_sets(run, oracle, kwargs):
+    budget = Budget(max_steps=60, max_atoms=60, max_height=6)
+    for seed in range(50):
+        rs = generate(GenParams(count=3, predicate_pool=4, arity=2, body_atoms=1 + seed % 2,
+                                head_atoms=2, seed=seed))
+        rng = random.Random(seed)
+        facts = [
+            Atom(pred, tuple(Constant(rng.choice("abc")) for _ in range(arity)))
+            for pred, arity in sorted(rs.schema.items())
+            for _ in range(rng.randrange(4))
+        ]
+        assert_same_run(run, oracle, facts, rs, budget, **kwargs)
+

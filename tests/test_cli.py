@@ -146,6 +146,16 @@ def test_chase_prints_deeply_nested_skolem_terms(tmp_path, capsys):
     assert lines[-1] == "budget exhausted (steps) after 300 steps"
 
 
+def test_default_skolem_chase_of_the_walk_ends_on_the_height_budget(tmp_path, capsys):
+    # without budget flags the run gets the default height limit, before
+    # the printed terms grow too long to write out
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK + "e(a,b).\n", encoding="utf-8")
+    code, out, _ = run(capsys, "chase", f.as_posix(), "--variant", "skolem")
+    assert code == 2
+    assert out.rsplit("\n", 2)[-2] == "budget exhausted (height) after 999 steps"
+
+
 def test_cycles_command(tmp_path, capsys):
     f = tmp_path / "walk.dlgp"
     f.write_text(WALK, encoding="utf-8")
@@ -159,9 +169,23 @@ def test_bounded_command(handshake_file, capsys):
     assert code == 0
     assert json.loads(out)["value"] is True
     assert json.loads(out)["bound_clamped"] is False
+    assert json.loads(out)["reason"] is None
     code, out, _ = run(capsys, "bounded", handshake_file, "--delta", "const:2", "--json")
     assert code == 1
     assert json.loads(out)["value"] is False
+
+
+def test_bounded_names_the_exhausted_budget(tmp_path, capsys):
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK, encoding="utf-8")
+    args = ("bounded", f.as_posix(), "--delta", "const:1", "--max-steps", "0")
+    code, out, _ = run(capsys, *args)
+    assert code == 2
+    assert out.splitlines()[1:] == ["  budget exhausted: steps"]
+    code, out, _ = run(capsys, *args, "--json")
+    payload = json.loads(out)
+    assert code == 2
+    assert (payload["value"], payload["phase"], payload["reason"]) == (None, 1, "steps")
 
 
 @pytest.mark.parametrize("kappa", [3, 4])

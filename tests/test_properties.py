@@ -122,6 +122,23 @@ def test_homomorphisms_match_brute_force_200():
         assert got == brute_force_homs(body, inst), "case %d" % case
 
 
+def test_semi_naive_homomorphisms_are_the_full_ones_using_a_new_atom_200():
+    # `since` marks a prefix of each predicate's atoms as old; the search
+    # must yield the full enumeration's homomorphisms that use a new atom,
+    # in the full enumeration's order
+    rng = random.Random(1995)
+    for case in range(200):
+        inst = random_instance(rng)
+        since = {p: rng.randrange(len(inst.by_pred(p)) + 1) for p in ("p", "q", "r")}
+        new = {a for p, n in since.items() for a in inst.by_pred(p)[n:]}
+        body = cs.parse_rules(rng.choice(CONJ_SHAPES)).rules[0].body
+        expected = [
+            h for h in find_homomorphisms(body, inst)
+            if any(apply_atom(h, a) in new for a in body)
+        ]
+        assert list(find_homomorphisms(body, inst, since=since)) == expected, "case %d" % case
+
+
 # ---------------------------------------------------------------------------
 # suite 2: acyclicity containment WA => JA => MFA-not-false
 
