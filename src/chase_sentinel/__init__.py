@@ -55,7 +55,7 @@ from .critdb import (
     restricted_critical_db,
     skolem_critical_db,
 )
-from .cycles import KCycle, enumerate_k_cycles, is_relevant
+from .cycles import KCycle, enumerate_k_cycles
 from .deps import (
     DependencyGraph,
     PieceUnifier,
@@ -78,7 +78,6 @@ from .model import (
     Variable,
     atom,
     rule_set_size,
-    skolemize_rule,
     term_height,
 )
 

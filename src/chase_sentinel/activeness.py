@@ -35,7 +35,7 @@ from .hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable, apply_term
+from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable
 
 
 class Status(enum.Enum):
@@ -93,7 +93,9 @@ def _chain_through(used_steps: List[frozenset]) -> Optional[tuple]:
 class _Search:
     """Backtracking search for a chained sequence of active triggers along a
     fixed path.  Each trigger is retracted by rolling the instance back to
-    its length before the trigger fired.  As it goes, the search records
+    its length before the trigger fired.  Each applied trigger is charged
+    to the meter as a step and the instance checked against the atom and
+    height limits, as in the chase loop.  As it goes, the search records
     every indexed-constant near miss of a body match as the set of its
     (required, found) pairs, once each in first-seen order, for
     `propose_merges`."""
@@ -119,15 +121,14 @@ class _Search:
 
     def _on_miss(self, pattern: Atom, binding: dict, candidate: Atom) -> None:
         # Substitutes one argument at a time and stops at the first
-        # difference that is not between two indexed constants.
+        # difference that is not between two indexed constants.  Patterns
+        # are function-free, so an argument is a variable or ground.
         pairs = []
         for p, c in zip(pattern.args, candidate.args):
             if p.__class__ is Variable:
                 p = binding.get(p.name)
                 if p is None:
                     continue  # unbound: agrees with anything
-            elif not p.ground:
-                p = apply_term(binding, p)
             if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
                 if p != c:
                     pairs.append((p, c))
@@ -177,6 +178,8 @@ class _Search:
             )
             size = len(self.inst)
             added = apply_trigger(rule, h, self.inst, step_no)
+            self.meter.charge_step()
+            self.meter.check_instance(self.inst)
             self.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             self.used_steps.append(used)
             if self._step(i + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import critdb
-from .chase import Budget, CyclicTermFound, Saturated, skolem_chase
+from .chase import DEFAULT_BUDGET, Budget, BudgetExceeded, CyclicTermFound, Saturated, skolem_chase
 from .deps import DependencyGraph, dependency_graph
 from .model import Atom, Position, Rule, RuleSet, Variable
 
@@ -170,7 +170,11 @@ def is_agrd(rs: RuleSet) -> CheckResult:
 def is_mfa(rs: RuleSet, budget: Optional[Budget] = None) -> CheckResult:
     """Model-faithful acyclicity: the skolem chase of the critical database
     must saturate without producing a cyclic skolem term."""
-    db = critdb.skolem_critical_db(rs)
+    budget = budget or DEFAULT_BUDGET
+    try:
+        db = critdb.skolem_critical_db(rs, budget.max_atoms)
+    except BudgetExceeded as e:
+        return CheckResult(Condition.MFA, None, witness=e.reason)
     trace = skolem_chase(db, rs, budget=budget, detect_cyclic_terms=True)
     if isinstance(trace.outcome, Saturated):
         return CheckResult(Condition.MFA, True)

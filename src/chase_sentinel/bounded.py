@@ -16,7 +16,15 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .activeness import Status, is_path_active
-from .chase import DEFAULT_BUDGET, Budget, BudgetExhausted, ChaseTrace, Saturated, skolem_chase
+from .chase import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
+    BudgetExhausted,
+    ChaseTrace,
+    Saturated,
+    skolem_chase,
+)
 from .critdb import skolem_critical_db
 from .hom import body_image
 from .model import RuleSet, rule_set_size, term_height
@@ -167,7 +175,12 @@ def memb_check(
         bound = reach
     elif bound < 1:
         raise ValueError("delta(%d) = %d is not a positive integer" % (size, bound))
-    db = skolem_critical_db(rs)
+    try:
+        db = skolem_critical_db(rs, budget.max_atoms)
+    except BudgetExceeded as e:
+        return MembCheckResult(
+            value=None, bound=bound, phase=1, reason=e.reason, bound_clamped=clamped
+        )
     trace = skolem_chase(db, rs, budget=replace(budget, max_height=bound + 1))
     if isinstance(trace.outcome, Saturated):
         return MembCheckResult(value=True, bound=bound, phase=1, bound_clamped=clamped)
@@ -178,12 +191,14 @@ def memb_check(
 
     # The critical database has height 1, below bound + 1, so a height stop
     # means some step added a term above the bound; that step lies in its own
-    # support path, so `paths` is never empty.
+    # support path, so `paths` is never empty.  Here `min_height` is the
+    # height test, and a path is finite, so no height limit applies.
     paths = _support_paths(trace, rs, bound)
+    path_budget = replace(budget, max_height=None)
     inconclusive = None
     for path_ids in paths:
         path = tuple(rs.by_id[rid] for rid in path_ids)
-        verdict = is_path_active(path, budget=budget, min_height=bound + 1)
+        verdict = is_path_active(path, budget=path_budget, min_height=bound + 1)
         if verdict.status is Status.ACTIVE:
             return MembCheckResult(
                 value=False,

@@ -17,9 +17,11 @@ No completeness argument is known.  A renaming never makes an inactive
 trigger active, so it helps through a new body match, a new chain edge
 (collapsed atoms move the step an atom is first derived at), or a blocking
 Datalog trigger it makes inactive.  Proposals miss a difference inside a
-skolem term (`q(f(<X,2>))` against `q(f(<X,1>))`), a repeated variable not
-yet bound (`p(X,X)` against `p(<Y,1>,<Z,2>)`), a pair that must meet at a
-third, lower constant no near miss names, and the last two kinds of help.
+skolem term (rules are function-free, so that is a variable bound to one:
+`q(Y)` with Y bound to `f(<X,2>)` against `q(f(<X,1>))`), a repeated
+variable not yet bound (`p(X,X)` against `p(<Y,1>,<Z,2>)`), a pair that
+must meet at a third, lower constant no near miss names, and the last two
+kinds of help.
 The claim is empirical: the demand-driven renamings reach the status of
 the sweep over every renaming (`all_renamings`) on every cycle tried,
 including the renaming-dependent cycles of
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .chase import BudgetExceeded
 from .model import (
     Atom,
     Constant,
@@ -41,7 +44,6 @@ from .model import (
     Instance,
     Rule,
     RuleSet,
-    SkolemTerm,
     Term,
     Variable,
     full_relation_atoms,
@@ -50,9 +52,17 @@ from .model import (
 STAR = Constant("*")
 
 
-def skolem_critical_db(rs: RuleSet) -> Instance:
-    """Full relation over constants(R) plus '*' for every schema predicate."""
-    domain: List[Term] = [STAR] + [Constant(c) for c in rs.constants]
+def skolem_critical_db(rs: RuleSet, max_atoms: Optional[int] = None) -> Instance:
+    """Full relation over constants(R) plus '*' for every schema predicate.
+
+    Its size, the sum of |domain|^arity over the schema, grows
+    exponentially with the arity, so it is compared with `max_atoms`
+    before anything is built: a larger database raises
+    BudgetExceeded("atoms"), as a chase of it would on its first check."""
+    domain: List[Term] = list(dict.fromkeys([STAR] + [Constant(c) for c in rs.constants]))
+    size = sum(len(domain) ** arity for arity in rs.schema.values())
+    if max_atoms is not None and size > max_atoms:
+        raise BudgetExceeded("atoms")
     inst = Instance()
     for pred, arity in rs.schema.items():
         for a in full_relation_atoms(pred, arity, domain):
@@ -125,9 +135,6 @@ class RenamingFunction:
     def _map(self) -> Dict[IndexedConstant, IndexedConstant]:
         return dict(self.mapping)
 
-    def as_dict(self) -> Dict[IndexedConstant, IndexedConstant]:
-        return dict(self.mapping)
-
     @property
     def is_identity(self) -> bool:
         return not self.mapping
@@ -136,10 +143,10 @@ class RenamingFunction:
         return len(self.mapping)
 
     def apply_term(self, t: Term) -> Term:
+        """t renamed; it renames the atoms of I^pi, whose arguments are
+        indexed constants or rule constants, never skolem terms."""
         if isinstance(t, IndexedConstant):
             return self._map.get(t, t)
-        if isinstance(t, SkolemTerm):
-            return SkolemTerm(t.fn, tuple(self.apply_term(a) for a in t.args))
         return t
 
     def apply_atom(self, a: Atom) -> Atom:

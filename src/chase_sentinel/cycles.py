@@ -1,4 +1,4 @@
-"""Enumeration of k-cycles over a rule set and the relevance filter.
+"""Enumeration of k-cycles over a rule set.
 
 A k-cycle is a closed rule path (first element = last, both occurrences
 counted) in which some rule occurs exactly k+1 times and none more.  Cycles
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from .deps import DependencyGraph, dependency_graph
+from .deps import DependencyGraph
 from .model import Rule, RuleSet
 
 
@@ -90,7 +90,9 @@ def _sequences(
                 if peak == cap:
                     yield KCycle(path=tuple(path) + (first,), k=k)
         for r in rules:
-            if counts.get(r.id, 0) >= cap:
+            # the start rule may not reach its cap inside the path: below
+            # that, the cycle cannot close
+            if counts.get(r.id, 0) + (r is first) >= cap:
                 continue
             if not depends_on_earlier(r, path):
                 continue
@@ -129,16 +131,3 @@ def enumerate_k_cycles(
 
     return CycleStream(gen(), limit)
 
-
-def is_relevant(cycle_path: Sequence[Rule], graph: Optional[DependencyGraph] = None) -> bool:
-    """A cycle is relevant when every element after the first has a
-    dependency (piece-unifier passing the atom-erasing and productive tests)
-    on some earlier element; `enumerate_k_cycles` yields only such cycles.
-    `graph` is the dependency graph of a rule set holding the cycle's rules;
-    by default one is built over them."""
-    if graph is None:
-        graph = dependency_graph(RuleSet(tuple(dict.fromkeys(cycle_path))))
-    return all(
-        _depends_on_earlier(graph, cycle_path[i], cycle_path[:i])
-        for i in range(1, len(cycle_path))
-    )

@@ -50,7 +50,6 @@ from .model import (
     Atom,
     Rule,
     RuleSet,
-    SkolemTerm,
     Term,
     Variable,
     apply_atom,
@@ -105,21 +104,10 @@ class _UnionFind:
         return out
 
 
-def _unify_terms(uf: _UnionFind, a: Term, b: Term) -> bool:
-    ra, rb = uf.find(a), uf.find(b)
-    if ra == rb:
-        return True
-    if isinstance(ra, SkolemTerm) and isinstance(rb, SkolemTerm):
-        if ra.fn != rb.fn or len(ra.args) != len(rb.args):
-            return False
-        return all(_unify_terms(uf, x, y) for x, y in zip(ra.args, rb.args))
-    return uf.union(ra, rb)
-
-
 def _unify_atom_pair(uf: _UnionFind, a: Atom, b: Atom) -> bool:
     if a.pred != b.pred or len(a.args) != len(b.args):
         return False
-    return all(_unify_terms(uf, x, y) for x, y in zip(a.args, b.args))
+    return all(uf.union(x, y) for x, y in zip(a.args, b.args))
 
 
 @dataclass(frozen=True)

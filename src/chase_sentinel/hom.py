@@ -9,9 +9,11 @@ use a newer atom, which is how the skolem chase finds each round's triggers.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
 once per atom and kept on it: ground arguments are compared by cached
-hash and then equality, variables bind or compare, and only non-ground
-skolem terms are walked.  A rule's atoms are therefore compiled once per
-rule, not once per candidate; `order_atoms` reads the plans' variable sets.
+hash and then equality, and variables bind or compare.  Patterns are
+function-free (a rule's atoms, or ground atoms), so no term is walked; a
+pattern with a skolem term over variables fails to compile.  A rule's
+atoms are therefore compiled once per rule, not once per candidate;
+`order_atoms` reads the plans' variable sets.
 `is_active_trigger` matches the rule head itself under the trigger's
 bindings, so heads are compiled once per rule too.  `apply_trigger` returns
 only the atoms it added; a backtracking search retracts them by rolling
@@ -30,7 +32,6 @@ from .model import (
     Atom,
     Instance,
     Rule,
-    SkolemTerm,
     apply_atom,
 )
 
@@ -50,15 +51,6 @@ def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
             binding[name] = v
             trail.append(name)
         elif bound is not v and (bound._hash != v._hash or not bound == v):
-            return False
-    for i, fn, arity, sub in plan.nested:
-        v = args[i]
-        if (
-            v.__class__ is not SkolemTerm
-            or v.fn != fn
-            or len(v.args) != arity
-            or not match_args(sub, v.args, binding, trail)
-        ):
             return False
     return True
 

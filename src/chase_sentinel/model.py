@@ -231,30 +231,27 @@ class IndexedConstant(Term):
 
 
 class ArgPlan:
-    """How a pattern's arguments match a ground argument tuple: `consts`
-    holds (position, ground term) pairs compared by equality, `slots`
-    (position, variable name) pairs, and `nested` (position, function,
-    arity, ArgPlan) entries for non-ground skolem terms.  `vars` is the set
-    of variable names anywhere in the arguments."""
+    """How a function-free pattern's arguments match a ground argument
+    tuple: `consts` holds (position, ground term) pairs compared by
+    equality, and `slots` (position, variable name) pairs.  `vars` is the
+    set of slot names.  Every match compiles its pattern here, so an
+    argument that is neither a variable nor ground (a skolem term over
+    variables) raises ValueError instead of being mis-matched."""
 
-    __slots__ = ("consts", "slots", "nested", "vars")
+    __slots__ = ("consts", "slots", "vars")
 
     def __init__(self, args: tuple):
-        consts, slots, nested, names = [], [], [], set()
+        consts, slots = [], []
         for i, t in enumerate(args):
             if t.__class__ is Variable:
                 slots.append((i, t.name))
-                names.add(t.name)
             elif t.ground:
                 consts.append((i, t))
             else:
-                sub = ArgPlan(t.args)
-                nested.append((i, t.fn, len(t.args), sub))
-                names |= sub.vars
+                raise ValueError("pattern argument %s is neither a variable nor ground" % t)
         self.consts = tuple(consts)
         self.slots = tuple(slots)
-        self.nested = tuple(nested)
-        self.vars = frozenset(names)
+        self.vars = frozenset(name for _, name in slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,17 +315,6 @@ def atom(pred: str, *args: Term) -> Atom:
     return Atom(pred, tuple(args))
 
 
-def iter_subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, SkolemTerm):
-        for a in t.args:
-            yield from iter_subterms(a)
-
-
-def atom_is_ground(a: Atom) -> bool:
-    return all(t.ground for t in a.args)
-
-
 def term_height(t: Term) -> int:
     """Nesting depth with constants at height 1; read from the term."""
     if not t.ground:
@@ -365,29 +351,20 @@ def apply_atom(subst: Mapping[str, Term], a: Atom) -> Atom:
 
 
 def _ordered_vars(atoms: Iterable[Atom]) -> tuple:
-    seen: dict = {}
-    for a in atoms:
-        for t in a.args:
-            for s in iter_subterms(t):
-                if isinstance(s, Variable) and s.name not in seen:
-                    seen[s.name] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(t.name for a in atoms for t in a.args if t.__class__ is Variable))
 
 
 def _ordered_constants(atoms: Iterable[Atom]) -> tuple:
-    seen: dict = {}
-    for a in atoms:
-        for t in a.args:
-            for s in iter_subterms(t):
-                if isinstance(s, Constant) and s.name not in seen:
-                    seen[s.name] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(t.name for a in atoms for t in a.args if t.__class__ is Constant))
 
 
 @dataclass(frozen=True)
 class Rule:
     """body -> exists(existentials) head, with variables classified lazily.
 
+    Rules are function-free: every body and head argument is a Variable or
+    a Constant.  Skolem terms enter only through `skolem_head`, when the
+    chase instantiates a rule, so no rule atom is ever matched against one.
     Frontier variables are ordered by first occurrence in the head; that
     order fixes the argument list of every skolem function of the rule.
     """
@@ -399,6 +376,13 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.body or not self.head:
             raise ValueError("rule %s needs a non-empty body and head" % self.id)
+        for a in self.body + self.head:
+            for t in a.args:
+                if t.__class__ is not Variable and t.__class__ is not Constant:
+                    raise ValueError(
+                        "rule %s is not function-free: %s in %s is neither a variable "
+                        "nor a constant" % (self.id, t, a)
+                    )
 
     def __str__(self) -> str:
         return "[%s] %s :- %s" % (
@@ -441,12 +425,6 @@ class Rule:
     @cached_property
     def all_atoms(self) -> tuple:
         return self.body + self.head
-
-
-def skolemize_rule(r: Rule) -> Rule:
-    """Functional transformation: existentials replaced by skolem terms over
-    the rule's frontier. Deterministic: equal rules yield identical symbols."""
-    return Rule(id=r.id, body=r.body, head=r.skolem_head)
 
 
 @dataclass(frozen=True)

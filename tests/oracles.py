@@ -1,11 +1,12 @@
 """Reference oracles for the tests, by brute-force enumeration: every
 restricted chase sequence, the length of the longest one, the activeness
 of a path under every renaming of its critical database, every
-piece-unifier of a rule pair, and the dependency of two rules with respect
-to one instance.  Also the term-walking homomorphism search that the
-compiled match path of `chase_sentinel.hom` replaced, and the rescanning
-chase policies that the semi-naive skolem rounds and the dead-trigger memo
-of `chase_sentinel.chase` replaced, as differential references.
+piece-unifier of a rule pair, the relevance of a cycle, and the dependency
+of two rules with respect to one instance.  Also the term-walking
+homomorphism search that the compiled match path of `chase_sentinel.hom`
+replaced, and the rescanning chase policies that the semi-naive skolem
+rounds and the dead-trigger memo of `chase_sentinel.chase` replaced, as
+differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -253,6 +254,17 @@ def depends_on_brute_force(r2: Rule, r1: Rule) -> bool:
         if not body2 <= body1 and not image(r2.head) <= body1 | image(r1.head) | body2:
             return True
     return False
+
+
+def is_relevant(cycle_path: Sequence[Rule]) -> bool:
+    """A cycle is relevant when every element after the first depends on
+    some earlier element (by the brute-force dependency test);
+    `enumerate_k_cycles` yields only relevant cycles."""
+    return all(
+        any(depends_on_brute_force(later, earlier) for earlier in cycle_path[:i])
+        for i, later in enumerate(cycle_path)
+        if i
+    )
 
 
 def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:

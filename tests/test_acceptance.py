@@ -34,6 +34,7 @@ from fixtures import (
     vacuous_self,
     walk,
 )
+from oracles import is_relevant
 
 
 @contextlib.contextmanager
@@ -181,7 +182,7 @@ def test_criterion_4_vacuous_self_rule():
         rs = vacuous_self()
         r = rs.rules[0]
         assert list(cs.piece_unifiers(r, r)) == []
-        assert not cs.is_relevant((r, r))
+        assert not is_relevant((r, r))
         assert cs.is_agrd(rs).value is True
         start = time.monotonic()
         report = cs.k_safe(rs, 1, Condition.AGRD)

@@ -78,6 +78,13 @@ def test_budget_exhaustion_reported():
     assert res.value is None
 
 
+def test_a_height_limit_does_not_stop_phase_two():
+    # phase 2 tests height itself (min_height = bound + 1), so a user limit
+    # at that height must not end the chained search that reaches it
+    res = memb_check(handshake(), constant_bound(2), budget=Budget(max_height=3, max_probes=10**6))
+    assert (res.value, res.phase, res.reason) == (False, 2, None)
+
+
 def test_multi_head_caveat():
     assert multi_head_caveat(handshake()) is not None
     assert multi_head_caveat(walk()) is None

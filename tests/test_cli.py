@@ -51,6 +51,18 @@ def test_analyze_names_the_exhausted_budget(tmp_path, capsys):
     assert payload["reason"] == "cycles"
 
 
+@pytest.mark.parametrize("flag, reason", [("--max-height", "height"), ("--max-steps", "steps")])
+def test_count_budget_flags_reach_the_chained_search(tmp_path, capsys, flag, reason):
+    # at k >= 1 these limits end the chained trigger search, not only MFA
+    f = tmp_path / "walk.dlgp"
+    f.write_text(WALK, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(f), "--k", "1", flag, "0", "--json")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "ResourceExhausted"
+    assert payload["reason"] == reason
+    assert payload["witness"] is None
+
+
 def test_analyze_parse_error_exit_three(tmp_path, capsys):
     f = tmp_path / "bad.dlgp"
     f.write_text("p(a,b).\np(a).\n", encoding="utf-8")

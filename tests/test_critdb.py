@@ -1,6 +1,8 @@
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import critdb
+from chase_sentinel.chase import BudgetExceeded
 from chase_sentinel.critdb import (
     RenamingFunction,
     all_renamings,
@@ -24,6 +26,34 @@ def test_skolem_critical_db_includes_rule_constants():
     db = skolem_critical_db(rs)
     atoms = {str(a) for a in db.atoms()}
     assert atoms == {"p(*)", "p(a)", "q(*)", "q(a)"}
+
+
+def test_skolem_critical_db_size_is_checked_before_it_is_built(monkeypatch):
+    # (|constants| + 1)^9 = 4^9 = 262,144 atoms: over the atom budget, so
+    # MFA and bounded membership end on `atoms` without building any
+    rs = cs.parse_rules(
+        "[r] q(a,b,c,X1,X2,X3,X4,X5,X6) :- q(X1,X2,X3,X4,X5,X6,Y1,Y2,Y3)."
+    )
+    built = [0]
+    full_relation_atoms = critdb.full_relation_atoms
+
+    def counted(pred, arity, domain):
+        for a in full_relation_atoms(pred, arity, domain):
+            built[0] += 1
+            assert built[0] <= 1000, "the database is being built"
+            yield a
+
+    monkeypatch.setattr(critdb, "full_relation_atoms", counted)
+    budget = cs.Budget(max_atoms=10)
+    res = cs.check_condition(cs.Condition.MFA, rs, budget)
+    assert (res.value, res.witness) == (None, "atoms")
+    memb = cs.memb_check(rs, cs.constant_bound(3), budget=budget)
+    assert (memb.value, memb.phase, memb.reason) == (None, 1, "atoms")
+    with pytest.raises(BudgetExceeded):
+        skolem_critical_db(rs, max_atoms=262_143)
+    assert built[0] == 0
+    # at the budget exactly, it is built
+    assert len(skolem_critical_db(walk(), max_atoms=1)) == 1
 
 
 def test_skolem_critical_db_empty_schema():
@@ -105,7 +135,7 @@ def test_renaming_composition_lowers_indices():
     first = RenamingFunction.from_dict({x3: x2})
     second = RenamingFunction.from_dict({x2: x1})
     composed = second.compose_after(first)
-    assert composed.as_dict() == {x3: x1, x2: x1}
+    assert dict(composed.mapping) == {x3: x1, x2: x1}
 
 
 def test_propose_merges_from_guarded_triad_conflict():
@@ -114,7 +144,7 @@ def test_propose_merges_from_guarded_triad_conflict():
     z1 = IndexedConstant("Z", 1)
     z3 = IndexedConstant("Z", 3)
     (rn,) = propose_merges([frozenset({(z1, z3)})])
-    assert rn.as_dict() == {z3: z1}
+    assert dict(rn.mapping) == {z3: z1}
 
 
 def test_propose_merges_empty_without_conflicts():
@@ -127,7 +157,7 @@ def test_propose_merges_offers_each_near_miss_and_no_union():
     y1, y2 = IndexedConstant("Y", 1), IndexedConstant("Y", 2)
     both = frozenset({(y2, y1), (w1, w2)})
     near_misses = [frozenset({(z1, z3)}), both, frozenset({(w2, w1)}), frozenset({(z3, z1)})]
-    proposals = [p.as_dict() for p in propose_merges(near_misses)]
+    proposals = [dict(p.mapping) for p in propose_merges(near_misses)]
     # one proposal per distinct orientation, smallest first, then by text;
     # the union {z3: z1, w2: w1, y2: y1} is not offered
     assert proposals == [{w2: w1}, {z3: z1}, {w2: w1, y2: y1}]

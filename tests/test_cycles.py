@@ -3,15 +3,18 @@ import itertools
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel.acyclicity import connected_components
 from chase_sentinel.cycles import (
     KCycle,
+    _depends_on_earlier,
+    _sequences,
     enumerate_k_cycles,
-    is_relevant,
     occurrence_counts,
 )
 from chase_sentinel.deps import dependency_graph
 
 from fixtures import handshake, handshake_trusted, triad, vacuous_self, walk
+from oracles import is_relevant
 
 
 def _ids(stream):
@@ -133,6 +136,29 @@ def test_every_two_cycle_contains_a_one_cycle_infix():
                 if max(counts.values()) == 2:
                     found = True
         assert found, ids
+
+
+def test_enumeration_skips_paths_that_cannot_close():
+    # One 50-rule component where the start rule depends on a single rule.
+    # Extending a path with the start rule up to its cap of k + 1 leaves
+    # nothing to close, and searching such subtrees takes minutes between
+    # cycles.  The first 100 cycles take about 600 dependency tests.
+    rs = cs.generate(cs.GenParams(
+        count=50, predicate_pool=20, arity=2, max_repeated_relations=3,
+        body_atoms=1, head_atoms=2, head_shape="discrete", seed=1,
+    ))
+    graph = dependency_graph(rs)
+    (component,) = connected_components(graph)
+    calls = [0]
+
+    def depends_on_earlier(candidate, path):
+        calls[0] += 1
+        assert calls[0] <= 10_000, "enumeration searches dead subtrees"
+        return _depends_on_earlier(graph, candidate, path)
+
+    cycles = list(itertools.islice(_sequences(list(component), 1, depends_on_earlier), 100))
+    assert len(cycles) == 100
+    assert all(c.path[0] is c.path[-1] for c in cycles)
 
 
 def test_is_relevant():

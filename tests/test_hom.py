@@ -80,6 +80,17 @@ def test_single_atom_match():
     assert str(h["X_1"]) == "a"
 
 
+def test_patterns_must_be_function_free():
+    # a ground skolem term compares by equality; one over a variable is
+    # refused when the pattern compiles, instead of being matched
+    inst = Instance([cs.atom("p", cs.SkolemTerm("f", (_c("a"),)))])
+    ground = [cs.atom("p", cs.SkolemTerm("f", (_c("a"),)))]
+    assert list(find_homomorphisms(ground, inst)) == [{}]
+    nested = [cs.atom("p", cs.SkolemTerm("f", (cs.Variable("X"),)))]
+    with pytest.raises(ValueError, match="neither a variable nor ground"):
+        list(find_homomorphisms(nested, inst))
+
+
 def test_repeated_variable_requires_equal_args():
     body = _parse_conj("[r] q(X) :- t(X,X).")
     inst = Instance([cs.atom("t", _c("a"), _c("b"))])
@@ -216,7 +227,7 @@ def _run_reference(conj, inst, derived_first):
 
 def _assert_same_search(rules, inst):
     for rule in rules:
-        for conj in (rule.body, rule.skolem_head):
+        for conj in (rule.body, rule.head):
             for derived_first in (False, True):
                 # the activeness near-miss handler, fed by the new search
                 search = _Search([rule], inst, Meter(None))
@@ -273,15 +284,17 @@ SCHEMA = (("p", 2), ("q", 1), ("s", 2), ("t", 1), ("u", 1))
 
 
 def test_match_path_agrees_with_reference_on_random_skolem_instances():
-    # Indexed constants under skolem terms give near misses behind nested
-    # patterns; three-atom heads give orders that bound variables decide.
+    # Variables bound to skolem terms over indexed constants give near
+    # misses next to them; three-atom heads give orders that bound
+    # variables decide.
     rs = cs.parse_rules(DIFFERENTIAL_RULES)
     flat = [_c("a"), _c("b"), cs.IndexedConstant("X", 1), cs.IndexedConstant("X", 2)]
     pool = list(flat)
     for fn in ("f_Z_1", "f_V_4", "f_Z_5"):
         pool.extend(cs.SkolemTerm(fn, (t,)) for t in flat)
     pool.append(cs.SkolemTerm("f_Z_1", (pool[4],)))
-    # s(f(X),X) misses s(f(<X,1>),<X,2>) only on the pair (<X,1>, <X,2>)
+    # with X bound to <X,1> and Z to f(<X,1>), the head atom s(Z,X) misses
+    # s(f(<X,1>),<X,2>) only on the pair (<X,1>, <X,2>)
     x1, x2 = flat[2], flat[3]
     f_x1 = cs.SkolemTerm("f_Z_5", (x1,))
     nested_miss = Instance(

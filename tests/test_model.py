@@ -3,7 +3,7 @@ import random
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel.model import Instance, apply_atom, atom_is_ground
+from chase_sentinel.model import Instance, apply_atom
 
 from fixtures import handshake, access_control
 
@@ -46,7 +46,7 @@ def test_skolemize_handshake_second_rule():
     r2 = rs.by_id["r2"]
     assert [str(a) for a in r2.skolem_head] == ["typeB(Z_2,f_V_2(Z_2))"]
     # deterministic: two computations give identical structures
-    assert cs.skolemize_rule(r2).head == cs.skolemize_rule(r2).head
+    assert handshake().by_id["r2"].skolem_head == r2.skolem_head
 
 
 def test_skolemize_datalog_rule_unchanged():
@@ -65,11 +65,17 @@ def test_skolemize_uses_frontier_in_head_order():
     ]
 
 
+def _term_vars(t):
+    if isinstance(t, cs.SkolemTerm):
+        return {v for a in t.args for v in _term_vars(a)}
+    return {t.name} if isinstance(t, cs.Variable) else set()
+
+
 def test_skolem_head_vars_subset_of_body_vars():
     for rs in (handshake(), access_control()):
         for r in rs:
-            sk = cs.skolemize_rule(r)
-            assert set(sk.head_vars) <= set(r.body_vars)
+            sk_vars = {v for a in r.skolem_head for t in a.args for v in _term_vars(t)}
+            assert sk_vars <= set(r.body_vars)
 
 
 def test_rule_set_size():
@@ -87,6 +93,25 @@ def test_rule_classification():
     assert r2.frontier == ("Z_2",)
     assert not r1.is_datalog
     assert cs.parse_rules("[d] q(X) :- p(X).").rules[0].is_datalog
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        cs.SkolemTerm("f", (cs.Variable("X"),)),
+        cs.SkolemTerm("f", (cs.Constant("a"),)),
+        cs.IndexedConstant("X", 1),
+    ],
+    ids=["skolem", "ground-skolem", "indexed"],
+)
+@pytest.mark.parametrize("side", ["body", "head"])
+def test_rule_rejects_a_function_term(term, side):
+    x = cs.Variable("X")
+    plain = (cs.atom("p", x),)
+    bad = (cs.atom("p", x), cs.atom("q", x, term))
+    body, head = (bad, plain) if side == "body" else (plain, bad)
+    with pytest.raises(ValueError, match="rule r1 is not function-free"):
+        cs.Rule("r1", body, head)
 
 
 def test_rule_set_rejects_arity_conflicts_and_shared_vars():
@@ -168,5 +193,5 @@ def test_instance_requires_ground_atoms():
 def test_apply_atom_substitutes_inside_skolem_terms():
     a = cs.atom("p", cs.SkolemTerm("f", (cs.Variable("X"),)))
     out = apply_atom({"X": cs.Constant("c")}, a)
-    assert atom_is_ground(out)
+    assert all(t.ground for t in out.args)
     assert str(out) == "p(f(c))"
