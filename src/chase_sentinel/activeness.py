@@ -141,9 +141,10 @@ class _Search:
         """Under the Datalog-first strategy a generating rule may not fire
         while any of `datalog_rules` has an active trigger; with none given,
         nothing blocks."""
+        probe = self.meter.charge_probe
         for d in self.datalog_rules:
-            for h in find_homomorphisms(d.body, self.inst, probe=self.meter.charge_probe):
-                if is_active_trigger(d, h, self.inst, probe=self.meter.charge_probe):
+            for h in find_homomorphisms(d.body, self.inst, probe=probe):
+                if is_active_trigger(d, h, self.inst, probe=probe):
                     return True
         return False
 
@@ -164,29 +165,25 @@ class _Search:
         step_no = i + 1
         if not rule.is_datalog and self._datalog_blocked():
             return False
+        inst, meter = self.inst, self.meter
+        probe = meter.charge_probe
         for h in find_homomorphisms(
-            rule.body,
-            self.inst,
-            derived_first=True,
-            probe=self.meter.charge_probe,
-            on_miss=self._on_miss,
+            rule.body, inst, derived_first=True, probe=probe, on_miss=self._on_miss
         ):
-            if not is_active_trigger(rule, h, self.inst, probe=self.meter.charge_probe):
+            if not is_active_trigger(rule, h, inst, probe=probe):
                 continue
-            used = frozenset(
-                self.inst.first_derived_at(a) for a in body_image(rule, h)
-            )
-            size = len(self.inst)
-            added = apply_trigger(rule, h, self.inst, step_no)
-            self.meter.charge_step()
-            self.meter.check_instance(self.inst)
+            used = frozenset(map(inst.first_derived_at, body_image(rule, h)))
+            size = len(inst)
+            added = apply_trigger(rule, h, inst, step_no)
+            meter.charge_step()
+            meter.check_instance(inst)
             self.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
             self.used_steps.append(used)
             if self._step(i + 1):
                 return True
             self.used_steps.pop()
             self.steps.pop()
-            self.inst.rollback(size)
+            inst.rollback(size)
         return False
 
 

@@ -287,7 +287,7 @@ def greedy_restricted(
     def first_active(inst: Instance, probe: Callable[[], None]) -> list:
         for rule in order:
             for h in find_homomorphisms(rule.body, inst, probe=probe):
-                key = (rule.id, tuple(h[v] for v in rule.body_vars))
+                key = (rule.id, tuple([h[v] for v in rule.body_vars]))
                 if key in dead:
                     continue
                 if is_active_trigger(rule, h, inst, probe=probe):

@@ -13,13 +13,25 @@ hash and then equality, and variables bind or compare.  Patterns are
 function-free (a rule's atoms, or ground atoms), so no term is walked; a
 pattern with a skolem term over variables fails to compile.  A rule's
 atoms are therefore compiled once per rule, not once per candidate;
-`order_atoms` reads the plans' variable sets.
-`is_active_trigger` matches the rule head itself under the trigger's
-bindings, so heads are compiled once per rule too.  `apply_trigger` returns
-only the atoms it added; a backtracking search retracts them by rolling
-the instance back to its earlier length.  Terms are not interned
-(see `model`), so equal terms may be distinct objects: a comparison tries
-identity, then the cached hashes, then equality.
+`order_atoms` reads the plans' variable sets, and needs none for one or
+two atoms.  Terms are not interned (see `model`), so equal terms may be
+distinct objects: a comparison tries identity, then the cached hashes,
+then equality.
+
+The chase and the chained search test and apply a trigger per step, so
+triggers take a short path.  `is_active_trigger` is a direct boolean
+backtrack over the rule head under the trigger's bindings: the head
+atoms in `order_atoms` order, candidates in insertion order, one probe
+per candidate tested, and it returns at the first extension.  That is the
+work `find_homomorphisms(rule.head, ..., binding=h)` does up to its
+first yield, probe for probe, without a generator per call or a copied
+binding per answer.  A Datalog rule is active iff one of its instantiated
+head atoms is missing.  `instantiate` fills the variable slots of a
+function-free atom's plan, with no term walk.  `apply_trigger` builds
+each existential's skolem term once per trigger and fills every head
+atom from it, so the atoms of one trigger share one null object per
+existential; it returns only the atoms it added, and a backtracking
+search retracts them by rolling the instance back to its earlier length.
 """
 
 from __future__ import annotations
@@ -32,7 +44,8 @@ from .model import (
     Atom,
     Instance,
     Rule,
-    apply_atom,
+    SkolemTerm,
+    Term,
 )
 
 
@@ -58,7 +71,12 @@ def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
 def order_atoms(conj: Sequence[Atom], inst: Instance, bound: Collection[str] = ()) -> list:
     """Most-constrained-first: fewest candidate atoms, preferring atoms that
     share variables with ones already placed.  Variables in `bound` are
-    already fixed and count as constants."""
+    already fixed and count as constants.  The first pick has no placed
+    variables to share, so it goes by size alone: two atoms need no
+    variable sets."""
+    sizes = [len(inst.by_pred(a.pred)) for a in conj]
+    if len(conj) == 2:
+        return [0, 1] if sizes[0] <= sizes[1] else [1, 0]
     free = [a.plan.vars.difference(bound) if bound else a.plan.vars for a in conj]
     remaining = list(range(len(conj)))
     placed_vars: set = set()
@@ -67,7 +85,7 @@ def order_atoms(conj: Sequence[Atom], inst: Instance, bound: Collection[str] = (
         best = None
         best_key = None
         for idx in remaining:
-            key = (-len(free[idx] & placed_vars), len(inst.by_pred(conj[idx].pred)), idx)
+            key = (-len(free[idx] & placed_vars), sizes[idx], idx)
             if best_key is None or key < best_key:
                 best, best_key = idx, key
         order.append(best)
@@ -110,8 +128,10 @@ def find_homomorphisms(
         if since is None:
             yield dict(binding)
         return
-    order = order_atoms(conj, inst, binding.keys())
-    patterns = [conj[i] for i in order]
+    if len(conj) == 1:
+        patterns = conj
+    else:
+        patterns = [conj[i] for i in order_atoms(conj, inst, binding.keys())]
     last = len(patterns) - 1
 
     if since is not None:
@@ -173,24 +193,79 @@ def is_active_trigger(
     probe: Optional[Callable[[], None]] = None,
 ) -> bool:
     """True iff no extension of h over the existentials maps the head into
-    the instance. Datalog rules: active iff some head atom is missing."""
+    the instance. Datalog rules: active iff some head atom is missing.
+
+    The head atoms are tried in `order_atoms` order under h, candidates in
+    insertion order, charging `probe` once per candidate tested, and the
+    test stops at the first extension: the candidates and probes are those
+    of `find_homomorphisms(rule.head, inst, probe=probe, binding=h)` up to
+    its first yield."""
+    head = rule.head
     if rule.is_datalog:
-        return any(apply_atom(h, a) not in inst for a in rule.head)
-    for _ext in find_homomorphisms(rule.head, inst, probe=probe, binding=h):
+        for a in head:
+            if instantiate(a, h) not in inst:
+                return True
         return False
-    return True
+    if len(head) > 1:
+        head = [head[i] for i in order_atoms(head, inst, h)]
+    return not _extends(head, 0, dict(h), inst, probe)
+
+
+def _extends(
+    patterns: Sequence[Atom],
+    depth: int,
+    binding: dict,
+    inst: Instance,
+    probe: Optional[Callable[[], None]],
+) -> bool:
+    """Some extension of `binding` maps patterns[depth:] into the
+    instance.  Bindings made on the way to a True answer are left in
+    `binding`."""
+    pattern = patterns[depth]
+    plan = pattern.plan
+    arity = len(pattern.args)
+    deeper = depth + 1 < len(patterns)
+    trail: list = []
+    for cand in inst.by_pred(pattern.pred):
+        if probe is not None:
+            probe()
+        if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
+            if not deeper or _extends(patterns, depth + 1, binding, inst, probe):
+                return True
+        if trail:
+            for name in trail:
+                del binding[name]
+            trail.clear()
+    return False
+
+
+def instantiate(a: Atom, binding: Mapping[str, Term]) -> Atom:
+    """The function-free atom `a` with each variable replaced by its value
+    in `binding`, which must bind them all."""
+    args = list(a.args)
+    for i, name in a.plan.slots:
+        args[i] = binding[name]
+    return Atom(a.pred, tuple(args))
 
 
 def apply_trigger(rule: Rule, h: dict, inst: Instance, step: int) -> list:
-    """Add h(sk(head)) at `step`; returns the atoms that were new.  To undo
-    it, roll `inst` back to its length before the call."""
+    """Add h(sk(head)) at `step`; returns the atoms that were new.  Each
+    existential's skolem term is built once, so the head atoms of one
+    trigger share one null object per existential.  To undo it, roll
+    `inst` back to its length before the call."""
+    env = h
+    if rule.skolem_functions:
+        env = dict(h)
+        frontier = tuple([h[v] for v in rule.frontier])
+        for z, fn in rule.skolem_functions:
+            env[z] = SkolemTerm(fn, frontier)
     added = []
-    for a in rule.skolem_head:
-        ground = apply_atom(h, a)
+    for a in rule.head:
+        ground = instantiate(a, env)
         if inst.add(ground, step):
             added.append(ground)
     return added
 
 
-def body_image(rule: Rule, h: dict) -> list:
-    return [apply_atom(h, a) for a in rule.body]
+def body_image(rule: Rule, h: Mapping[str, Term]) -> list:
+    return [instantiate(a, h) for a in rule.body]

@@ -417,9 +417,15 @@ class Rule:
         return not self.existentials
 
     @cached_property
+    def skolem_functions(self) -> tuple:
+        """(existential, skolem function name) pairs, existentials sorted;
+        each function takes the frontier as its arguments."""
+        return tuple((z, "f_%s" % z) for z in sorted(self.existentials))
+
+    @cached_property
     def skolem_head(self) -> tuple:
         args = tuple(Variable(v) for v in self.frontier)
-        subst = {z: SkolemTerm("f_%s" % z, args) for z in sorted(self.existentials)}
+        subst = {z: SkolemTerm(fn, args) for z, fn in self.skolem_functions}
         return tuple(apply_atom(subst, a) for a in self.head)
 
     @cached_property

@@ -4,9 +4,11 @@ of a path under every renaming of its critical database, every
 piece-unifier of a rule pair, the relevance of a cycle, and the dependency
 of two rules with respect to one instance.  Also the term-walking
 homomorphism search that the compiled match path of `chase_sentinel.hom`
-replaced, and the rescanning chase policies that the semi-naive skolem
-rounds and the dead-trigger memo of `chase_sentinel.chase` replaced, as
-differential references.
+replaced; the rescanning chase policies that the semi-naive skolem
+rounds and the dead-trigger memo of `chase_sentinel.chase` replaced; and
+the generator-based activeness test and skolem-head instantiation that the
+direct trigger path of `chase_sentinel.hom` replaced, as differential
+references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -414,6 +416,31 @@ def is_active_trigger_reference(
     for _ext in find_homomorphisms_reference(partial, inst, probe=probe):
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The trigger path as it was before the direct activeness test: the head is
+# matched through the `find_homomorphisms` generator under the trigger's
+# bindings, and triggers are applied by instantiating the skolemized head.
+
+
+def is_active_trigger_by_search(
+    rule: Rule, h: dict, inst: Instance, probe: Optional[Callable[[], None]] = None
+) -> bool:
+    if rule.is_datalog:
+        return any(apply_atom(h, a) not in inst for a in rule.head)
+    for _ext in find_homomorphisms(rule.head, inst, probe=probe, binding=h):
+        return False
+    return True
+
+
+def apply_trigger_reference(rule: Rule, h: dict, inst: Instance, step: int) -> list:
+    added = []
+    for a in rule.skolem_head:
+        ground = apply_atom(h, a)
+        if inst.add(ground, step):
+            added.append(ground)
+    return added
 
 
 def skolem_chase_rescanning(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +312,18 @@ def test_bad_usage_exits_three(tmp_path, capsys, case):
     assert code == 3
     assert out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a checkout runs the CLI as `python -m chase_sentinel`, with no
+    # installed script; the walk rule is not 1-safe, so analyze exits 1
+    rules = tmp_path / "walk.dlgp"
+    rules.write_text(WALK + "e(a,b).\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "chase_sentinel", "analyze", str(rules), "--k", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "NotProven" in done.stdout

@@ -23,6 +23,7 @@ from fixtures import (
     walk,
 )
 from oracles import (
+    apply_trigger_reference,
     find_homomorphisms_reference,
     instance_terms,
     is_active_trigger_reference,
@@ -49,7 +50,7 @@ def brute_force_homs(conj, inst):
     out = []
     for combo in itertools.product(instance_terms(inst), repeat=len(variables)):
         h = dict(zip(variables, combo))
-        if all(cs.hom.apply_atom(h, a) in inst for a in conj):
+        if all(apply_atom(h, a) in inst for a in conj):
             out.append(h)
     return out
 
@@ -309,3 +310,48 @@ def test_match_path_agrees_with_reference_on_random_skolem_instances():
                 a = cs.Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
                 inst.add(a, rng.choice([0, 0, 1, 2]))
         _assert_same_search(rs.rules, inst)
+
+
+# the benchmark's `generated` workload parameters
+GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+                 body_atoms=1, head_atoms=2, head_shape="discrete")
+
+
+def _corpus_rules(corpus):
+    if corpus == "fixtures":
+        return [r for make in FIXTURE_SETS for r in make().rules]
+    return [r for s in range(200) for r in cs.generate(cs.GenParams(seed=s, **GENERATED)).rules]
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated"])
+def test_apply_trigger_matches_the_skolem_head_instantiation(corpus):
+    # per-trigger nulls against instantiating `rule.skolem_head` atom by
+    # atom: the same atoms added in the same order, on an instance holding
+    # the body image and, with the second binding, one head atom already
+    rules = _corpus_rules(corpus)
+    shared = 0
+    for rule in rules:
+        distinct = {v: _c("c%d" % i) for i, v in enumerate(rule.body_vars)}
+        nested = {v: cs.SkolemTerm("g", (_c("a"),)) if i % 2 else _c("a")
+                  for i, v in enumerate(rule.body_vars)}
+        for h, head_atom_held in ((distinct, False), (nested, True)):
+            held = [apply_atom(h, a) for a in rule.body]
+            if head_atom_held:
+                held += apply_trigger_reference(rule, h, Instance(), 1)[-1:]
+            new, ref = Instance(held), Instance(held)
+            added = cs.apply_trigger(rule, h, new, 1)
+            assert added == apply_trigger_reference(rule, h, ref, 1), str(rule)
+            assert [(a, new.first_derived_at(a)) for a in new.atoms()] == [
+                (a, ref.first_derived_at(a)) for a in ref.atoms()
+            ]
+        # distinct values give distinct head atoms, all of them added; each
+        # existential is one null object across them
+        fresh = cs.apply_trigger(rule, distinct, Instance(), 1)
+        assert len(fresh) == len(rule.head)
+        nulls = {}
+        for pattern, ground in zip(rule.head, fresh):
+            for p, t in zip(pattern.args, ground.args):
+                if isinstance(p, cs.Variable) and p.name in rule.existentials:
+                    assert nulls.setdefault(p.name, t) is t, str(rule)
+                    shared += 1
+    assert shared > len(rules)

@@ -13,11 +13,16 @@ import chase_sentinel as cs
 from chase_sentinel.acyclicity import Condition, check_condition
 from chase_sentinel.chase import Budget
 from chase_sentinel.cycles import _sequences, occurrence_counts
-from chase_sentinel.hom import apply_atom, find_homomorphisms
-from chase_sentinel.model import Constant, Instance, Variable
+from chase_sentinel.hom import find_homomorphisms, is_active_trigger
+from chase_sentinel.model import Constant, Instance, Variable, apply_atom
 
 from fixtures import handshake, handshake_trusted, triad, triad_guarded, vacuous_self, walk
-from oracles import instance_terms, longest_restricted_run
+from oracles import (
+    instance_terms,
+    is_active_trigger_by_search,
+    is_active_trigger_reference,
+    longest_restricted_run,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +142,43 @@ def test_semi_naive_homomorphisms_are_the_full_ones_using_a_new_atom_200():
             if any(apply_atom(h, a) in new for a in body)
         ]
         assert list(find_homomorphisms(body, inst, since=since)) == expected, "case %d" % case
+
+
+def test_direct_activeness_matches_the_search_oracle_200():
+    # the direct head backtrack against the generator-based test it
+    # replaced: the same answer and the same probes, so the same candidates
+    # in the same order, on triggers and on random bindings of the body
+    # variables in skolem-chase instances; the term-walking reference
+    # orders the head with its own code, so a change to `order_atoms` shows
+    rng = random.Random(7)
+    answers = {True: 0, False: 0}
+    probes = 0
+    counts = [0, 0, 0]
+
+    def counter(i):
+        return lambda: counts.__setitem__(i, counts[i] + 1)
+
+    for case in range(200):
+        rs = random_rule_set(rng)
+        db = random_database(rng, rs, max_atoms=8)
+        inst = cs.skolem_chase(db, rs, Budget(max_steps=rng.randrange(8))).final
+        terms = instance_terms(inst)
+        for rule in rs:
+            bindings = list(itertools.islice(find_homomorphisms(rule.body, inst), 4))
+            bindings += [{v: rng.choice(terms) for v in rule.body_vars} for _ in range(4)]
+            for h in bindings:
+                before = dict(h)
+                counts[:] = [0, 0, 0]
+                got = is_active_trigger(rule, h, inst, counter(0))
+                want = is_active_trigger_by_search(rule, h, inst, counter(1))
+                ref = is_active_trigger_reference(rule, h, inst, counter(2))
+                assert (got, counts[0]) == (want, counts[1]) == (ref, counts[2]), (
+                    "case %d, %s" % (case, rule)
+                )
+                assert h == before
+                answers[got] += 1
+                probes += counts[0]
+    assert min(answers.values()) > 100 and probes > 2_000
 
 
 # ---------------------------------------------------------------------------
