@@ -9,9 +9,9 @@ generates benchmark TGDs.
 from .acyclicity import (
     CheckResult,
     Condition,
+    CycleFunction,
     check_condition,
     connected_components,
-    cycle_function,
     is_agrd,
     is_ja,
     is_mfa,

@@ -18,11 +18,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .acyclicity import Condition, check_condition, connected_components, cycle_function
+from .acyclicity import Condition, CycleFunction, check_condition, connected_components
 from .chase import DEFAULT_BUDGET, Budget, BudgetExceeded, Meter, TraceStep, datalog_first_filter
 from .critdb import (
     RenamingFunction,
     apply_renaming,
+    near_miss_recorder,
     propose_merges,
     restricted_critical_db,
 )
@@ -35,7 +36,7 @@ from .hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from .model import Atom, IndexedConstant, Instance, Rule, RuleSet, Variable
+from .model import Instance, Rule, RuleSet
 
 
 class Status(enum.Enum):
@@ -53,9 +54,6 @@ class ChainWitness:
     steps: tuple  # TraceStep per path position
     chain: tuple  # step indices 1 = i_1 < ... < i_m = n
     renaming: RenamingFunction
-
-    def rule_sequence(self) -> tuple:
-        return tuple(s.rule_id for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,8 @@ class _Search:
     its length before the trigger fired.  Each applied trigger is charged
     to the meter as a step and the instance checked against the atom and
     height limits, as in the chase loop.  As it goes, the search records
-    every indexed-constant near miss of a body match as the set of its
-    (required, found) pairs, once each in first-seen order, for
-    `propose_merges`."""
+    in `merges` the merge that each indexed-constant near miss of a body
+    match proposes (`critdb.near_miss_recorder`), for `propose_merges`."""
 
     def __init__(
         self,
@@ -115,27 +112,10 @@ class _Search:
         self.min_height = min_height
         self.steps: List[TraceStep] = []
         self.used_steps: List[frozenset] = []
-        self.near_misses: Dict[frozenset, None] = {}
+        self.merges: Dict[frozenset, None] = {}
+        self.on_miss = near_miss_recorder(self.merges)
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
-
-    def _on_miss(self, pattern: Atom, binding: dict, candidate: Atom) -> None:
-        # Substitutes one argument at a time and stops at the first
-        # difference that is not between two indexed constants.  Patterns
-        # are function-free, so an argument is a variable or ground.
-        pairs = []
-        for p, c in zip(pattern.args, candidate.args):
-            if p.__class__ is Variable:
-                p = binding.get(p.name)
-                if p is None:
-                    continue  # unbound: agrees with anything
-            if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
-                if p != c:
-                    pairs.append((p, c))
-            elif p != c:
-                return
-        if pairs:
-            self.near_misses.setdefault(frozenset(pairs))
 
     def _datalog_blocked(self) -> bool:
         """Under the Datalog-first strategy a generating rule may not fire
@@ -168,7 +148,7 @@ class _Search:
         inst, meter = self.inst, self.meter
         probe = meter.charge_probe
         for h in find_homomorphisms(
-            rule.body, inst, derived_first=True, probe=probe, on_miss=self._on_miss
+            rule.body, inst, derived_first=True, probe=probe, on_miss=self.on_miss
         ):
             if not is_active_trigger(rule, h, inst, probe=probe):
                 continue
@@ -213,7 +193,7 @@ def is_active_wrt(
     except BudgetExceeded as e:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=e.reason)
     if _collect is not None:
-        _collect.extend(search.near_misses)
+        _collect.extend(search.merges)
     if found:
         witness = ChainWitness(
             rule_ids=tuple(r.id for r in path),
@@ -253,14 +233,14 @@ def is_path_active(
 
     while queue:
         rn, depth = queue.popleft()
-        near_misses: list = []
+        merges: list = []
         verdict = is_active_wrt(
             path,
             apply_renaming(rn, db),
             datalog_rules=datalog_rules,
             min_height=min_height,
             meter=meter,
-            _collect=near_misses,
+            _collect=merges,
         )
         if verdict.status is Status.ACTIVE:
             return SafetyVerdict(Status.ACTIVE, witness=replace(verdict.witness, renaming=rn))
@@ -268,7 +248,7 @@ def is_path_active(
             return verdict
         if depth == len(path):
             continue
-        for proposal in propose_merges(near_misses):
+        for proposal in propose_merges(merges):
             composed = proposal.compose_after(rn)
             if composed.mapping in seen:
                 continue
@@ -286,7 +266,7 @@ def is_path_active(
 def replay_witness(witness: ChainWitness, rs: RuleSet) -> Instance:
     """Re-run a witness end to end, re-verifying trigger activeness and the
     chain edges; raises AssertionError on any mismatch."""
-    inst = Instance(witness.initial, step=0)
+    inst = Instance(witness.initial)
     used_steps: List[frozenset] = []
     for i, step in enumerate(witness.steps, start=1):
         rule = rs.by_id[step.rule_id]
@@ -366,7 +346,7 @@ def k_safe(
 
     `jobs` must be 1: cycles are checked one at a time.  The keyword stays
     only because the benchmark runner passes `jobs=1`; it goes with the next
-    benchmark change (ROADMAP item 4).
+    benchmark change (ROADMAP item 5).
     """
     start = time.monotonic()
     if jobs != 1:
@@ -399,7 +379,7 @@ def k_safe(
         return report(verdict, condition_witness=res.witness)
 
     graph = dependency_graph(rs)
-    phi = cycle_function(condition, budget)
+    phi = CycleFunction(condition, budget)
     comps = connected_components(graph)
     stats.components = len(comps)
     failing: list = []

@@ -1,5 +1,5 @@
 """Skolem-chase acyclicity tests (WA, JA, aGRD, MFA), strongly connected
-components of the dependency graph, and cycle functions built from a test.
+components of the dependency graph, and the cycle function of a test.
 
 MFA is three-valued: a budget-truncated chase yields `unknown`, which cycle
 functions treat as a failed condition (the sound direction).
@@ -42,15 +42,11 @@ def _var_positions(atoms: Sequence[Atom], var: str) -> List[Position]:
 
 @dataclass(frozen=True)
 class PositionGraph:
-    nodes: tuple
     normal_edges: tuple
     special_edges: tuple
 
 
 def position_graph(rs: RuleSet) -> PositionGraph:
-    nodes = tuple(
-        Position(p, i) for p, arity in rs.schema.items() for i in range(1, arity + 1)
-    )
     normal: set = set()
     special: set = set()
     for r in rs:
@@ -67,7 +63,7 @@ def position_graph(rs: RuleSet) -> PositionGraph:
             for b in frontier_positions:
                 for h in zpos:
                     special.add((b, h))
-    return PositionGraph(nodes, tuple(sorted(normal, key=str)), tuple(sorted(special, key=str)))
+    return PositionGraph(tuple(sorted(normal, key=str)), tuple(sorted(special, key=str)))
 
 
 def _find_path(adjacency: Dict, start, goal) -> Optional[list]:
@@ -274,7 +270,3 @@ class CycleFunction:
         path = getattr(cycle, "path", cycle)
         value = self.check_rules(tuple(path))
         return bool(value)  # unknown counts as F
-
-
-def cycle_function(condition: Condition, budget: Optional[Budget] = None) -> CycleFunction:
-    return CycleFunction(condition, budget)

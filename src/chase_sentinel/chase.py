@@ -152,7 +152,7 @@ class ChaseTrace:
     def replay(self, rules: RuleSet) -> Instance:
         """Re-execute the trace, verifying every application; returns the
         reconstructed instance."""
-        inst = Instance(self.initial, step=0)
+        inst = Instance(self.initial)
         for i, step in enumerate(self.steps, start=1):
             rule = rules.by_id[step.rule_id]
             h = dict(step.bindings)
@@ -210,7 +210,7 @@ def _run(
     order, charging `probe` per candidate test; an empty list saturates.
     The loop owns the trace; its meter ends the run by raising
     BudgetExceeded, which becomes the BudgetExhausted outcome."""
-    inst = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
+    inst = database.copy() if isinstance(database, Instance) else Instance(database)
     meter = Meter(budget)
     trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
     try:

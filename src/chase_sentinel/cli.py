@@ -6,7 +6,8 @@ chase (run a chase variant), cycles (list k-cycles), bounded
 verdict grid over a directory), graph (dependency graph as DOT).
 
 Exit codes for analyze/bounded: 0 proven, 1 not proven, 2 resources
-exhausted, 3 usage or parse error.  chase exits 2 when its run ends on a
+exhausted, 3 usage or parse error; an input or output file that cannot be
+read or written is a usage error.  chase exits 2 when its run ends on a
 budget and 0 when it saturates or finds a cyclic term.
 """
 
@@ -114,9 +115,20 @@ def _bound_arg(spec: str):
 def _load(path: str):
     """The parsed document of a .dlgp file and its rule set."""
     try:
-        doc = dlgp.parse(Path(path).read_text(encoding="utf-8"), path=path)
+        doc = dlgp.parse(Path(path).read_text(encoding="utf-8"))
         return doc, doc.rule_set()
     except (OSError, ValueError) as e:
+        raise UsageError(e) from e
+
+
+def _write_output(output: Optional[str], text: str) -> None:
+    """`text` to the file `output`, or to stdout without one."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as e:
         raise UsageError(e) from e
 
 
@@ -308,7 +320,6 @@ def cmd_bounded(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    shapes = {"chained": "chained", "discrete": "discrete"}
     try:
         params = GenParams(
             count=args.count,
@@ -317,18 +328,13 @@ def cmd_generate(args) -> int:
             max_repeated_relations=args.max_repeats,
             body_atoms=args.body_atoms,
             head_atoms=args.head_atoms,
-            head_shape=shapes[args.preset],
+            head_shape=args.preset,
             seed=args.seed,
         )
         rs = generate(params)
     except GenerationError as e:
         raise UsageError(e) from e
-    doc = dlgp.SourceDocument(facts=(), rules=rs.rules)
-    text = dlgp.serialize(doc)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, dlgp.serialize(dlgp.SourceDocument(facts=(), rules=rs.rules)))
     return EXIT_PROVEN
 
 
@@ -373,11 +379,7 @@ def cmd_report(args) -> int:
 
 def cmd_graph(args) -> int:
     _, rs = _load(args.file)
-    dot = dependency_graph(rs).to_dot()
-    if args.output:
-        Path(args.output).write_text(dot, encoding="utf-8")
-    else:
-        sys.stdout.write(dot)
+    _write_output(args.output, dependency_graph(rs).to_dot())
     return EXIT_PROVEN
 
 

@@ -5,13 +5,15 @@ from indexed constants, and index-lowering renaming functions over it.
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
 differs from it only where both hold indexed constants (an unbound
-variable agrees with anything); the search records it as the frozenset of
-its (required, found) pairs.  `propose_merges` turns each near miss into
-the renaming that sends the higher index of every pair to the lower.  It
-offers no union of several near misses: on every corpus tried, such a
-union changed no path status and no witness renaming.  `is_path_active`
-composes proposals with the renaming they were found under, up to |path|
-deep.
+variable agrees with anything).  The chained search passes
+`near_miss_recorder` as its `on_miss` hook, and the recorder keeps each
+near miss as the merge it proposes: the higher index of every differing
+pair renamed to the lower.  A near miss with two constants of one index,
+or one constant that would go two ways, proposes nothing.
+`propose_merges` makes one renaming of each distinct merge; it offers no
+union of several near misses: on every corpus tried, such a union changed
+no path status and no witness renaming.  `is_path_active` composes
+proposals with the renaming they were found under, up to |path| deep.
 
 No completeness argument is known.  A renaming never makes an inactive
 trigger active, so it helps through a new body match, a new chain edge
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .chase import BudgetExceeded
 from .model import (
@@ -63,11 +65,9 @@ def skolem_critical_db(rs: RuleSet, max_atoms: Optional[int] = None) -> Instance
     size = sum(len(domain) ** arity for arity in rs.schema.values())
     if max_atoms is not None and size > max_atoms:
         raise BudgetExceeded("atoms")
-    inst = Instance()
-    for pred, arity in rs.schema.items():
-        for a in full_relation_atoms(pred, arity, domain):
-            inst.add(a, 0)
-    return inst
+    return Instance(
+        a for pred, arity in rs.schema.items() for a in full_relation_atoms(pred, arity, domain)
+    )
 
 
 def _e_i(index: int, a: Atom) -> Atom:
@@ -79,12 +79,8 @@ def _e_i(index: int, a: Atom) -> Atom:
 
 @dataclass(frozen=True)
 class RestrictedCriticalDB:
-    path: tuple  # rules, in path order
     atoms: tuple
     indexed_constants: tuple
-
-    def instance(self) -> Instance:
-        return Instance(self.atoms, step=0)
 
 
 def restricted_critical_db(path: Sequence[Rule]) -> RestrictedCriticalDB:
@@ -105,7 +101,7 @@ def restricted_critical_db(path: Sequence[Rule]) -> RestrictedCriticalDB:
                 if isinstance(t, IndexedConstant) and t not in seen_consts:
                     seen_consts.add(t)
                     indexed.append(t)
-    return RestrictedCriticalDB(path=tuple(path), atoms=tuple(atoms), indexed_constants=tuple(indexed))
+    return RestrictedCriticalDB(atoms=tuple(atoms), indexed_constants=tuple(indexed))
 
 
 @dataclass(frozen=True)
@@ -173,39 +169,49 @@ class RenamingFunction:
 
 def apply_renaming(rn: RenamingFunction, db: RestrictedCriticalDB) -> Instance:
     """rn(I^pi); duplicate atoms collapse by set semantics."""
-    inst = Instance()
-    for a in db.atoms:
-        inst.add(rn.apply_atom(a), 0)
-    return inst
+    return Instance(rn.apply_atom(a) for a in db.atoms)
 
 
-def _orient(pairs: Iterable[tuple]) -> Optional[Dict[IndexedConstant, IndexedConstant]]:
-    """Merge each pair by renaming the higher index to the lower; None when a
-    pair has equal indices (index-lowering cannot resolve it)."""
-    out: Dict[IndexedConstant, IndexedConstant] = {}
-    for a, b in pairs:
-        if a == b:
-            continue
-        if a.index == b.index:
-            return None
-        hi, lo = (a, b) if a.index > b.index else (b, a)
-        prev = out.get(hi)
-        if prev is not None and prev != lo:
-            return None  # contradictory requirements in one near miss
-        out[hi] = lo
-    return out or None
+def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, Atom], None]:
+    """The `on_miss` hook of `find_homomorphisms` that records near misses
+    into `merges`, each as the frozenset of the (higher, lower) pairs of
+    its merge, once each in first-seen order.
+
+    The hook substitutes one argument at a time and stops at the first
+    difference that is not between two indexed constants of different
+    indices, or that sends one constant two ways.  Patterns are
+    function-free, so an argument is a variable or ground."""
+
+    def on_miss(pattern: Atom, binding: dict, candidate: Atom) -> None:
+        merge: Dict[IndexedConstant, IndexedConstant] = {}
+        for p, c in zip(pattern.args, candidate.args):
+            if p.__class__ is Variable:
+                p = binding.get(p.name)
+                if p is None:
+                    continue  # unbound: agrees with anything
+            if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
+                if p == c:
+                    continue
+                if p.index == c.index:
+                    return
+                hi, lo = (p, c) if p.index > c.index else (c, p)
+                if merge.setdefault(hi, lo) != lo:
+                    return
+            elif p != c:
+                return
+        if merge:
+            merges.setdefault(frozenset(merge.items()))
+
+    return on_miss
 
 
-def propose_merges(near_misses: Iterable[frozenset]) -> List[RenamingFunction]:
-    """One candidate renaming function per orientable near miss, each a
-    frozenset of (required, found) indexed-constant pairs; duplicates
-    dropped, smallest first."""
+def propose_merges(merges: Iterable[frozenset]) -> List[RenamingFunction]:
+    """One renaming per recorded merge, each a frozenset of (higher, lower)
+    indexed-constant pairs; duplicates dropped, smallest first."""
     proposals: Dict[tuple, RenamingFunction] = {}
-    for pairs in near_misses:
-        d = _orient(pairs)
-        if d is not None:
-            rn = RenamingFunction.from_dict(d)
-            proposals.setdefault(rn.mapping, rn)
+    for merge in merges:
+        rn = RenamingFunction.from_dict(dict(merge))
+        proposals.setdefault(rn.mapping, rn)
     return sorted(proposals.values(), key=lambda r: (len(r), str(r)))
 
 
@@ -216,7 +222,7 @@ def all_renamings(indexed: Sequence[IndexedConstant], limit: int = 100_000):
     The library no longer calls it: it is the tests' oracle for the
     demand-driven renamings (`tests/oracles.renaming_sweep`).  It stays here
     only because the benchmark's tracer patches it by this name; it moves to
-    `tests/oracles.py` with the next benchmark change (ROADMAP item 3)."""
+    `tests/oracles.py` with the next benchmark change (ROADMAP item 5)."""
     consts = sorted(indexed, key=lambda c: (c.index, c.var))
     targets = []
     total = 1

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence
 
+from .acyclicity import connected_components
 from .deps import DependencyGraph
 from .model import Rule, RuleSet
 
@@ -120,8 +121,6 @@ def enumerate_k_cycles(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    from .acyclicity import connected_components
-
     comps = components if components is not None else connected_components(graph)
     depends_on_earlier = partial(_depends_on_earlier, graph)
 

@@ -80,20 +80,18 @@ def _is_variable(word: str) -> bool:
 class SourceDocument:
     facts: tuple
     rules: tuple
-    path: Optional[str] = None
 
     def rule_set(self) -> RuleSet:
         return RuleSet(self.rules)
 
     def database(self) -> Instance:
-        return Instance(self.facts, step=0)
+        return Instance(self.facts)
 
 
 class _Parser:
-    def __init__(self, tokens: list, path: Optional[str]):
+    def __init__(self, tokens: list):
         self.toks = tokens
         self.i = 0
-        self.path = path
         self.arities: dict = {}
         self.facts: list = []
         self.rules: list = []
@@ -148,7 +146,7 @@ class _Parser:
     def parse(self) -> SourceDocument:
         while self._peek() is not None:
             self._statement()
-        return SourceDocument(facts=tuple(self.facts), rules=tuple(self.rules), path=self.path)
+        return SourceDocument(facts=tuple(self.facts), rules=tuple(self.rules))
 
     def _statement(self) -> None:
         label = None
@@ -192,8 +190,8 @@ class _Parser:
         self.rules.append(rule)
 
 
-def parse(text: str, path: Optional[str] = None) -> SourceDocument:
-    return _Parser(_tokenize(text), path).parse()
+def parse(text: str) -> SourceDocument:
+    return _Parser(_tokenize(text)).parse()
 
 
 def parse_rules(text: str) -> RuleSet:

@@ -104,9 +104,8 @@ class Variable(Term):
 class SkolemTerm(Term):
     """Function term naming a null.
 
-    Instances only ever hold ground skolem terms; the skolemized rule heads
-    cached on Rule contain skolem terms with variable arguments that get
-    substituted away on application.  Height, groundness and hash are
+    Instances only ever hold ground skolem terms, which `hom.apply_trigger`
+    builds from a rule's frontier values.  Height, groundness and hash are
     computed from the arguments' cached values, in O(arity).
     """
 
@@ -323,27 +322,35 @@ def term_height(t: Term) -> int:
 
 
 def has_cyclic_nesting(t: Term) -> bool:
-    """True when the same skolem function occurs twice on one nesting path."""
+    """True when the same skolem function occurs twice on one nesting path.
 
-    def walk(term: Term, seen: frozenset) -> bool:
-        if not isinstance(term, SkolemTerm):
-            return False
-        if term.fn in seen:
+    Iterative, since chase nulls nest deeper than the recursion limit: the
+    stack holds the terms still to visit and, below each term's arguments,
+    its function name, popped when the walk leaves the term.  A function
+    occurs at most once on the path, so a set holds the path."""
+    if t.__class__ is not SkolemTerm:
+        return False
+    path: set = set()
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            path.remove(item)
+            continue
+        if item.fn in path:
             return True
-        inner = seen | {term.fn}
-        return any(walk(a, inner) for a in term.args)
-
-    return walk(t, frozenset())
+        path.add(item.fn)
+        stack.append(item.fn)
+        stack.extend([a for a in item.args if a.__class__ is SkolemTerm])
+    return False
 
 
 def apply_term(subst: Mapping[str, Term], t: Term) -> Term:
-    """t with its variables replaced; ground subterms are returned as they
-    are, not rebuilt."""
+    """t with its variables replaced; rule terms are function-free, so
+    nothing else changes."""
     if t.__class__ is Variable:
         return subst.get(t.name, t)
-    if t.ground:
-        return t
-    return SkolemTerm(t.fn, tuple([apply_term(subst, a) for a in t.args]))
+    return t
 
 
 def apply_atom(subst: Mapping[str, Term], a: Atom) -> Atom:
@@ -363,8 +370,8 @@ class Rule:
     """body -> exists(existentials) head, with variables classified lazily.
 
     Rules are function-free: every body and head argument is a Variable or
-    a Constant.  Skolem terms enter only through `skolem_head`, when the
-    chase instantiates a rule, so no rule atom is ever matched against one.
+    a Constant.  Skolem terms enter only when the chase applies a rule
+    (`hom.apply_trigger`), so no rule atom is ever matched against one.
     Frontier variables are ordered by first occurrence in the head; that
     order fixes the argument list of every skolem function of the rule.
     """
@@ -421,12 +428,6 @@ class Rule:
         """(existential, skolem function name) pairs, existentials sorted;
         each function takes the frontier as its arguments."""
         return tuple((z, "f_%s" % z) for z in sorted(self.existentials))
-
-    @cached_property
-    def skolem_head(self) -> tuple:
-        args = tuple(Variable(v) for v in self.frontier)
-        subst = {z: SkolemTerm(fn, args) for z, fn in self.skolem_functions}
-        return tuple(apply_atom(subst, a) for a in self.head)
 
     @cached_property
     def all_atoms(self) -> tuple:
@@ -498,7 +499,8 @@ def rule_set_size(rs: RuleSet) -> int:
 
 class Instance:
     """Set of ground atoms with predicate indexes, derivation-step bookkeeping
-    and an undo log.  Step 0 marks database atoms.
+    and an undo log.  Step 0 marks database atoms, and the constructor adds
+    its atoms at step 0.
 
     The atoms live in one insertion-ordered dict from atom to the step that
     first derived it, and `_hts` holds the height of the empty instance, 1,
@@ -510,14 +512,14 @@ class Instance:
     the database ones, so the derived-first candidate order of `hom` needs
     no partitioning."""
 
-    def __init__(self, atoms: Iterable[Atom] = (), step: int = 0):
+    def __init__(self, atoms: Iterable[Atom] = ()):
         self._fda: dict = {}  # atom -> first derivation step, in insertion order
         self._hts: list = [1]
         self._by_pred: dict = {}
         self._derived: dict = {}
         self._database: dict = {}
         for a in atoms:
-            self.add(a, step)
+            self.add(a, 0)
 
     def __contains__(self, a: Atom) -> bool:
         return a in self._fda

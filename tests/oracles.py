@@ -4,11 +4,12 @@ of a path under every renaming of its critical database, every
 piece-unifier of a rule pair, the relevance of a cycle, and the dependency
 of two rules with respect to one instance.  Also the term-walking
 homomorphism search that the compiled match path of `chase_sentinel.hom`
-replaced; the rescanning chase policies that the semi-naive skolem
-rounds and the dead-trigger memo of `chase_sentinel.chase` replaced; and
-the generator-based activeness test and skolem-head instantiation that the
-direct trigger path of `chase_sentinel.hom` replaced, as differential
-references.
+replaced, with the orientation of its near misses into merges that
+`chase_sentinel.critdb.near_miss_recorder` replaced; the rescanning chase
+policies that the semi-naive skolem rounds and the dead-trigger memo of
+`chase_sentinel.chase` replaced; and the generator-based activeness test
+and skolem-head instantiation that the direct trigger path of
+`chase_sentinel.hom` replaced, as differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -19,7 +20,7 @@ live in `chase_sentinel.chase`, its demand-driven renaming search in
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from chase_sentinel.activeness import Status, is_active_wrt
 from chase_sentinel.chase import (
@@ -94,7 +95,7 @@ def restricted_chase_exhaustive(
     """Every restricted chase sequence (every active-trigger choice at every
     step) up to the step budget. Intended for small inputs only (documented
     guidance: <= 4 rules, <= 30 reachable atoms)."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
+    base = database.copy() if isinstance(database, Instance) else Instance(database)
     initial_atoms = base.atoms()
     meter = Meter(budget)
     cap = meter.budget.max_steps
@@ -143,7 +144,7 @@ def longest_restricted_run(
 ) -> Optional[int]:
     """Length of the longest restricted chase sequence, exploring the state
     DAG with memoization; None when some sequence exceeds `cap` steps."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database, step=0)
+    base = database.copy() if isinstance(database, Instance) else Instance(database)
     memo: dict = {}
 
     def longest(inst: Instance, depth: int) -> Optional[int]:
@@ -407,6 +408,25 @@ def near_miss_pairs_reference(pattern: Atom, candidate: Atom) -> Optional[frozen
     return frozenset(pairs) if pairs else None
 
 
+def orient_reference(pairs: Iterable[tuple]) -> Optional[frozenset]:
+    """The merge a near miss proposes, as the frozenset of its (higher,
+    lower) pairs: each (required, found) pair renames its higher index to
+    the lower.  None when a pair has equal indices (index-lowering cannot
+    resolve it) or one constant would go two ways."""
+    out: dict = {}
+    for a, b in pairs:
+        if a == b:
+            continue
+        if a.index == b.index:
+            return None
+        hi, lo = (a, b) if a.index > b.index else (b, a)
+        prev = out.get(hi)
+        if prev is not None and prev != lo:
+            return None  # contradictory requirements in one near miss
+        out[hi] = lo
+    return frozenset(out.items()) or None
+
+
 def is_active_trigger_reference(
     rule: Rule, h: dict, inst: Instance, probe: Optional[Callable[[], None]] = None
 ) -> bool:
@@ -420,24 +440,48 @@ def is_active_trigger_reference(
 
 # ---------------------------------------------------------------------------
 # The trigger path as it was before the direct activeness test: the head is
-# matched through the `find_homomorphisms` generator under the trigger's
-# bindings, and triggers are applied by instantiating the skolemized head.
+# matched through the `find_homomorphisms` generator with the trigger's
+# bindings substituted, and triggers are applied by instantiating the
+# skolemized head.
 
 
 def is_active_trigger_by_search(
     rule: Rule, h: dict, inst: Instance, probe: Optional[Callable[[], None]] = None
 ) -> bool:
+    partial = [apply_atom(h, a) for a in rule.head]
     if rule.is_datalog:
-        return any(apply_atom(h, a) not in inst for a in rule.head)
-    for _ext in find_homomorphisms(rule.head, inst, probe=probe, binding=h):
+        return any(a not in inst for a in partial)
+    for _ext in find_homomorphisms(partial, inst, probe=probe):
         return False
     return True
 
 
+def apply_term_reference(subst: Mapping[str, Term], t: Term) -> Term:
+    """t with its variables replaced, inside skolem terms too; ground
+    subterms are returned as they are, not rebuilt."""
+    if t.__class__ is Variable:
+        return subst.get(t.name, t)
+    if t.ground:
+        return t
+    return SkolemTerm(t.fn, tuple([apply_term_reference(subst, a) for a in t.args]))
+
+
+def apply_atom_reference(subst: Mapping[str, Term], a: Atom) -> Atom:
+    return Atom(a.pred, tuple([apply_term_reference(subst, t) for t in a.args]))
+
+
+def skolem_head(rule: Rule) -> tuple:
+    """The head atoms with each existential replaced by its skolem term
+    over the frontier variables."""
+    args = tuple(Variable(v) for v in rule.frontier)
+    subst = {z: SkolemTerm(fn, args) for z, fn in rule.skolem_functions}
+    return tuple(apply_atom_reference(subst, a) for a in rule.head)
+
+
 def apply_trigger_reference(rule: Rule, h: dict, inst: Instance, step: int) -> list:
     added = []
-    for a in rule.skolem_head:
-        ground = apply_atom(h, a)
+    for a in skolem_head(rule):
+        ground = apply_atom_reference(h, a)
         if inst.add(ground, step):
             added.append(ground)
     return added

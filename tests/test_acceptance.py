@@ -154,9 +154,9 @@ def test_criterion_2_trusted_handshake_k2():
         assert cycle_ids in {c.rule_ids() for c in enumerated}
         cycle = tuple(rs.by_id[i] for i in cycle_ids)
         for cond in (Condition.WA, Condition.AGRD):
-            assert cs.cycle_function(cond)(rs, cycle) is False, cond.value
+            assert cs.CycleFunction(cond)(rs, cycle) is False, cond.value
         witness = _trusted_handshake_two_cycle_witness()
-        assert witness.rule_sequence() == cycle_ids
+        assert tuple(s.rule_id for s in witness.steps) == cycle_ids
         cs.replay_witness(witness, rs)
 
 
@@ -197,8 +197,9 @@ def test_criterion_5_triad():
         rs = triad()
         r1, r2, r3 = rs.rules
         pi1, pi2 = (r1, r2, r3), (r3, r2, r1)
-        assert cs.is_active_wrt(pi1, restricted_critical_db(pi1).instance()).status is Status.SAFE
-        v2 = cs.is_active_wrt(pi2, restricted_critical_db(pi2).instance())
+        v1 = cs.is_active_wrt(pi1, cs.Instance(restricted_critical_db(pi1).atoms))
+        assert v1.status is Status.SAFE
+        v2 = cs.is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
         assert v2.status is Status.ACTIVE
         report = cs.k_safe(rs, 1, Condition.WA)
         assert report.verdict is Verdict.NOT_PROVEN
@@ -215,7 +216,7 @@ def test_criterion_6_guarded_triad_renaming():
         graph = cs.dependency_graph(rs)
         for cycle in cs.enumerate_k_cycles(rs, 1, graph):
             plain = cs.is_active_wrt(
-                cycle.path, restricted_critical_db(cycle.path).instance()
+                cycle.path, cs.Instance(restricted_critical_db(cycle.path).atoms)
             )
             assert plain.status is Status.SAFE, cycle.rule_ids()
         # the index-lowering renaming activates the reverse rotation

@@ -31,8 +31,8 @@ def test_triad_forward_path_safe_reverse_path_active():
     r1, r2, r3 = rs.rules
     pi1 = (r1, r2, r3)
     pi2 = (r3, r2, r1)
-    assert is_active_wrt(pi1, restricted_critical_db(pi1).instance()).status is Status.SAFE
-    verdict = is_active_wrt(pi2, restricted_critical_db(pi2).instance())
+    assert is_active_wrt(pi1, cs.Instance(restricted_critical_db(pi1).atoms)).status is Status.SAFE
+    verdict = is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
     assert verdict.status is Status.ACTIVE
     assert verdict.witness.chain[0] == 1
     assert verdict.witness.chain[-1] == 3
@@ -58,7 +58,7 @@ def test_guarded_triad_needs_renaming():
     rs = triad_guarded()
     r1, r2, r3 = rs.rules
     pi2 = (r3, r2, r1)
-    plain = is_active_wrt(pi2, restricted_critical_db(pi2).instance())
+    plain = is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
     assert plain.status is Status.SAFE
     with_renaming = is_path_active(pi2)
     assert with_renaming.status is Status.ACTIVE
@@ -229,7 +229,7 @@ def test_demand_driven_renamings_agree_with_the_sweep_oracle(rs, ids, needs_rena
     verdict = is_path_active(path, budget=budget)
     assert verdict.status is oracle
     if needs_renaming:
-        plain = is_active_wrt(path, restricted_critical_db(path).instance())
+        plain = is_active_wrt(path, cs.Instance(restricted_critical_db(path).atoms))
         assert plain.status is Status.SAFE
         assert oracle is Status.ACTIVE
         assert not verdict.witness.renaming.is_identity

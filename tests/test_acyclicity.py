@@ -1,9 +1,9 @@
 import chase_sentinel as cs
 from chase_sentinel.acyclicity import (
     Condition,
+    CycleFunction,
     check_condition,
     connected_components,
-    cycle_function,
     is_agrd,
     is_ja,
     is_mfa,
@@ -105,7 +105,7 @@ def test_connected_components():
 def test_cycle_function_from_condition():
     rs = handshake()
     r1, r2 = rs.rules
-    phi_agrd = cycle_function(Condition.AGRD)
+    phi_agrd = CycleFunction(Condition.AGRD)
     # both rotations of the handshake pair fail aGRD... the pair itself is
     # cyclic, so the cycle function maps them to F
     assert phi_agrd(rs, (r1, r2, r1)) is False
@@ -113,17 +113,17 @@ def test_cycle_function_from_condition():
     # datalog-only cycles satisfy every condition
     d = cs.parse_rules("[d] q(X) :- p(X).")
     for cond in Condition:
-        phi = cycle_function(cond, Budget(max_steps=50))
+        phi = CycleFunction(cond, Budget(max_steps=50))
         assert phi(d, (d.rules[0], d.rules[0])) is True
     # single-rotation memoization: the same rule subset is checked once
-    phi_wa = cycle_function(Condition.WA)
+    phi_wa = CycleFunction(Condition.WA)
     assert phi_wa(rs, (r1, r2, r1)) == phi_wa(rs, (r2, r1, r2)) == False  # noqa: E712
 
 
 def test_phi_wa_false_on_trusted_pair_cycle():
     rs = handshake_trusted()
     r3, r4 = rs.rules
-    phi = cycle_function(Condition.WA)
+    phi = CycleFunction(Condition.WA)
     assert phi(rs, (r3, r4, r3)) is False
 
 

@@ -292,6 +292,8 @@ BAD_USAGE = {
     "budget-timeout-inf": ("report", "{dir}", "--timeout", "inf"),
     "cycles-max-cycles": ("cycles", "{rules}", "--max-cycles", "-1"),
     "graph": ("graph", "{bad}"),
+    "graph-output": ("graph", "{rules}", "-o", "{unwritable}"),
+    "generate-output": ("generate", "--count", "3", "-o", "{unwritable}"),
 }
 
 
@@ -306,6 +308,7 @@ def test_bad_usage_exits_three(tmp_path, capsys, case):
         "bad": bad.as_posix(),
         "missing": (tmp_path / "missing.dlgp").as_posix(),
         "dir": tmp_path.as_posix(),
+        "unwritable": (tmp_path / "missing" / "out.txt").as_posix(),
     }
     argv = [arg.format(**paths) for arg in BAD_USAGE[case]]
     code, out, err = run(capsys, *argv)

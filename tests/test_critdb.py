@@ -7,6 +7,7 @@ from chase_sentinel.critdb import (
     RenamingFunction,
     all_renamings,
     apply_renaming,
+    near_miss_recorder,
     propose_merges,
     restricted_critical_db,
     skolem_critical_db,
@@ -14,6 +15,13 @@ from chase_sentinel.critdb import (
 from chase_sentinel.model import IndexedConstant
 
 from fixtures import vacuous_self, walk
+from oracles import orient_reference
+
+
+def _proposals(near_misses):
+    """propose_merges over the reference orientation of (required, found)
+    pair sets."""
+    return propose_merges(m for m in map(orient_reference, near_misses) if m)
 
 
 def test_skolem_critical_db_walk_rule():
@@ -143,7 +151,7 @@ def test_propose_merges_from_guarded_triad_conflict():
     # offers index 3: the proposal renames <z,3> to <z,1>
     z1 = IndexedConstant("Z", 1)
     z3 = IndexedConstant("Z", 3)
-    (rn,) = propose_merges([frozenset({(z1, z3)})])
+    (rn,) = _proposals([frozenset({(z1, z3)})])
     assert dict(rn.mapping) == {z3: z1}
 
 
@@ -157,16 +165,43 @@ def test_propose_merges_offers_each_near_miss_and_no_union():
     y1, y2 = IndexedConstant("Y", 1), IndexedConstant("Y", 2)
     both = frozenset({(y2, y1), (w1, w2)})
     near_misses = [frozenset({(z1, z3)}), both, frozenset({(w2, w1)}), frozenset({(z3, z1)})]
-    proposals = [dict(p.mapping) for p in propose_merges(near_misses)]
+    proposals = [dict(p.mapping) for p in _proposals(near_misses)]
     # one proposal per distinct orientation, smallest first, then by text;
     # the union {z3: z1, w2: w1, y2: y1} is not offered
     assert proposals == [{w2: w1}, {z3: z1}, {w2: w1, y2: y1}]
 
 
 def test_propose_merges_skips_equal_index_conflicts():
+    # the recorder drops such a near miss, so no merge reaches the proposals
     a1 = IndexedConstant("A", 1)
     b1 = IndexedConstant("B", 1)
-    assert propose_merges([frozenset({(a1, b1)})]) == []
+    assert orient_reference({(a1, b1)}) is None
+    merges = {}
+    near_miss_recorder(merges)(cs.atom("p", a1), {}, cs.atom("p", b1))
+    assert merges == {} and propose_merges(merges) == []
+
+
+def test_near_miss_recorder_records_each_merge_once_higher_index_to_lower():
+    z1, z2, z3 = (IndexedConstant("Z", i) for i in (1, 2, 3))
+    w1, w2 = IndexedConstant("W", 1), IndexedConstant("W", 2)
+    x, y = cs.Variable("X"), cs.Variable("Y")
+    merges = {}
+    record = near_miss_recorder(merges)
+    # X bound to <Z,3>, Y unbound: only the first argument differs
+    record(cs.atom("q", x, y), {"X": z3}, cs.atom("q", z1, w1))
+    # the same merge from the other side, then a two-pair merge
+    record(cs.atom("q", z1, y), {}, cs.atom("q", z3, z2))
+    record(cs.atom("q", x, y), {"X": z3, "Y": w2}, cs.atom("q", z2, z1))
+    # dropped: <Z,3> would go two ways; a constant differs; <W,1> and
+    # <Z,1> share an index
+    record(cs.atom("q", x, y), {"X": z3, "Y": z3}, cs.atom("q", z1, z2))
+    record(cs.atom("q", x, cs.Constant("a")), {"X": z3}, cs.atom("q", z1, cs.Constant("b")))
+    record(cs.atom("q", x, y), {"X": z3, "Y": w1}, cs.atom("q", z2, z1))
+    assert list(merges) == [frozenset({(z3, z1)}), frozenset({(z3, z2), (w2, z1)})]
+    assert [dict(rn.mapping) for rn in propose_merges(merges)] == [
+        {z3: z1},
+        {w2: z1, z3: z2},
+    ]
 
 
 def test_all_renamings_counts():

@@ -6,9 +6,9 @@ import sys
 
 import chase_sentinel as cs
 from chase_sentinel import cli
-from chase_sentinel.chase import Budget, BudgetExhausted, skolem_chase
+from chase_sentinel.chase import Budget, BudgetExhausted, Saturated, skolem_chase
 from chase_sentinel.hom import apply_trigger
-from chase_sentinel.model import Instance
+from chase_sentinel.model import Instance, has_cyclic_nesting
 
 from fixtures import WALK, walk
 
@@ -73,3 +73,36 @@ def test_cli_walk_skolem_chase_400_steps_ends_on_the_step_budget(tmp_path, capsy
     assert code == 2
     assert out.err == ""
     assert out.out.splitlines()[-1] == "budget exhausted (steps) after 400 steps"
+
+
+def _named_tower(names, leaf="a"):
+    """Unary skolem terms nested innermost first, one per name."""
+    t = cs.Constant(leaf)
+    for name in names:
+        t = cs.SkolemTerm(name, (t,))
+    return t
+
+
+def test_cyclic_nesting_check_walks_deep_terms_without_recursion():
+    names = ["f%d" % i for i in range(5_000)]
+    assert len(names) > sys.getrecursionlimit()
+    assert not has_cyclic_nesting(_named_tower(names))
+    # the innermost function repeats the outermost one
+    assert has_cyclic_nesting(_named_tower([names[-1]] + names[1:]))
+    # a function repeated on two sibling paths is no cycle; below itself it is
+    a, b = cs.Constant("a"), cs.Constant("b")
+    g_a, g_b = cs.SkolemTerm("g", (a,)), cs.SkolemTerm("g", (b,))
+    assert not has_cyclic_nesting(cs.SkolemTerm("f", (g_a, g_b)))
+    h_f_b = cs.SkolemTerm("h", (cs.SkolemTerm("f", (b,)),))
+    assert has_cyclic_nesting(cs.SkolemTerm("f", (g_a, h_f_b)))
+    assert not has_cyclic_nesting(a)
+
+
+def test_skolem_chase_of_a_600_rule_chain_saturates_with_cyclic_term_detection():
+    # each rule nests one more distinct function: 600 levels, no cycle
+    text = "".join("[r%d] p%d(X,Z) :- p%d(Y,X).\n" % (i, i + 1, i) for i in range(600))
+    trace = skolem_chase(cs.parse("p0(a,b).").database(), cs.parse_rules(text),
+                         detect_cyclic_terms=True)
+    assert trace.outcome == Saturated()
+    assert len(trace.steps) == 600
+    assert trace.final.ht() == 601
