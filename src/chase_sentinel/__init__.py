@@ -49,7 +49,6 @@ from .chase import (
 )
 from .critdb import (
     RenamingFunction,
-    RestrictedCriticalDB,
     apply_renaming,
     propose_merges,
     restricted_critical_db,

@@ -183,15 +183,20 @@ def is_active_wrt(
     restricts acceptance to chained sequences whose instance reaches at
     least that term height (used by the bounded-membership test, which only
     cares about height-breaching chains).  Passing a `meter` shares one
-    budget across several calls."""
+    budget across several calls.
+
+    The search runs on `database` itself and rolls it back to its starting
+    length on every exit, so the caller sees it unchanged."""
     if meter is None:
         meter = Meter(budget)
-    inst = database.copy()
-    search = _Search(path, inst, meter, datalog_rules, min_height)
+    size = len(database)
+    search = _Search(path, database, meter, datalog_rules, min_height)
     try:
         found = search.run()
     except BudgetExceeded as e:
         return SafetyVerdict(Status.INCONCLUSIVE, reason=e.reason)
+    finally:
+        database.rollback(size)
     if _collect is not None:
         _collect.extend(search.merges)
     if found:
@@ -265,7 +270,13 @@ def is_path_active(
 
 def replay_witness(witness: ChainWitness, rs: RuleSet) -> Instance:
     """Re-run a witness end to end, re-verifying trigger activeness and the
-    chain edges; raises AssertionError on any mismatch."""
+    chain edges; raises AssertionError on any mismatch, and when the steps
+    do not apply the rules of `witness.rule_ids`, the cycle it names."""
+    applied = tuple(s.rule_id for s in witness.steps)
+    if applied != witness.rule_ids:
+        raise AssertionError(
+            "witness: steps apply %s, not the cycle %s" % (applied, witness.rule_ids)
+        )
     inst = Instance(witness.initial)
     used_steps: List[frozenset] = []
     for i, step in enumerate(witness.steps, start=1):

@@ -133,6 +133,14 @@ class TraceStep:
     bindings: tuple  # sorted (var, term) pairs
     added: tuple  # atoms newly derived by this application
 
+    def to_json(self) -> dict:
+        """The JSON object of a step in a chase trace or a witness."""
+        return {
+            "rule": self.rule_id,
+            "bindings": {v: str(t) for v, t in self.bindings},
+            "added": [str(a) for a in self.added],
+        }
+
 
 @dataclass
 class ChaseTrace:
@@ -169,19 +177,10 @@ class ChaseTrace:
     def to_json_lines(self) -> str:
         import json
 
-        lines = []
-        for i, s in enumerate(self.steps, start=1):
-            lines.append(
-                json.dumps(
-                    {
-                        "step": i,
-                        "rule": s.rule_id,
-                        "bindings": {v: str(t) for v, t in s.bindings},
-                        "added": [str(a) for a in s.added],
-                    },
-                    sort_keys=True,
-                )
-            )
+        lines = [
+            json.dumps({"step": i, **s.to_json()}, sort_keys=True)
+            for i, s in enumerate(self.steps, start=1)
+        ]
         tail = {"outcome": type(self.outcome).__name__}
         if isinstance(self.outcome, BudgetExhausted):
             tail["reason"] = self.outcome.reason
@@ -208,9 +207,11 @@ def _run(
     """The one whole-instance chase loop.  `select(inst, probe)` is the
     policy: it returns the (rule, homomorphism) triggers to fire next, in
     order, charging `probe` per candidate test; an empty list saturates.
-    The loop owns the trace; its meter ends the run by raising
-    BudgetExceeded, which becomes the BudgetExhausted outcome."""
-    inst = database.copy() if isinstance(database, Instance) else Instance(database)
+    The run works on a new instance that holds the database's atoms at
+    step 0, so a given Instance is left as it was.  The loop owns the
+    trace; its meter ends the run by raising BudgetExceeded, which becomes
+    the BudgetExhausted outcome."""
+    inst = Instance(database.atoms() if isinstance(database, Instance) else database)
     meter = Meter(budget)
     trace = ChaseTrace(initial=inst.atoms(), steps=[], outcome=Saturated(), final=inst)
     try:
@@ -251,16 +252,21 @@ def skolem_chase(
     scheduled, in that round; and one whose image uses a newer atom was no
     homomorphism into any earlier instance, so no round enumerated it.
     As the filtered enumeration keeps the full one's order, every round,
-    and so the trace, is the same as with a full rescan."""
+    and so the trace, is the same as with a full rescan.  A rule none of
+    whose body predicates grew has no new homomorphism, so a round does
+    not search it at all."""
     preds = {a.pred for rule in rules for a in rule.body}
+    bodies = [(rule, {a.pred for a in rule.body}) for rule in rules]
     sizes: Optional[dict] = None  # predicate sizes at the previous round
 
     def round_of_triggers(inst: Instance, probe: Callable[[], None]) -> list:
         nonlocal sizes
         since, sizes = sizes, {p: len(inst.by_pred(p)) for p in preds}
+        grown = preds if since is None else {p for p in preds if sizes[p] > since[p]}
         return [
             (rule, h)
-            for rule in rules
+            for rule, body_preds in bodies
+            if not grown.isdisjoint(body_preds)
             for h in find_homomorphisms(rule.body, inst, probe=probe, since=since)
         ]
 

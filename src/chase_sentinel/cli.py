@@ -139,14 +139,7 @@ def _witness_json(witness) -> Optional[dict]:
         "cycle": list(witness.rule_ids),
         "renaming": str(witness.renaming),
         "initial": [str(a) for a in witness.initial],
-        "steps": [
-            {
-                "rule": s.rule_id,
-                "bindings": {v: str(t) for v, t in s.bindings},
-                "added": [str(a) for a in s.added],
-            }
-            for s in witness.steps
-        ],
+        "steps": [s.to_json() for s in witness.steps],
         "chain": list(witness.chain),
     }
 

@@ -1,6 +1,10 @@
 """Critical databases: the skolem one (full relations over the rule
 constants plus a reserved fresh constant), the per-path restricted one built
 from indexed constants, and index-lowering renaming functions over it.
+Both databases are plain instances.  `apply_renaming` hands back the
+restricted one itself under the identity and builds one new instance for
+any other renaming; the chained search runs on it in place and rolls it
+back (see `activeness.is_active_wrt`).
 
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
@@ -77,31 +81,12 @@ def _e_i(index: int, a: Atom) -> Atom:
     return Atom(a.pred, args)
 
 
-@dataclass(frozen=True)
-class RestrictedCriticalDB:
-    atoms: tuple
-    indexed_constants: tuple
-
-
-def restricted_critical_db(path: Sequence[Rule]) -> RestrictedCriticalDB:
-    """I^pi: the i-th rule's body frozen with <var, i> indexed constants."""
+def restricted_critical_db(path: Sequence[Rule]) -> Instance:
+    """I^pi: the i-th rule's body frozen with <var, i> indexed constants, as
+    an instance of database atoms in path order, each once."""
     if not path:
         raise ValueError("path must be non-empty")
-    atoms: list = []
-    seen_atoms: set = set()
-    indexed: list = []
-    seen_consts: set = set()
-    for i, rule in enumerate(path, start=1):
-        for a in rule.body:
-            ia = _e_i(i, a)
-            if ia not in seen_atoms:
-                seen_atoms.add(ia)
-                atoms.append(ia)
-            for t in ia.args:
-                if isinstance(t, IndexedConstant) and t not in seen_consts:
-                    seen_consts.add(t)
-                    indexed.append(t)
-    return RestrictedCriticalDB(atoms=tuple(atoms), indexed_constants=tuple(indexed))
+    return Instance(_e_i(i, a) for i, rule in enumerate(path, start=1) for a in rule.body)
 
 
 @dataclass(frozen=True)
@@ -167,9 +152,12 @@ class RenamingFunction:
         return ", ".join("%s->%s" % (s, t) for s, t in self.mapping)
 
 
-def apply_renaming(rn: RenamingFunction, db: RestrictedCriticalDB) -> Instance:
-    """rn(I^pi); duplicate atoms collapse by set semantics."""
-    return Instance(rn.apply_atom(a) for a in db.atoms)
+def apply_renaming(rn: RenamingFunction, db: Instance) -> Instance:
+    """rn(I^pi): `db` itself under the identity, else one new instance in
+    which duplicate atoms collapse by set semantics."""
+    if rn.is_identity:
+        return db
+    return Instance(rn.apply_atom(a) for a in db.atoms())
 
 
 def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, Atom], None]:

@@ -84,15 +84,13 @@ def _sequences(
 
     def extend(path: List[Rule], counts: dict) -> Iterator[KCycle]:
         first = path[0]
-        if counts.get(first.id, 0) < cap:
-            if depends_on_earlier(first, path):
-                closed = counts.get(first.id, 0) + 1
-                peak = max(max(counts.values()), closed)
-                if peak == cap:
-                    yield KCycle(path=tuple(path) + (first,), k=k)
+        if depends_on_earlier(first, path):
+            peak = max(max(counts.values()), counts[first.id] + 1)
+            if peak == cap:
+                yield KCycle(path=tuple(path) + (first,), k=k)
         for r in rules:
-            # the start rule may not reach its cap inside the path: below
-            # that, the cycle cannot close
+            # the start rule stays below its cap inside the path, or the
+            # cycle could not close; so closing it above needs no cap test
             if counts.get(r.id, 0) + (r is first) >= cap:
                 continue
             if not depends_on_earlier(r, path):

@@ -11,7 +11,7 @@ Derived-first order is what the chained search of `activeness` asks for,
 and it pays: it tries the atoms the path derived before the database
 atoms, and only a step that consumes a derived atom extends the chain.
 Measured over one gated benchmark pass at seed 1 on a 2-vCPU VM, against
-a copy with `derived_first=True` removed from `_Search._step`
+the same code with `derived_first=True` removed from `_Search._step`
 (`fixtures` was not timed):
 
     workload    order            time      probes   decided

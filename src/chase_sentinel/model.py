@@ -20,7 +20,8 @@ peak memory, and the cached hash already makes lookups cheap.
 An Instance is the one mutable structure in the package.  Its insertion
 order is its undo log: `rollback(n)` drops every atom added after the
 first n, so the backtracking searches apply and retract trigger
-applications without copying.
+applications on the instance they are given.  No instance is ever
+copied: a chase run builds its own from the database's atoms.
 """
 
 from __future__ import annotations
@@ -43,61 +44,44 @@ class Term:
 
 
 @dataclass(frozen=True, slots=True)
-class Constant(Term):
+class _Named(Term):
+    """A term that is its name, the base of Constant and Variable: equal
+    only to a term of the same class and name."""
+
     name: str
     _hash: int = field(init=False, repr=False, compare=False)
 
+    height = 1
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash(name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (self.__class__, (self.name,))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Constant(_Named):
+    __slots__ = ()
     ground = True
-    height = 1
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", hash(name))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Constant, (self.name,))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Constant:
-            return NotImplemented
-        return self.name == other.name
-
-    def __str__(self) -> str:
-        return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Variable(Term):
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
+class Variable(_Named):
+    __slots__ = ()
     ground = False
-    height = 1
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", hash(name))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Variable, (self.name,))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Variable:
-            return NotImplemented
-        return self.name == other.name
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -544,15 +528,6 @@ class Instance:
 
     def ht(self) -> int:
         return self._hts[-1]
-
-    def copy(self) -> "Instance":
-        new = Instance.__new__(Instance)
-        new._fda = dict(self._fda)
-        new._hts = list(self._hts)
-        new._by_pred = {p: list(v) for p, v in self._by_pred.items()}
-        new._derived = {p: list(v) for p, v in self._derived.items()}
-        new._database = {p: list(v) for p, v in self._database.items()}
-        return new
 
     def add(self, a: Atom, step: int) -> bool:
         """Insert `a` with derivation step `step`; False, with nothing

@@ -95,7 +95,7 @@ def restricted_chase_exhaustive(
     """Every restricted chase sequence (every active-trigger choice at every
     step) up to the step budget. Intended for small inputs only (documented
     guidance: <= 4 rules, <= 30 reachable atoms)."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database)
+    base = Instance(database.atoms() if isinstance(database, Instance) else database)
     initial_atoms = base.atoms()
     meter = Meter(budget)
     cap = meter.budget.max_steps
@@ -144,7 +144,7 @@ def longest_restricted_run(
 ) -> Optional[int]:
     """Length of the longest restricted chase sequence, exploring the state
     DAG with memoization; None when some sequence exceeds `cap` steps."""
-    base = database.copy() if isinstance(database, Instance) else Instance(database)
+    base = Instance(database.atoms() if isinstance(database, Instance) else database)
     memo: dict = {}
 
     def longest(inst: Instance, depth: int) -> Optional[int]:
@@ -172,6 +172,14 @@ def longest_restricted_run(
     return result
 
 
+def indexed_constants(db: Instance) -> tuple:
+    """The indexed constants of the atoms of `db`, each once, in order of
+    first occurrence."""
+    return tuple(
+        dict.fromkeys(t for a in db.atoms() for t in a.args if t.__class__ is IndexedConstant)
+    )
+
+
 def renaming_sweep(path: Sequence[Rule], budget: Optional[Budget] = None) -> Status:
     """Activeness of `path` w.r.t. its restricted critical database under
     every index-lowering renaming, tried one at a time with `budget` each:
@@ -179,7 +187,7 @@ def renaming_sweep(path: Sequence[Rule], budget: Optional[Budget] = None) -> Sta
     some search ran out of budget, else SAFE."""
     db = restricted_critical_db(path)
     status = Status.SAFE
-    for rn in all_renamings(db.indexed_constants):
+    for rn in all_renamings(indexed_constants(db)):
         verdict = is_active_wrt(path, apply_renaming(rn, db), budget=budget)
         if verdict.status is Status.ACTIVE:
             return Status.ACTIVE
@@ -274,7 +282,7 @@ def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:
     """Instance-relative dependency: some application of r1 on `inst` derives
     an atom that a fresh body match of r2 actually uses."""
     for h in find_homomorphisms(r1.body, inst):
-        scratch = inst.copy()
+        scratch = Instance(inst.atoms())
         apply_trigger(r1, h, scratch, step=1)
         for g in find_homomorphisms(r2.body, scratch):
             if any(apply_atom(g, a) not in inst for a in r2.body):

@@ -197,9 +197,9 @@ def test_criterion_5_triad():
         rs = triad()
         r1, r2, r3 = rs.rules
         pi1, pi2 = (r1, r2, r3), (r3, r2, r1)
-        v1 = cs.is_active_wrt(pi1, cs.Instance(restricted_critical_db(pi1).atoms))
+        v1 = cs.is_active_wrt(pi1, restricted_critical_db(pi1))
         assert v1.status is Status.SAFE
-        v2 = cs.is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
+        v2 = cs.is_active_wrt(pi2, restricted_critical_db(pi2))
         assert v2.status is Status.ACTIVE
         report = cs.k_safe(rs, 1, Condition.WA)
         assert report.verdict is Verdict.NOT_PROVEN
@@ -215,9 +215,7 @@ def test_criterion_6_guarded_triad_renaming():
         # every 1-cycle is safe against its plain critical database
         graph = cs.dependency_graph(rs)
         for cycle in cs.enumerate_k_cycles(rs, 1, graph):
-            plain = cs.is_active_wrt(
-                cycle.path, cs.Instance(restricted_critical_db(cycle.path).atoms)
-            )
+            plain = cs.is_active_wrt(cycle.path, restricted_critical_db(cycle.path))
             assert plain.status is Status.SAFE, cycle.rule_ids()
         # the index-lowering renaming activates the reverse rotation
         verdict = cs.is_path_active((r3, r2, r1))

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 import chase_sentinel as cs
 from chase_sentinel.activeness import Status, Verdict, is_active_wrt, is_path_active, k_safe, replay_witness
 from chase_sentinel.chase import Budget
 from chase_sentinel.critdb import restricted_critical_db
+from chase_sentinel.hom import body_image
 
 from fixtures import (
     access_control,
@@ -15,7 +18,7 @@ from fixtures import (
     vacuous_self,
     walk,
 )
-from oracles import renaming_sweep
+from oracles import indexed_constants, renaming_sweep
 
 
 def test_access_control_key_loop_is_safe_from_haskey_db():
@@ -31,8 +34,8 @@ def test_triad_forward_path_safe_reverse_path_active():
     r1, r2, r3 = rs.rules
     pi1 = (r1, r2, r3)
     pi2 = (r3, r2, r1)
-    assert is_active_wrt(pi1, cs.Instance(restricted_critical_db(pi1).atoms)).status is Status.SAFE
-    verdict = is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
+    assert is_active_wrt(pi1, restricted_critical_db(pi1)).status is Status.SAFE
+    verdict = is_active_wrt(pi2, restricted_critical_db(pi2))
     assert verdict.status is Status.ACTIVE
     assert verdict.witness.chain[0] == 1
     assert verdict.witness.chain[-1] == 3
@@ -58,7 +61,7 @@ def test_guarded_triad_needs_renaming():
     rs = triad_guarded()
     r1, r2, r3 = rs.rules
     pi2 = (r3, r2, r1)
-    plain = is_active_wrt(pi2, cs.Instance(restricted_critical_db(pi2).atoms))
+    plain = is_active_wrt(pi2, restricted_critical_db(pi2))
     assert plain.status is Status.SAFE
     with_renaming = is_path_active(pi2)
     assert with_renaming.status is Status.ACTIVE
@@ -206,7 +209,7 @@ def _renaming_differential_cases():
                  triad, triad_guarded, vacuous_self, walk):
         rs = make()
         for cycle in cs.enumerate_k_cycles(rs, 1, cs.dependency_graph(rs)):
-            if len(restricted_critical_db(cycle.path).indexed_constants) <= 6:
+            if len(indexed_constants(restricted_critical_db(cycle.path))) <= 6:
                 ids = ",".join(cycle.rule_ids())
                 yield pytest.param(rs, ids, False, id="%s:%s" % (make.__name__, ids))
     yield pytest.param(triad_guarded(), "r3,r2,r1", True, id="triad_guarded:r3,r2,r1")
@@ -229,7 +232,7 @@ def test_demand_driven_renamings_agree_with_the_sweep_oracle(rs, ids, needs_rena
     verdict = is_path_active(path, budget=budget)
     assert verdict.status is oracle
     if needs_renaming:
-        plain = is_active_wrt(path, cs.Instance(restricted_critical_db(path).atoms))
+        plain = is_active_wrt(path, restricted_critical_db(path))
         assert plain.status is Status.SAFE
         assert oracle is Status.ACTIVE
         assert not verdict.witness.renaming.is_identity
@@ -264,3 +267,84 @@ def test_chain_witness_uses_first_derived_atoms():
             prev = w.chain[w.chain.index(i) - 1]
             assert prev in used
         cs.apply_trigger(rule, h, inst, i)
+
+
+@pytest.mark.parametrize(
+    "ids, budget, status",
+    [
+        ("r1,r2,r3", None, Status.SAFE),
+        ("r3,r2,r1", None, Status.ACTIVE),
+        # the budget runs out on the third step, with two steps' atoms added
+        ("r3,r2,r1", Budget(max_steps=2), Status.INCONCLUSIVE),
+    ],
+    ids=["safe", "active", "inconclusive"],
+)
+def test_is_active_wrt_leaves_its_database_unchanged(ids, budget, status):
+    rs = triad()
+    path = tuple(rs.by_id[i] for i in ids.split(","))
+    db = restricted_critical_db(path)
+    before = db.atoms()
+    verdict = is_active_wrt(path, db, budget=budget)
+    assert verdict.status is status
+    assert db.atoms() == before and len(db) == len(before) and db.ht() == 1
+    if status is Status.ACTIVE:
+        assert verdict.witness.initial == before
+        replay_witness(verdict.witness, rs)
+
+
+def _handshake_trusted_witness():
+    """The k=1 WA witness of the trusted handshake: the cycle (r3,r4,r3),
+    chained (1,2,3), step 3 consuming only what step 2 derived."""
+    rs = handshake_trusted()
+    witness = k_safe(rs, 1, cs.Condition.WA).witness
+    assert witness.rule_ids == ("r3", "r4", "r3") and witness.chain == (1, 2, 3)
+    replay_witness(witness, rs)
+    return rs, witness
+
+
+@pytest.mark.parametrize("rule_ids", [("r4", "r3", "r4"), ("r3",), ("r1", "r2", "r3", "r4")])
+def test_replay_witness_rejects_steps_that_apply_another_cycle(rule_ids):
+    rs, witness = _handshake_trusted_witness()
+    with pytest.raises(AssertionError, match="steps apply"):
+        replay_witness(replace(witness, rule_ids=rule_ids), rs)
+
+
+def _without_step_one_body(rs, w):
+    first = w.steps[0]
+    image = set(body_image(rs.by_id[first.rule_id], dict(first.bindings)))
+    return replace(w, initial=tuple(a for a in w.initial if a not in image))
+
+
+WITNESS_TAMPERING = [
+    pytest.param(_without_step_one_body, "body atom .* missing at step 1", id="initial-atom-dropped"),
+    pytest.param(
+        lambda rs, w: replace(w, steps=(replace(w.steps[0], added=w.steps[0].added[1:]),) + w.steps[1:]),
+        "step 1 derived",
+        id="added-changed",
+    ),
+    pytest.param(
+        lambda rs, w: replace(w, initial=w.initial + w.steps[0].added),
+        "trigger at step 1 is not active",
+        id="head-atoms-in-initial",
+    ),
+    pytest.param(
+        lambda rs, w: replace(w, steps=w.steps[:1] + w.steps, rule_ids=w.rule_ids[:1] + w.rule_ids),
+        "trigger at step 2 is not active",
+        id="step-repeated",
+    ),
+    pytest.param(
+        lambda rs, w: replace(w, chain=w.chain[:-1]), "chain does not span", id="chain-cut-short"
+    ),
+    pytest.param(
+        lambda rs, w: replace(w, chain=(1, 3)),
+        "step 3 does not consume step 1 output",
+        id="edge-not-consumed",
+    ),
+]
+
+
+@pytest.mark.parametrize("tamper, message", WITNESS_TAMPERING)
+def test_replay_witness_rejects_tampered_evidence(tamper, message):
+    rs, witness = _handshake_trusted_witness()
+    with pytest.raises(AssertionError, match=message):
+        replay_witness(tamper(rs, witness), rs)

@@ -1,9 +1,11 @@
 import random
 import signal
+from dataclasses import replace
 
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import chase
 from chase_sentinel.chase import (
     Budget,
     BudgetExhausted,
@@ -15,7 +17,7 @@ from chase_sentinel.chase import (
 )
 from chase_sentinel.critdb import skolem_critical_db
 from chase_sentinel.gen import GenParams, generate
-from chase_sentinel.hom import find_homomorphisms, is_active_trigger
+from chase_sentinel.hom import body_image, find_homomorphisms, is_active_trigger
 from chase_sentinel.model import Atom, Constant
 
 from fixtures import (
@@ -355,3 +357,55 @@ def test_incremental_chase_matches_the_rescanning_oracle_on_generated_sets(run, 
         ]
         assert_same_run(run, oracle, facts, rs, budget, **kwargs)
 
+
+def test_a_chase_run_starts_from_its_database_atoms_at_step_0():
+    db = cs.Instance([Atom("e", (Constant("a"), Constant("b")))])
+    db.add(Atom("e", (Constant("b"), Constant("c"))), 3)
+    before = db.atoms()
+    trace = skolem_chase(db, walk(), budget=Budget(max_steps=2))
+    assert trace.initial == before and db.atoms() == before
+    assert [trace.final.first_derived_at(a) for a in before] == [0, 0]
+
+
+def _without_step_one_body(rs, trace):
+    first = trace.steps[0]
+    image = set(body_image(rs.by_id[first.rule_id], dict(first.bindings)))
+    return replace(trace, initial=tuple(a for a in trace.initial if a not in image))
+
+
+TRACE_TAMPERING = [
+    pytest.param(_without_step_one_body, "body atom .* missing at step 1", id="initial-atom-dropped"),
+    pytest.param(
+        lambda rs, t: replace(t, steps=[replace(t.steps[0], added=t.steps[0].added[1:])] + t.steps[1:]),
+        "step 1 added",
+        id="added-changed",
+    ),
+    pytest.param(
+        lambda rs, t: replace(t, steps=t.steps[:1] + t.steps), "step 2 added", id="step-repeated"
+    ),
+]
+
+
+@pytest.mark.parametrize("tamper, message", TRACE_TAMPERING)
+def test_trace_replay_rejects_tampered_evidence(tamper, message):
+    rs = handshake_trusted()
+    trace = skolem_chase(_db("typeB(a,b)."), rs, budget=Budget(max_steps=3))
+    trace.replay(rs)
+    with pytest.raises(AssertionError, match=message):
+        tamper(rs, trace).replay(rs)
+
+
+def test_skolem_rounds_search_only_rules_whose_body_predicates_grew(monkeypatch):
+    # each round of the 600-rule chain grows one predicate, read by one rule
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return find_homomorphisms(*args, **kwargs)
+
+    monkeypatch.setattr(chase, "find_homomorphisms", counted)
+    text = "".join("[r%d] p%d(X,Z) :- p%d(Y,X).\n" % (i, i + 1, i) for i in range(600))
+    trace = skolem_chase(_db("p0(a,b)."), cs.parse_rules(text))
+    assert isinstance(trace.outcome, Saturated)
+    assert len(trace.steps) == 600
+    assert len(calls) <= 2 * len(trace.steps)

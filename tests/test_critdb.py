@@ -15,7 +15,7 @@ from chase_sentinel.critdb import (
 from chase_sentinel.model import IndexedConstant
 
 from fixtures import vacuous_self, walk
-from oracles import orient_reference
+from oracles import indexed_constants, orient_reference
 
 
 def _proposals(near_misses):
@@ -71,13 +71,13 @@ def test_skolem_critical_db_empty_schema():
 def test_restricted_critical_db_vacuous_self_pair():
     r = vacuous_self().rules[0]
     db = restricted_critical_db((r, r))
-    assert [str(a) for a in db.atoms] == [
+    assert [str(a) for a in db.atoms()] == [
         "t(X_1__1,Y_1__1)",
         "p(X_1__1,Y_1__1)",
         "t(X_1__2,Y_1__2)",
         "p(X_1__2,Y_1__2)",
     ]
-    assert len(db.indexed_constants) == 4
+    assert len(indexed_constants(db)) == 4
 
 
 def test_restricted_critical_db_triad_prefix():
@@ -86,7 +86,7 @@ def test_restricted_critical_db_triad_prefix():
     )
     r1, r2, r3 = rs.rules
     db = restricted_critical_db((r1, r2, r3))
-    assert [str(a) for a in db.atoms] == [
+    assert [str(a) for a in db.atoms()] == [
         "p(X_1__1,Y_1__1)",
         "r(X_2__2,Y_2__2)",
         "q(X_3__3,Y_3__3)",
@@ -97,7 +97,7 @@ def test_restricted_critical_db_triad_prefix():
 def test_restricted_critical_db_keeps_constants():
     rs = cs.parse_rules("[r] q(X) :- p(X,c).")
     db = restricted_critical_db((rs.rules[0],))
-    assert [str(a) for a in db.atoms] == ["p(X_1__1,c)"]
+    assert [str(a) for a in db.atoms()] == ["p(X_1__1,c)"]
 
 
 def test_restricted_critical_db_atom_count_bound():
@@ -107,10 +107,10 @@ def test_restricted_critical_db_atom_count_bound():
     r1, r2 = rs.rules
     for path in ((r1, r2), (r2, r1, r2), (r1, r1)):
         db = restricted_critical_db(path)
-        assert len(db.atoms) == sum(len(r.body) for r in path)
+        assert len(db) == sum(len(r.body) for r in path)
     shared = cs.parse_rules("[r1] q(X) :- p(a,a).\n[r2] s(X) :- p(a,a), q(X).")
     db = restricted_critical_db(tuple(shared.rules))
-    assert len(db.atoms) < sum(len(r.body) for r in shared.rules)
+    assert len(db) < sum(len(r.body) for r in shared.rules)
 
 
 def test_renaming_must_lower_index():
@@ -127,13 +127,22 @@ def test_renaming_must_lower_index():
 def test_apply_renaming_collapses_atoms():
     r = vacuous_self().rules[0]
     db = restricted_critical_db((r, r))
-    x1, y1, x2, y2 = db.indexed_constants
+    x1, y1, x2, y2 = indexed_constants(db)
     rn = RenamingFunction.from_dict({x2: x1, y2: y1})
     inst = apply_renaming(rn, db)
     assert {str(a) for a in inst.atoms()} == {"t(X_1__1,Y_1__1)", "p(X_1__1,Y_1__1)"}
     # identity leaves everything alone
     ident = RenamingFunction.identity()
     assert len(apply_renaming(ident, db)) == 4
+
+
+def test_apply_renaming_returns_the_database_itself_under_the_identity():
+    r = vacuous_self().rules[0]
+    db = restricted_critical_db((r, r))
+    assert apply_renaming(RenamingFunction.identity(), db) is db
+    x1, _, x2, _ = indexed_constants(db)
+    renamed = apply_renaming(RenamingFunction.from_dict({x2: x1}), db)
+    assert renamed is not db and len(db) == 4
 
 
 def test_renaming_composition_lowers_indices():
