@@ -8,6 +8,19 @@ previous chained step (intermediate steps may be skipped, endpoints may
 not).  Safety of a path is decided against its restricted critical
 database under the index-lowering renamings proposed from homomorphism
 near misses (see `critdb` for what they cover).
+
+The search remembers the states whose subtree failed, and does not search
+them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
+and those derived by chain-reachable steps (step 1, and any step whose
+body image holds such an atom).  The key is exact, since the database is
+fixed for one search: the atom set fixes which triggers are active,
+whether a Datalog-first step is blocked, the height `min_height` tests,
+the body matches in derived-first order and their near misses, and the
+reached atoms fix whether a later step chains.  Search order is kept and
+only failing subtrees are skipped, so the first witness and the recorded
+merges are those of a search without the memo, with at most its probes
+and steps.  Likewise the last step skips a body match whose image holds
+no reached atom before testing its activeness: it cannot end a chain.
 """
 
 from __future__ import annotations
@@ -95,7 +108,10 @@ class _Search:
     to the meter as a step and the instance checked against the atom and
     height limits, as in the chase loop.  As it goes, the search records
     in `merges` the merge that each indexed-constant near miss of a body
-    match proposes (`critdb.near_miss_recorder`), for `propose_merges`."""
+    match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
+    `failed` holds the keys of the states whose subtree failed (see the
+    module docstring), and `trail` a (rule, bindings, added atoms) record
+    per applied trigger, from which a witness is built once, on success."""
 
     def __init__(
         self,
@@ -110,8 +126,8 @@ class _Search:
         self.meter = meter
         self.datalog_rules = list(datalog_rules)
         self.min_height = min_height
-        self.steps: List[TraceStep] = []
-        self.used_steps: List[frozenset] = []
+        self.trail: List[tuple] = []
+        self.failed: set = set()
         self.merges: Dict[frozenset, None] = {}
         self.on_miss = near_miss_recorder(self.merges)
         self.witness_steps: Optional[List[TraceStep]] = None
@@ -129,41 +145,54 @@ class _Search:
         return False
 
     def run(self) -> bool:
-        return self._step(0)
+        return self._step(0, frozenset(), frozenset())
 
-    def _step(self, i: int) -> bool:
-        if i == len(self.path):
-            if self.inst.ht() < self.min_height:
-                return False
-            chain = _chain_through(self.used_steps)
-            if chain is not None:
-                self.witness_steps = list(self.steps)
-                self.witness_chain = chain
-                return True
+    def _found(self) -> None:
+        inst = self.inst
+        self.witness_steps = [
+            TraceStep(rule.id, freeze_bindings(h), tuple(added)) for rule, h, added in self.trail
+        ]
+        self.witness_chain = _chain_through(
+            [frozenset(map(inst.first_derived_at, body_image(rule, h))) for rule, h, _ in self.trail]
+        )
+
+    def _step(self, i: int, derived: frozenset, reached: frozenset) -> bool:
+        key = (i, derived, reached)
+        if key in self.failed:
             return False
         rule = self.path[i]
-        step_no = i + 1
+        last = i == len(self.path) - 1
         if not rule.is_datalog and self._datalog_blocked():
+            self.failed.add(key)
             return False
         inst, meter = self.inst, self.meter
         probe = meter.charge_probe
         for h in find_homomorphisms(
             rule.body, inst, derived_first=True, probe=probe, on_miss=self.on_miss
         ):
+            if i and last and reached.isdisjoint(body_image(rule, h)):
+                continue
             if not is_active_trigger(rule, h, inst, probe=probe):
                 continue
-            used = frozenset(map(inst.first_derived_at, body_image(rule, h)))
             size = len(inst)
-            added = apply_trigger(rule, h, inst, step_no)
+            added = apply_trigger(rule, h, inst, i + 1)
             meter.charge_step()
             meter.check_instance(inst)
-            self.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
-            self.used_steps.append(used)
-            if self._step(i + 1):
-                return True
-            self.used_steps.pop()
-            self.steps.pop()
+            self.trail.append((rule, h, added))
+            if last:
+                if inst.ht() >= self.min_height:
+                    self._found()
+                    return True
+            else:
+                # step 1 starts every chain
+                chained = not i or not reached.isdisjoint(body_image(rule, h))
+                if self._step(
+                    i + 1, derived.union(added), reached.union(added) if chained else reached
+                ):
+                    return True
+            self.trail.pop()
             inst.rollback(size)
+        self.failed.add(key)
         return False
 
 

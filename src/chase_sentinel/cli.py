@@ -3,7 +3,8 @@
 Subcommands: analyze (k-safe decision), check (single acyclicity test),
 chase (run a chase variant), cycles (list k-cycles), bounded
 (depth-bounded membership), generate (benchmark TGDs), report (batch
-verdict grid over a directory), graph (dependency graph as DOT).
+verdict grid over a directory: T, N, or R:<budget that ran out>), graph
+(dependency graph as DOT).
 
 Exit codes for analyze/bounded: 0 proven, 1 not proven, 2 resources
 exhausted, 3 usage or parse error; an input or output file that cannot be
@@ -356,7 +357,8 @@ def cmd_report(args) -> int:
         for c in args.conditions:
             for k in ks:
                 report = k_safe(rs, k, c, datalog_first=args.datalog_first, budget=budget)
-                cells.append(short[report.verdict])
+                cell = short[report.verdict]
+                cells.append(cell + ":" + report.reason if report.reason else cell)
         rows.append((path.name, cells))
     if args.format == "csv":
         print(",".join(["file"] + columns))

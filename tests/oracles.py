@@ -9,7 +9,9 @@ replaced, with the orientation of its near misses into merges that
 policies that the semi-naive skolem rounds and the dead-trigger memo of
 `chase_sentinel.chase` replaced; and the generator-based activeness test
 and skolem-head instantiation that the direct trigger path of
-`chase_sentinel.hom` replaced, as differential references.
+`chase_sentinel.hom` replaced; and the chained search without its memo of
+failed states and its chain test before activeness at the last step, which
+`chase_sentinel.activeness` replaced; as differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -20,9 +22,15 @@ live in `chase_sentinel.chase`, its demand-driven renaming search in
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from chase_sentinel.activeness import Status, is_active_wrt
+from chase_sentinel.activeness import (
+    ChainWitness,
+    SafetyVerdict,
+    Status,
+    _chain_through,
+    is_active_wrt,
+)
 from chase_sentinel.chase import (
     Budget,
     BudgetExceeded,
@@ -34,9 +42,16 @@ from chase_sentinel.chase import (
     TraceStep,
     _run,
 )
-from chase_sentinel.critdb import all_renamings, apply_renaming, restricted_critical_db
+from chase_sentinel.critdb import (
+    RenamingFunction,
+    all_renamings,
+    apply_renaming,
+    near_miss_recorder,
+    restricted_critical_db,
+)
 from chase_sentinel.hom import (
     apply_trigger,
+    body_image,
     find_homomorphisms,
     freeze_bindings,
     is_active_trigger,
@@ -538,3 +553,110 @@ def greedy_restricted_rescanning(
         return []
 
     return _run(database, budget, first_active)
+
+
+# ---------------------------------------------------------------------------
+# The chained search as it was before its memo of failed states: every state
+# is searched, every body match of the last step is tested for activeness
+# and applied, the chain is checked at the leaf, and a `TraceStep` is built
+# for every applied trigger.
+
+
+class ChainedSearchReference:
+    """Backtracking search for a chained sequence of active triggers along
+    a fixed path, with no memo; it records near-miss merges in `merges`
+    as `activeness._Search` does."""
+
+    def __init__(
+        self,
+        path: Sequence[Rule],
+        inst: Instance,
+        meter: Meter,
+        datalog_rules: Sequence[Rule] = (),
+        min_height: int = 0,
+    ):
+        self.path = list(path)
+        self.inst = inst
+        self.meter = meter
+        self.datalog_rules = list(datalog_rules)
+        self.min_height = min_height
+        self.steps: List[TraceStep] = []
+        self.used_steps: List[frozenset] = []
+        self.merges: Dict[frozenset, None] = {}
+        self.on_miss = near_miss_recorder(self.merges)
+        self.witness_steps: Optional[List[TraceStep]] = None
+        self.witness_chain: Optional[tuple] = None
+
+    def _datalog_blocked(self) -> bool:
+        probe = self.meter.charge_probe
+        for d in self.datalog_rules:
+            for h in find_homomorphisms(d.body, self.inst, probe=probe):
+                if is_active_trigger(d, h, self.inst, probe=probe):
+                    return True
+        return False
+
+    def run(self) -> bool:
+        return self._step(0)
+
+    def _step(self, i: int) -> bool:
+        if i == len(self.path):
+            if self.inst.ht() < self.min_height:
+                return False
+            chain = _chain_through(self.used_steps)
+            if chain is not None:
+                self.witness_steps = list(self.steps)
+                self.witness_chain = chain
+                return True
+            return False
+        rule = self.path[i]
+        if not rule.is_datalog and self._datalog_blocked():
+            return False
+        inst, meter = self.inst, self.meter
+        probe = meter.charge_probe
+        for h in find_homomorphisms(
+            rule.body, inst, derived_first=True, probe=probe, on_miss=self.on_miss
+        ):
+            if not is_active_trigger(rule, h, inst, probe=probe):
+                continue
+            used = frozenset(map(inst.first_derived_at, body_image(rule, h)))
+            size = len(inst)
+            added = apply_trigger(rule, h, inst, i + 1)
+            meter.charge_step()
+            meter.check_instance(inst)
+            self.steps.append(TraceStep(rule.id, freeze_bindings(h), tuple(added)))
+            self.used_steps.append(used)
+            if self._step(i + 1):
+                return True
+            self.used_steps.pop()
+            self.steps.pop()
+            inst.rollback(size)
+        return False
+
+
+def is_active_wrt_reference(
+    path: Sequence[Rule],
+    database: Instance,
+    meter: Meter,
+    datalog_rules: Sequence[Rule] = (),
+    min_height: int = 0,
+) -> tuple:
+    """`activeness.is_active_wrt` over `ChainedSearchReference`: the
+    verdict and the near-miss merges, in the order first recorded."""
+    size = len(database)
+    search = ChainedSearchReference(path, database, meter, datalog_rules, min_height)
+    try:
+        found = search.run()
+    except BudgetExceeded as e:
+        return SafetyVerdict(Status.INCONCLUSIVE, reason=e.reason), list(search.merges)
+    finally:
+        database.rollback(size)
+    if not found:
+        return SafetyVerdict(Status.SAFE), list(search.merges)
+    witness = ChainWitness(
+        rule_ids=tuple(r.id for r in path),
+        initial=database.atoms(),
+        steps=tuple(search.witness_steps),
+        chain=search.witness_chain,
+        renaming=RenamingFunction.identity(),
+    )
+    return SafetyVerdict(Status.ACTIVE, witness=witness), list(search.merges)

@@ -1,10 +1,12 @@
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 import chase_sentinel as cs
 from chase_sentinel.activeness import Status, Verdict, is_active_wrt, is_path_active, k_safe, replay_witness
-from chase_sentinel.chase import Budget
+from chase_sentinel.chase import Budget, Meter
 from chase_sentinel.critdb import restricted_critical_db
 from chase_sentinel.hom import body_image
 
@@ -18,7 +20,7 @@ from fixtures import (
     vacuous_self,
     walk,
 )
-from oracles import indexed_constants, renaming_sweep
+from oracles import indexed_constants, is_active_wrt_reference, renaming_sweep
 
 
 def test_access_control_key_loop_is_safe_from_haskey_db():
@@ -348,3 +350,95 @@ def test_replay_witness_rejects_tampered_evidence(tamper, message):
     rs, witness = _handshake_trusted_witness()
     with pytest.raises(AssertionError, match=message):
         replay_witness(tamper(rs, witness), rs)
+
+
+# The chained search against the memo-free reference of tests/oracles.py,
+# on the restricted critical database of each cycle, with and without the
+# rule set's Datalog rules (as Datalog-first), at min_height 0 and 3, under
+# 5,000 probes a search.  Both search in the same order and the memo skips
+# only subtrees that fail, so a search may decide where the reference runs
+# out of probes, but no status flips, an active path has the reference's
+# witness, a completed search records the reference's merges in the same
+# order, and no search charges more probes.  The random corpus holds the
+# cycle (t2,t2,t2) of draw 226, whose witness changes under a memo keyed
+# on depth and atoms alone, without the chain-reached atoms.
+
+_FIXTURE_SETS = (access_control, datalog_first_pair, handshake, handshake_trusted,
+                 triad, triad_guarded, vacuous_self, walk)
+
+
+def _first_cycles(rs, per_k: int):
+    graph = cs.dependency_graph(rs)
+    for k in (1, 2):
+        for cycle in itertools.islice(cs.enumerate_k_cycles(rs, k, graph), per_k):
+            yield rs, cycle.path
+
+
+def _differential(cycles) -> dict:
+    tally = {"decided_now": 0, "probes": 0, "reference_probes": 0}
+    for rs, path in cycles:
+        for datalog_rules in dict.fromkeys(((), rs.datalog_rules)):
+            for min_height in (0, 3):
+                ref_meter, meter = Meter(Budget(max_probes=5_000)), Meter(Budget(max_probes=5_000))
+                ref, ref_merges = is_active_wrt_reference(
+                    path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
+                )
+                merges: list = []
+                got = is_active_wrt(path, restricted_critical_db(path), datalog_rules=datalog_rules,
+                                    min_height=min_height, meter=meter, _collect=merges)
+                case = (tuple(r.id for r in path), bool(datalog_rules), min_height)
+                tally["probes"] += meter.probes
+                tally["reference_probes"] += ref_meter.probes
+                assert meter.probes <= ref_meter.probes, case
+                if ref.status is Status.INCONCLUSIVE:
+                    tally["decided_now"] += got.status is not Status.INCONCLUSIVE
+                    continue
+                assert got.status is ref.status, case
+                assert got.witness == ref.witness, case
+                assert merges == ref_merges, case
+    return tally
+
+
+def test_chained_search_matches_the_memo_free_reference_on_fixture_cycles():
+    tally = _differential(
+        cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)
+    )
+    assert tally["probes"] < tally["reference_probes"]
+    assert tally["decided_now"] > 0
+
+
+def test_chained_search_matches_the_memo_free_reference_on_random_cycles():
+    import test_properties as props
+
+    rng = random.Random(0)
+    draws = [props.random_rule_set(rng, 4) for _ in range(300)]
+    tally = _differential(cycle for rs in draws for cycle in _first_cycles(rs, 3))
+    assert tally["probes"] < tally["reference_probes"]
+    assert tally["decided_now"] > 0
+
+
+def test_generated_set_two_stays_within_its_probe_count(monkeypatch):
+    # k_safe/gen002/wa/k1 of the benchmark's `generated` workload, under that
+    # workload's budget: 38 cycles, most of the work in a few chained
+    # searches whose failed states repeat.  Without the memo of failed
+    # states the run charges 422,954 probes; with it, 140,415.
+    rs = cs.generate(cs.GenParams(
+        seed=2, count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+        body_atoms=1, head_atoms=2, head_shape="discrete",
+    ))
+    budget = Budget(
+        max_steps=20_000, max_height=None, max_atoms=50_000, wall_clock_s=None,
+        max_probes=20_000, max_renamings=200, max_cycles=2_000, total_wall_clock_s=None,
+    )
+    probes = [0]
+    charge_probe = Meter.charge_probe
+
+    def counting(meter):
+        probes[0] += 1
+        charge_probe(meter)
+
+    monkeypatch.setattr(Meter, "charge_probe", counting)
+    report = k_safe(rs, 1, cs.Condition.WA, budget=budget)
+    assert report.verdict is Verdict.NOT_PROVEN
+    replay_witness(report.witness, rs)
+    assert probes[0] <= 200_000

@@ -252,6 +252,18 @@ def test_report_grid(tmp_path, capsys):
     assert rows["c.dlgp"] == ["T", "T"]
 
 
+def test_report_names_the_exhausted_budget(tmp_path, capsys):
+    (tmp_path / "a.dlgp").write_text(HANDSHAKE, encoding="utf-8")
+    code, out, _ = run(capsys, "report", tmp_path.as_posix(), "--conditions", "wa",
+                       "--k-min", "1", "--k-max", "1", "--max-probes", "10")
+    assert code == 0
+    assert out.strip().splitlines() == ["file,wa@k=1", "a.dlgp,R:probes"]
+    code, out, _ = run(capsys, "analyze", (tmp_path / "a.dlgp").as_posix(), "--k", "1",
+                       "--condition", "wa", "--max-probes", "10")
+    assert code == 2
+    assert "budget exhausted: probes" in out
+
+
 def test_report_empty_directory(tmp_path, capsys):
     code, out, _ = run(capsys, "report", tmp_path.as_posix(), "--conditions", "wa",
                        "--k-min", "0", "--k-max", "0")
