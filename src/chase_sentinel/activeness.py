@@ -199,7 +199,6 @@ class _Search:
 def is_active_wrt(
     path: Sequence[Rule],
     database: Instance,
-    budget: Optional[Budget] = None,
     datalog_rules: Sequence[Rule] = (),
     min_height: int = 0,
     meter: Optional[Meter] = None,
@@ -212,12 +211,13 @@ def is_active_wrt(
     restricts acceptance to chained sequences whose instance reaches at
     least that term height (used by the bounded-membership test, which only
     cares about height-breaching chains).  Passing a `meter` shares one
-    budget across several calls.
+    budget across several calls; without one, the search gets
+    DEFAULT_BUDGET.
 
     The search runs on `database` itself and rolls it back to its starting
     length on every exit, so the caller sees it unchanged."""
     if meter is None:
-        meter = Meter(budget)
+        meter = Meter(None)
     size = len(database)
     search = _Search(path, database, meter, datalog_rules, min_height)
     try:
@@ -443,7 +443,7 @@ def k_safe(
         if datalog_first and not datalog_first_filter(cycle.path, rs):
             stats.cycles_datalog_pruned += 1
             continue
-        if phi(rs, cycle):
+        if phi.check_rules(cycle.path):  # unknown counts as F
             stats.cycles_condition_true += 1
             continue
         stats.cycles_checked += 1

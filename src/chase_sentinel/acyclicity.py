@@ -251,8 +251,9 @@ def connected_components(graph: DependencyGraph) -> List[tuple]:
 
 
 class CycleFunction:
-    """Maps (rule set, cycle) to True/False by checking the condition on the
-    cycle's distinct rules; memoized per distinct rule subset."""
+    """The condition on a cycle's distinct rules: `check_rules` gives True,
+    False, or None when the check ran out of budget (only MFA can), which
+    callers count as False; memoized per distinct rule subset."""
 
     def __init__(self, condition: Condition, budget: Optional[Budget] = None):
         self.condition = condition
@@ -265,8 +266,3 @@ class CycleFunction:
             subset = RuleSet(tuple(dict.fromkeys(rules)))
             self._memo[key] = check_condition(self.condition, subset, self.budget).value
         return self._memo[key]
-
-    def __call__(self, rs: RuleSet, cycle) -> bool:
-        path = getattr(cycle, "path", cycle)
-        value = self.check_rules(tuple(path))
-        return bool(value)  # unknown counts as F

@@ -154,9 +154,6 @@ class ChaseTrace:
         # take longer than the run did
         return "ChaseTrace(outcome=%r, steps=%d)" % (self.outcome, len(self.steps))
 
-    def rule_sequence(self) -> tuple:
-        return tuple(s.rule_id for s in self.steps)
-
     def replay(self, rules: RuleSet) -> Instance:
         """Re-execute the trace, verifying every application; returns the
         reconstructed instance."""

@@ -280,7 +280,10 @@ def cmd_cycles(args) -> int:
 def cmd_bounded(args) -> int:
     _, rs = _load(args.file)
     delta = args.delta
-    result = memb_check(rs, delta, budget=_budget_from_args(args))
+    try:
+        result = memb_check(rs, delta, budget=_budget_from_args(args))
+    except ValueError as e:  # delta(||R||) < 1, as for linear:1,0 with no rules
+        raise UsageError(e) from e
     payload = {
         "schema_version": SCHEMA_VERSION,
         "file": args.file,

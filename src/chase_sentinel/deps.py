@@ -20,6 +20,16 @@ variable of r1, and also when it pulls in a body atom that comes before
 the start atom: that piece is grown from its own first atom.  When no
 atom is left to pull in, the piece is closed and its unifier is yielded.
 
+A unifier is one map from every term it has met to the representative of
+its class: the constant when the class holds one (two distinct constants
+clash), else the variable with the least name.  Each step copies the map,
+and each union relabels the members of the class that loses.  The
+existential condition is read off the map: every existential of r1 has a
+representative of its own, that representative is a variable, and no
+frontier variable of r1 shares it.  Those representatives mark the
+classes that pull body atoms in, and the substitution of the yielded
+unifier maps each variable to its representative.
+
 This is complete for the dependency test.  Take any piece-unifier u, the
 most general unifier of atom pairs P from B x H that cover B and H.
 Start from the first atom of B in body order and a head atom it is paired
@@ -50,64 +60,9 @@ from .model import (
     Atom,
     Rule,
     RuleSet,
-    Term,
     Variable,
     apply_atom,
 )
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def copy(self) -> "_UnionFind":
-        uf = _UnionFind()
-        uf.parent = dict(self.parent)
-        return uf
-
-    def add(self, t: Term) -> None:
-        self.parent.setdefault(t, t)
-
-    def find(self, t: Term) -> Term:
-        self.add(t)
-        root = t
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[t] != root:
-            self.parent[t], t = root, self.parent[t]
-        return root
-
-    def union(self, a: Term, b: Term) -> bool:
-        """Union with rigid-term priority; False when two distinct rigid
-        terms would be merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return True
-        rigid_a = not isinstance(ra, Variable)
-        rigid_b = not isinstance(rb, Variable)
-        if rigid_a and rigid_b:
-            return False
-        if rigid_a:
-            self.parent[rb] = ra
-        elif rigid_b:
-            self.parent[ra] = rb
-        else:
-            # deterministic representative for variable-variable unions
-            lo, hi = sorted((ra, rb), key=lambda v: v.name)
-            self.parent[hi] = lo
-        return True
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for t in self.parent:
-            out.setdefault(self.find(t), []).append(t)
-        return out
-
-
-def _unify_atom_pair(uf: _UnionFind, a: Atom, b: Atom) -> bool:
-    if a.pred != b.pred or len(a.args) != len(b.args):
-        return False
-    return all(uf.union(x, y) for x, y in zip(a.args, b.args))
 
 
 @dataclass(frozen=True)
@@ -120,18 +75,27 @@ class PieceUnifier:
         return dict(self.subst)
 
 
-def _subst_from_classes(classes: dict) -> dict:
-    subst: dict = {}
-    for rep, members in classes.items():
-        if isinstance(rep, Variable):
-            canon = min((m for m in members if isinstance(m, Variable)), key=lambda v: v.name)
-            target: Term = canon
-        else:
-            target = rep
-        for m in members:
-            if isinstance(m, Variable) and m != target:
-                subst[m.name] = target
-    return subst
+def _unify(rep: dict, a: Atom, b: Atom) -> Optional[dict]:
+    """A copy of the representative map `rep` that also unifies the
+    arguments of `a` and `b` pairwise, or None when their predicates differ
+    or two distinct constants meet."""
+    if a.pred != b.pred or len(a.args) != len(b.args):
+        return None
+    rep = dict(rep)
+    for x, y in zip(a.args, b.args):
+        keep, drop = rep.setdefault(x, x), rep.setdefault(y, y)
+        if keep == drop:
+            continue
+        if drop.__class__ is not Variable:
+            if keep.__class__ is not Variable:
+                return None
+            keep, drop = drop, keep
+        elif keep.__class__ is Variable and drop.name < keep.name:
+            keep, drop = drop, keep
+        for t, r in rep.items():
+            if r == drop:
+                rep[t] = keep
+    return rep
 
 
 def _rename_apart(r1: Rule, r2: Rule) -> Rule:
@@ -158,29 +122,29 @@ def _single_pieces(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
     body, head = r2.body, r1.head
     existentials, frontier = r1.existentials, frozenset(r1.frontier)
 
-    def existential(t: Term) -> bool:
-        return isinstance(t, Variable) and t.name in existentials
-
-    def unify(uf: _UnionFind, i: int, j: int) -> Optional[_UnionFind]:
-        uf = uf.copy()
-        if not _unify_atom_pair(uf, body[i], head[j]):
+    def unify(rep: dict, i: int, j: int) -> Optional[tuple]:
+        """The map grown by body[i] = head[j] and its existential
+        representatives, or None on a clash or a broken existential
+        condition."""
+        rep = _unify(rep, body[i], head[j])
+        if rep is None:
             return None
-        for members in uf.classes().values():
-            held = sum(map(existential, members))
-            if held and (
-                held > 1
-                or any(not isinstance(m, Variable) or m.name in frontier for m in members)
-            ):
-                return None
-        return uf
+        roots: set = set()
+        for t, r in rep.items():
+            if t.__class__ is Variable and t.name in existentials:
+                if r.__class__ is not Variable or r in roots:
+                    return None
+                roots.add(r)
+        if any(r in roots and t.name in frontier for t, r in rep.items()):
+            return None
+        return rep, roots
 
-    def grow(uf: _UnionFind, piece: frozenset, heads: frozenset) -> Iterator[PieceUnifier]:
-        roots = {uf.find(t) for t in uf.parent if existential(t)}
+    def grow(rep: dict, roots: set, piece: frozenset, heads: frozenset) -> Iterator[PieceUnifier]:
         pending = next(
             (
                 i
                 for i, a in enumerate(body)
-                if i not in piece and any(t in uf.parent and uf.find(t) in roots for t in a.args)
+                if i not in piece and any(rep.get(t) in roots for t in a.args)
             ),
             None,
         )
@@ -188,19 +152,20 @@ def _single_pieces(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
             yield PieceUnifier(
                 body_subset=tuple(body[i] for i in sorted(piece)),
                 head_subset=tuple(head[j] for j in sorted(heads)),
-                subst=tuple(sorted(_subst_from_classes(uf.classes()).items())),
+                # a constant always represents its own class
+                subst=tuple(sorted((t.name, r) for t, r in rep.items() if t != r)),
             )
         elif pending > min(piece):  # else the search grows it from its first atom
             for j in range(len(head)):
-                grown = unify(uf, pending, j)
+                grown = unify(rep, pending, j)
                 if grown is not None:
-                    yield from grow(grown, piece | {pending}, heads | {j})
+                    yield from grow(*grown, piece | {pending}, heads | {j})
 
     for i in range(len(body)):
         for j in range(len(head)):
-            start = unify(_UnionFind(), i, j)
+            start = unify({}, i, j)
             if start is not None:
-                yield from grow(start, frozenset((i,)), frozenset((j,)))
+                yield from grow(*start, frozenset((i,)), frozenset((j,)))
 
 
 def piece_unifiers(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:

@@ -11,7 +11,9 @@ policies that the semi-naive skolem rounds and the dead-trigger memo of
 and skolem-head instantiation that the direct trigger path of
 `chase_sentinel.hom` replaced; and the chained search without its memo of
 failed states and its chain test before activeness at the last step, which
-`chase_sentinel.activeness` replaced; as differential references.
+`chase_sentinel.activeness` replaced; and the single-piece unifier search
+on a union-find that the representative map of `chase_sentinel.deps`
+replaced; as differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -56,13 +58,7 @@ from chase_sentinel.hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from chase_sentinel.deps import (
-    PieceUnifier,
-    _rename_apart,
-    _subst_from_classes,
-    _unify_atom_pair,
-    _UnionFind,
-)
+from chase_sentinel.deps import PieceUnifier, _rename_apart
 from chase_sentinel.model import (
     Atom,
     IndexedConstant,
@@ -203,12 +199,156 @@ def renaming_sweep(path: Sequence[Rule], budget: Optional[Budget] = None) -> Sta
     db = restricted_critical_db(path)
     status = Status.SAFE
     for rn in all_renamings(indexed_constants(db)):
-        verdict = is_active_wrt(path, apply_renaming(rn, db), budget=budget)
+        verdict = is_active_wrt(path, apply_renaming(rn, db), meter=Meter(budget))
         if verdict.status is Status.ACTIVE:
             return Status.ACTIVE
         if verdict.status is Status.INCONCLUSIVE:
             status = Status.INCONCLUSIVE
     return status
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def copy(self) -> "_UnionFind":
+        uf = _UnionFind()
+        uf.parent = dict(self.parent)
+        return uf
+
+    def add(self, t: Term) -> None:
+        self.parent.setdefault(t, t)
+
+    def find(self, t: Term) -> Term:
+        self.add(t)
+        root = t
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[t] != root:
+            self.parent[t], t = root, self.parent[t]
+        return root
+
+    def union(self, a: Term, b: Term) -> bool:
+        """Union with rigid-term priority; False when two distinct rigid
+        terms would be merged."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return True
+        rigid_a = not isinstance(ra, Variable)
+        rigid_b = not isinstance(rb, Variable)
+        if rigid_a and rigid_b:
+            return False
+        if rigid_a:
+            self.parent[rb] = ra
+        elif rigid_b:
+            self.parent[ra] = rb
+        else:
+            # deterministic representative for variable-variable unions
+            lo, hi = sorted((ra, rb), key=lambda v: v.name)
+            self.parent[hi] = lo
+        return True
+
+    def classes(self) -> dict:
+        out: dict = {}
+        for t in self.parent:
+            out.setdefault(self.find(t), []).append(t)
+        return out
+
+
+def _unify_atom_pair(uf: _UnionFind, a: Atom, b: Atom) -> bool:
+    if a.pred != b.pred or len(a.args) != len(b.args):
+        return False
+    return all(uf.union(x, y) for x, y in zip(a.args, b.args))
+
+
+def _subst_from_classes(classes: dict) -> dict:
+    subst: dict = {}
+    for rep, members in classes.items():
+        if isinstance(rep, Variable):
+            canon = min((m for m in members if isinstance(m, Variable)), key=lambda v: v.name)
+            target: Term = canon
+        else:
+            target = rep
+        for m in members:
+            if isinstance(m, Variable) and m != target:
+                subst[m.name] = target
+    return subst
+
+
+def piece_unifiers_reference(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
+    """The single-piece search of `chase_sentinel.deps.piece_unifiers` on a
+    path-compressing union-find that is copied at each step, with the
+    existential condition checked on every class and the substitution
+    worked out from the classes; the same unifiers in the same order."""
+    r1 = _rename_apart(r1, r2)
+    body, head = r2.body, r1.head
+    existentials, frontier = r1.existentials, frozenset(r1.frontier)
+
+    def existential(t: Term) -> bool:
+        return isinstance(t, Variable) and t.name in existentials
+
+    def unify(uf: _UnionFind, i: int, j: int) -> Optional[_UnionFind]:
+        uf = uf.copy()
+        if not _unify_atom_pair(uf, body[i], head[j]):
+            return None
+        for members in uf.classes().values():
+            held = sum(map(existential, members))
+            if held and (
+                held > 1
+                or any(not isinstance(m, Variable) or m.name in frontier for m in members)
+            ):
+                return None
+        return uf
+
+    def grow(uf: _UnionFind, piece: frozenset, heads: frozenset) -> Iterator[PieceUnifier]:
+        roots = {uf.find(t) for t in uf.parent if existential(t)}
+        pending = next(
+            (
+                i
+                for i, a in enumerate(body)
+                if i not in piece and any(t in uf.parent and uf.find(t) in roots for t in a.args)
+            ),
+            None,
+        )
+        if pending is None:
+            yield PieceUnifier(
+                body_subset=tuple(body[i] for i in sorted(piece)),
+                head_subset=tuple(head[j] for j in sorted(heads)),
+                subst=tuple(sorted(_subst_from_classes(uf.classes()).items())),
+            )
+        elif pending > min(piece):  # else the search grows it from its first atom
+            for j in range(len(head)):
+                grown = unify(uf, pending, j)
+                if grown is not None:
+                    yield from grow(grown, piece | {pending}, heads | {j})
+
+    for i in range(len(body)):
+        for j in range(len(head)):
+            start = unify(_UnionFind(), i, j)
+            if start is not None:
+                yield from grow(start, frozenset((i,)), frozenset((j,)))
+
+
+def _erasing_and_productive(pu: PieceUnifier, r1: Rule, r2: Rule) -> bool:
+    """Whether a piece-unifier of body(r2) with head(r1), r1 renamed apart,
+    is atom-erasing and productive."""
+    theta = pu.mapping()
+
+    def image(atoms) -> frozenset:
+        return frozenset(apply_atom(theta, a) for a in atoms)
+
+    body1, body2 = image(r1.body), image(r2.body)
+    return not body2 <= body1 and not image(r2.head) <= body1 | image(r1.head) | body2
+
+
+def depends_on_reference(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
+    """The first unifier of `piece_unifiers_reference` that is atom-erasing
+    and productive, or None."""
+    renamed = _rename_apart(r1, r2)
+    return next(
+        (pu for pu in piece_unifiers_reference(r1, r2) if _erasing_and_productive(pu, renamed, r2)),
+        None,
+    )
 
 
 def piece_unifiers_brute_force(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
@@ -270,16 +410,7 @@ def depends_on_brute_force(r2: Rule, r1: Rule) -> bool:
     """Whether some brute-force piece-unifier of body(r2) with head(r1) is
     atom-erasing and productive."""
     r1 = _rename_apart(r1, r2)
-    for pu in piece_unifiers_brute_force(r1, r2):
-        theta = pu.mapping()
-
-        def image(atoms) -> frozenset:
-            return frozenset(apply_atom(theta, a) for a in atoms)
-
-        body1, body2 = image(r1.body), image(r2.body)
-        if not body2 <= body1 and not image(r2.head) <= body1 | image(r1.head) | body2:
-            return True
-    return False
+    return any(_erasing_and_productive(pu, r1, r2) for pu in piece_unifiers_brute_force(r1, r2))
 
 
 def is_relevant(cycle_path: Sequence[Rule]) -> bool:

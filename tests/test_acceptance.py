@@ -154,7 +154,7 @@ def test_criterion_2_trusted_handshake_k2():
         assert cycle_ids in {c.rule_ids() for c in enumerated}
         cycle = tuple(rs.by_id[i] for i in cycle_ids)
         for cond in (Condition.WA, Condition.AGRD):
-            assert cs.CycleFunction(cond)(rs, cycle) is False, cond.value
+            assert not cs.CycleFunction(cond).check_rules(cycle), cond.value
         witness = _trusted_handshake_two_cycle_witness()
         assert tuple(s.rule_id for s in witness.steps) == cycle_ids
         cs.replay_witness(witness, rs)

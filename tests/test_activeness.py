@@ -286,7 +286,7 @@ def test_is_active_wrt_leaves_its_database_unchanged(ids, budget, status):
     path = tuple(rs.by_id[i] for i in ids.split(","))
     db = restricted_critical_db(path)
     before = db.atoms()
-    verdict = is_active_wrt(path, db, budget=budget)
+    verdict = is_active_wrt(path, db, meter=Meter(budget))
     assert verdict.status is status
     assert db.atoms() == before and len(db) == len(before) and db.ht() == 1
     if status is Status.ACTIVE:

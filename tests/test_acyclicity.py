@@ -108,23 +108,23 @@ def test_cycle_function_from_condition():
     phi_agrd = CycleFunction(Condition.AGRD)
     # both rotations of the handshake pair fail aGRD... the pair itself is
     # cyclic, so the cycle function maps them to F
-    assert phi_agrd(rs, (r1, r2, r1)) is False
-    assert phi_agrd(rs, (r2, r1, r2)) is False
+    assert phi_agrd.check_rules((r1, r2, r1)) is False
+    assert phi_agrd.check_rules((r2, r1, r2)) is False
     # datalog-only cycles satisfy every condition
     d = cs.parse_rules("[d] q(X) :- p(X).")
     for cond in Condition:
         phi = CycleFunction(cond, Budget(max_steps=50))
-        assert phi(d, (d.rules[0], d.rules[0])) is True
+        assert phi.check_rules((d.rules[0], d.rules[0])) is True
     # single-rotation memoization: the same rule subset is checked once
     phi_wa = CycleFunction(Condition.WA)
-    assert phi_wa(rs, (r1, r2, r1)) == phi_wa(rs, (r2, r1, r2)) == False  # noqa: E712
+    assert phi_wa.check_rules((r1, r2, r1)) == phi_wa.check_rules((r2, r1, r2)) == False  # noqa: E712
 
 
 def test_phi_wa_false_on_trusted_pair_cycle():
     rs = handshake_trusted()
     r3, r4 = rs.rules
     phi = CycleFunction(Condition.WA)
-    assert phi(rs, (r3, r4, r3)) is False
+    assert phi.check_rules((r3, r4, r3)) is False
 
 
 def test_condition_subset_monotonicity_wa_ja_agrd():

@@ -294,6 +294,9 @@ BAD_USAGE = {
     "bounded-const-negative": ("bounded", "{rules}", "--delta", "const:-3"),
     "bounded-linear-negative": ("bounded", "{rules}", "--delta", "linear:-1,0"),
     "bounded-linear-zero": ("bounded", "{rules}", "--delta", "linear:0,0"),
+    # with no rules ||R|| = 0, and both specs map 0 to 0
+    "bounded-linear-no-rules": ("bounded", "{facts}", "--delta", "linear:1,0"),
+    "bounded-exptower-no-rules": ("bounded", "{facts}", "--delta", "exptower:0"),
     "budget-max-steps": ("chase", "{rules}", "--max-steps", "-1"),
     "budget-max-height": ("bounded", "{rules}", "--delta", "const:3", "--max-height", "-1"),
     "budget-max-atoms": ("check", "{rules}", "--condition", "mfa", "--max-atoms", "-1"),
@@ -315,9 +318,12 @@ def test_bad_usage_exits_three(tmp_path, capsys, case):
     rules.write_text(WALK, encoding="utf-8")
     bad = tmp_path / "bad.dlgp"
     bad.write_text("p(a,b).\np(a).\n", encoding="utf-8")
+    facts = tmp_path / "facts.dlgp"
+    facts.write_text("p(a).\n", encoding="utf-8")
     paths = {
         "rules": rules.as_posix(),
         "bad": bad.as_posix(),
+        "facts": facts.as_posix(),
         "missing": (tmp_path / "missing.dlgp").as_posix(),
         "dir": tmp_path.as_posix(),
         "unwritable": (tmp_path / "missing" / "out.txt").as_posix(),

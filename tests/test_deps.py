@@ -6,15 +6,21 @@ import chase_sentinel as cs
 from chase_sentinel.acyclicity import Condition
 from chase_sentinel.deps import (
     PieceUnifier,
+    _unify,
     dependency_graph,
     depends_on,
     piece_unifiers,
 )
-from chase_sentinel.model import Constant, Instance
+from chase_sentinel.model import Constant, Instance, Variable, atom
 
 import fixtures
 from fixtures import access_control, handshake, triad, vacuous_self
-from oracles import depends_on_brute_force, depends_on_wrt
+from oracles import (
+    depends_on_brute_force,
+    depends_on_reference,
+    depends_on_wrt,
+    piece_unifiers_reference,
+)
 
 
 def test_no_piece_unifier_for_vacuous_self_rule():
@@ -167,6 +173,24 @@ def test_dependency_graph_disjoint_rules():
     assert dependency_graph(rs).edges == ()
 
 
+def test_representative_map_rule():
+    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+    a, b = Constant("a"), Constant("b")
+    # without a constant, the least variable name represents the class
+    assert _unify({}, atom("p", Z, X), atom("p", Y, Y)) == {X: X, Y: X, Z: X}
+    # a constant represents its class, whichever side it comes from
+    assert _unify({}, atom("p", X, Y), atom("p", Y, a)) == {X: a, Y: a, a: a}
+    assert _unify({}, atom("p", a, Z), atom("p", X, X)) == {X: a, Z: a, a: a}
+    # a step extends a copy: the map it starts from is left as it was
+    start = {X: X, Y: X}
+    assert _unify(start, atom("q", Y), atom("q", Z)) == {X: X, Y: X, Z: X}
+    assert start == {X: X, Y: X}
+    # two distinct constants clash, directly or through a repeated variable
+    assert _unify({}, atom("p", a), atom("p", b)) is None
+    assert _unify({}, atom("p", X, X), atom("p", a, b)) is None
+    assert _unify({}, atom("p", X), atom("q", X)) is None
+
+
 def test_dot_export():
     dot = dependency_graph(handshake()).to_dot()
     assert dot.startswith("digraph")
@@ -265,3 +289,17 @@ def test_depends_on_agrees_with_brute_force_oracle(corpus):
                     disagreements.append((str(r1), str(r2), found))
     assert disagreements == []
     assert edges > 0
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated", "wide_generated", "wide_pieces"])
+def test_piece_unifiers_match_the_union_find_reference(corpus):
+    mismatches = []
+    for rs in _differential_corpus(corpus):
+        for r1 in rs.rules:
+            for r2 in rs.rules:
+                got = list(piece_unifiers(r1, r2))
+                if got != list(piece_unifiers_reference(r1, r2)):
+                    mismatches.append(("piece_unifiers", str(r1), str(r2)))
+                if depends_on(r2, r1) != depends_on_reference(r2, r1):
+                    mismatches.append(("depends_on", str(r1), str(r2)))
+    assert mismatches == []
