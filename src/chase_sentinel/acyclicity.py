@@ -3,11 +3,16 @@ components of the dependency graph, and the cycle function of a test.
 
 MFA is three-valued: a budget-truncated chase yields `unknown`, which cycle
 functions treat as a failed condition (the sound direction).
+
+WA, JA and aGRD report the first cycle `_first_cycle` finds; aGRD and the
+components read the `successors` and `predecessors` lists of
+`deps.DependencyGraph`.  No traversal recurses per node.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -66,8 +71,9 @@ def position_graph(rs: RuleSet) -> PositionGraph:
     return PositionGraph(tuple(sorted(normal, key=str)), tuple(sorted(special, key=str)))
 
 
-def _find_path(adjacency: Dict, start, goal) -> Optional[list]:
-    """Deterministic DFS path start -> goal (possibly empty when equal)."""
+def _find_path(adjacency, start, goal) -> Optional[list]:
+    """Deterministic DFS path start -> goal (possibly empty when equal);
+    `adjacency[node]` lists the successors of every node."""
     stack = [(start, [start])]
     seen = set()
     while stack:
@@ -77,25 +83,32 @@ def _find_path(adjacency: Dict, start, goal) -> Optional[list]:
         if node in seen:
             continue
         seen.add(node)
-        for nxt in reversed(adjacency.get(node, ())):
+        for nxt in reversed(adjacency[node]):
             if nxt not in seen or nxt == goal:
                 stack.append((nxt, path + [nxt]))
+    return None
+
+
+def _first_cycle(adjacency, edges) -> Optional[tuple]:
+    """The closed walk u, v, ..., u through the first edge (u, v), in the
+    order given, whose head v reaches its tail u, or None."""
+    for u, v in edges:
+        path = _find_path(adjacency, v, u)
+        if path is not None:
+            return tuple([u] + path)
     return None
 
 
 def is_wa(rs: RuleSet) -> CheckResult:
     """Weak acyclicity: no cycle of the position graph uses a special edge."""
     g = position_graph(rs)
-    adjacency: Dict = {}
+    adjacency: Dict = defaultdict(list)
     for u, v in g.normal_edges + g.special_edges:
-        adjacency.setdefault(u, []).append(v)
+        adjacency[u].append(v)
     for u in adjacency:
         adjacency[u].sort(key=str)
-    for u, v in g.special_edges:
-        path = _find_path(adjacency, v, u)
-        if path is not None:
-            return CheckResult(Condition.WA, False, witness=tuple([u] + path))
-    return CheckResult(Condition.WA, True)
+    cycle = _first_cycle(adjacency, g.special_edges)
+    return CheckResult(Condition.WA, cycle is None, witness=cycle)
 
 
 def joint_move_sets(rs: RuleSet) -> Dict[str, frozenset]:
@@ -138,29 +151,17 @@ def is_ja(rs: RuleSet) -> CheckResult:
                     break
     for y in adjacency:
         adjacency[y] = sorted(set(adjacency[y]))
-    for y in sorted(moves):
-        for nxt in adjacency[y]:
-            path = _find_path(adjacency, nxt, y)
-            if path is not None:
-                return CheckResult(Condition.JA, False, witness=tuple([y] + path))
-    return CheckResult(Condition.JA, True)
+    cycle = _first_cycle(adjacency, ((y, nxt) for y in sorted(moves) for nxt in adjacency[y]))
+    return CheckResult(Condition.JA, cycle is None, witness=cycle)
 
 
 def is_agrd(rs: RuleSet) -> CheckResult:
     """Acyclic graph of rule dependencies; self-loops count as cycles."""
     g = dependency_graph(rs)
-    adjacency: Dict[int, list] = {}
-    for i, j in g.edges:
-        adjacency.setdefault(i, []).append(j)
-    for i in adjacency:
-        adjacency[i].sort()
-    for i in range(len(rs.rules)):
-        for nxt in adjacency.get(i, ()):
-            path = _find_path(adjacency, nxt, i)
-            if path is not None:
-                cycle = tuple(rs.rules[p].id for p in [i] + path)
-                return CheckResult(Condition.AGRD, False, witness=cycle)
-    return CheckResult(Condition.AGRD, True)
+    cycle = _first_cycle(g.successors, g.edges)  # edges come ordered by (i, j)
+    if cycle is None:
+        return CheckResult(Condition.AGRD, True)
+    return CheckResult(Condition.AGRD, False, witness=tuple(rs.rules[i].id for i in cycle))
 
 
 def is_mfa(rs: RuleSet, budget: Optional[Budget] = None) -> CheckResult:
@@ -195,56 +196,40 @@ def check_condition(
 
 def connected_components(graph: DependencyGraph) -> List[tuple]:
     """Strongly connected components of the dependency graph (the mutual
-    reachability reading of connectivity), ordered by smallest rule index."""
-    n = len(graph.rule_set.rules)
-    adjacency: Dict[int, list] = {i: [] for i in range(n)}
-    for i, j in graph.edges:
-        adjacency[i].append(j)
-    index_counter = [0]
-    stack: list = []
-    lowlink = [0] * n
-    index = [-1] * n
-    on_stack = [False] * n
-    components: List[list] = []
+    reachability reading of connectivity), ordered by smallest rule index.
 
-    def strongconnect(v: int) -> None:
-        work = [(v, 0)]
+    Two passes on explicit stacks (Sharir 1981): a DFS over
+    `graph.successors` records the finishing order; then, latest finish
+    first, each unplaced rule collects the unplaced rules that reach it
+    over `graph.predecessors`."""
+    successors, predecessors = graph.successors, graph.predecessors
+    finished: List[int] = []
+    seen = [False] * len(successors)
+    for root in range(len(successors)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(successors[root]))]  # a node and its unread successors
         while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = lowlink[node] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for k in range(pi, len(adjacency[node])):
-                w = adjacency[node][k]
-                if index[w] == -1:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[node] = min(lowlink[node], index[w])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for v in range(n):
-        if index[v] == -1:
-            strongconnect(v)
+            nxt = next((j for j in work[-1][1] if not seen[j]), None)
+            if nxt is None:
+                finished.append(work.pop()[0])
+            else:
+                seen[nxt] = True
+                work.append((nxt, iter(successors[nxt])))
+    placed = [False] * len(successors)
+    components: List[list] = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp = [root]
+        for node in comp:  # grows while it is read
+            for i in predecessors[node]:
+                if not placed[i]:
+                    placed[i] = True
+                    comp.append(i)
+        components.append(sorted(comp))
     components.sort(key=lambda c: c[0])
     rules = graph.rule_set.rules
     return [tuple(rules[i] for i in comp) for comp in components]

@@ -5,15 +5,15 @@ counted) in which some rule occurs exactly k+1 times and none more.  Cycles
 are generated inside one strongly connected component of the dependency
 graph at a time, and every element after the first must depend on some
 earlier element of the path; that linkage is what makes a cycle realizable
-as a chained derivation, and it is the relevance test itself
-(`_depends_on_earlier`), so every enumerated cycle is relevant.
+as a chained derivation, and it is the relevance test itself, so every
+enumerated cycle is relevant.  The search runs on an explicit stack over
+`DependencyGraph.predecessors`; no call recurses per path element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .acyclicity import connected_components
 from .deps import DependencyGraph
@@ -64,45 +64,39 @@ class CycleStream:
             yield cycle
 
 
-def _depends_on_earlier(graph: DependencyGraph, candidate: Rule, path: Sequence[Rule]) -> bool:
-    """Whether `candidate` depends on some rule of `path`."""
-    for earlier in path:
-        if graph.depends(candidate, earlier):
-            return True
-    return False
-
-
-def _sequences(
-    rules: Sequence[Rule],
-    k: int,
-    depends_on_earlier: Callable[[Rule, List[Rule]], bool],
-) -> Iterator[KCycle]:
-    """DFS over rule sequences within one component.  Extension candidates
-    must depend on some rule already on the path; closures are yielded
-    before deeper extensions."""
+def _sequences(rules: Sequence[Rule], k: int, graph: DependencyGraph) -> Iterator[KCycle]:
+    """DFS over rule sequences within one component, on an explicit stack
+    of candidate iterators, one per path element.  A candidate extends the
+    path when it depends on some rule already on it: one of its
+    `graph.predecessors` has a nonzero occurrence count.  Closures are
+    yielded before deeper extensions."""
     cap = k + 1
+    position, predecessors = graph.positions, graph.predecessors
+    counts = [0] * len(predecessors)  # occurrences on the path, by rule index
 
-    def extend(path: List[Rule], counts: dict) -> Iterator[KCycle]:
-        first = path[0]
-        if depends_on_earlier(first, path):
-            peak = max(max(counts.values()), counts[first.id] + 1)
-            if peak == cap:
-                yield KCycle(path=tuple(path) + (first,), k=k)
-        for r in rules:
+    def depends_on_path(r: Rule) -> bool:
+        return any(counts[i] for i in predecessors[position[r.id]])
+
+    for first in rules:
+        start = position[first.id]
+        counts[start] = 1
+        path: List[Rule] = [first]
+        frames: list = []  # one candidate iterator per path element
+        while path:
+            if len(frames) < len(path):  # path[-1] is new: try to close, then extend
+                if depends_on_path(first) and max(max(counts), counts[start] + 1) == cap:
+                    yield KCycle(path=tuple(path) + (first,), k=k)
+                frames.append(iter(rules))
             # the start rule stays below its cap inside the path, or the
             # cycle could not close; so closing it above needs no cap test
-            if counts.get(r.id, 0) + (r is first) >= cap:
-                continue
-            if not depends_on_earlier(r, path):
-                continue
-            path.append(r)
-            counts[r.id] = counts.get(r.id, 0) + 1
-            yield from extend(path, counts)
-            counts[r.id] -= 1
-            path.pop()
-
-    for start in rules:
-        yield from extend([start], {start.id: 1})
+            fits = (c for c in frames[-1] if counts[position[c.id]] + (c is first) < cap)
+            r = next((c for c in fits if depends_on_path(c)), None)
+            if r is None:
+                frames.pop()
+                counts[position[path.pop().id]] -= 1
+            else:
+                counts[position[r.id]] += 1
+                path.append(r)
 
 
 def enumerate_k_cycles(
@@ -120,11 +114,5 @@ def enumerate_k_cycles(
     if k < 1:
         raise ValueError("k must be >= 1")
     comps = components if components is not None else connected_components(graph)
-    depends_on_earlier = partial(_depends_on_earlier, graph)
-
-    def gen() -> Iterator[KCycle]:
-        for comp in comps:
-            yield from _sequences(list(comp), k, depends_on_earlier)
-
-    return CycleStream(gen(), limit)
+    return CycleStream((c for comp in comps for c in _sequences(comp, k, graph)), limit)
 

@@ -45,6 +45,10 @@ v(Y), and then t(v(X)) is contained in t(v(Y)), so u fails it too.  So if
 any piece-unifier passes both tests, one of the yielded unifiers does.
 This covers unifiers of several pieces and body atoms paired with more
 than one head atom.
+
+Every traversal of the graph, in `acyclicity` and `cycles`, reads the
+cached `successors` and `predecessors` lists of `DependencyGraph`; none
+recurses per rule.
 """
 
 from __future__ import annotations
@@ -181,6 +185,9 @@ def _atoms_set(atoms: Iterable[Atom], subst: dict) -> frozenset:
 def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
     """r2 depends on r1 when some piece-unifier of body(r2) with head(r1) is
     atom-erasing and productive; returns the first such unifier or None."""
+    # a unifier pairs atoms of one predicate, so most pairs end here
+    if {a.pred for a in r1.head}.isdisjoint(a.pred for a in r2.body):
+        return None
     r1 = _rename_apart(r1, r2)
     for pu in _single_pieces(r1, r2):
         theta = pu.mapping()
@@ -198,17 +205,33 @@ def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
 
 @dataclass(frozen=True)
 class DependencyGraph:
+    """`successors[i]` lists the rules that depend on rule i, and
+    `predecessors[j]` the rules that rule j depends on, both ascending."""
+
     rule_set: RuleSet
     edges: tuple  # (i, j) rule indices: rules[j] depends on rules[i]
 
     @cached_property
-    def _pairs(self) -> frozenset:
-        rules = self.rule_set.rules
-        return frozenset((rules[j].id, rules[i].id) for i, j in self.edges)
+    def successors(self) -> list:
+        out: list = [[] for _ in self.rule_set.rules]
+        for i, j in sorted(self.edges):
+            out[i].append(j)
+        return out
+
+    @cached_property
+    def predecessors(self) -> list:
+        out: list = [[] for _ in self.rule_set.rules]
+        for i, j in sorted(self.edges):
+            out[j].append(i)
+        return out
+
+    @cached_property
+    def positions(self) -> dict:  # rule id -> index
+        return {r.id: i for i, r in enumerate(self.rule_set.rules)}
 
     def depends(self, later: Rule, earlier: Rule) -> bool:
         """Whether `later` depends on `earlier`, by rule id."""
-        return (later.id, earlier.id) in self._pairs
+        return self.positions[earlier.id] in self.predecessors[self.positions[later.id]]
 
     def to_dot(self) -> str:
         rules = self.rule_set.rules

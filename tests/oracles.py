@@ -13,7 +13,9 @@ and skolem-head instantiation that the direct trigger path of
 failed states and its chain test before activeness at the last step, which
 `chase_sentinel.activeness` replaced; and the single-piece unifier search
 on a union-find that the representative map of `chase_sentinel.deps`
-replaced; as differential references.
+replaced; and the hand-iterated Tarjan components that the two-pass
+components of `chase_sentinel.acyclicity` replaced; as differential
+references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -58,7 +60,7 @@ from chase_sentinel.hom import (
     freeze_bindings,
     is_active_trigger,
 )
-from chase_sentinel.deps import PieceUnifier, _rename_apart
+from chase_sentinel.deps import DependencyGraph, PieceUnifier, _rename_apart
 from chase_sentinel.model import (
     Atom,
     IndexedConstant,
@@ -422,6 +424,63 @@ def is_relevant(cycle_path: Sequence[Rule]) -> bool:
         for i, later in enumerate(cycle_path)
         if i
     )
+
+
+def connected_components_reference(graph: DependencyGraph) -> List[tuple]:
+    """`acyclicity.connected_components` by Tarjan's algorithm on a
+    resumable work stack, ordered by smallest rule index."""
+    n = len(graph.rule_set.rules)
+    adjacency: Dict[int, list] = {i: [] for i in range(n)}
+    for i, j in graph.edges:
+        adjacency[i].append(j)
+    index_counter = [0]
+    stack: list = []
+    lowlink = [0] * n
+    index = [-1] * n
+    on_stack = [False] * n
+    components: List[list] = []
+
+    def strongconnect(v: int) -> None:
+        work = [(v, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = lowlink[node] = index_counter[0]
+                index_counter[0] += 1
+                stack.append(node)
+                on_stack[node] = True
+            recurse = False
+            for k in range(pi, len(adjacency[node])):
+                w = adjacency[node][k]
+                if index[w] == -1:
+                    work[-1] = (node, k + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    lowlink[node] = min(lowlink[node], index[w])
+            if recurse:
+                continue
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(sorted(comp))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+
+    for v in range(n):
+        if index[v] == -1:
+            strongconnect(v)
+    components.sort(key=lambda c: c[0])
+    rules = graph.rule_set.rules
+    return [tuple(rules[i] for i in comp) for comp in components]
 
 
 def depends_on_wrt(r2: Rule, r1: Rule, inst: Instance) -> bool:

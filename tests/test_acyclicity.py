@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 import chase_sentinel as cs
 from chase_sentinel.acyclicity import (
     Condition,
@@ -12,10 +16,12 @@ from chase_sentinel.acyclicity import (
     position_graph,
 )
 from chase_sentinel.chase import Budget
-from chase_sentinel.deps import dependency_graph
-from chase_sentinel.model import Position
+from chase_sentinel.deps import DependencyGraph, dependency_graph
+from chase_sentinel.model import Position, Variable
 
+import fixtures
 from fixtures import access_control, handshake, handshake_trusted, vacuous_self
+from oracles import connected_components_reference
 
 
 def test_wa_fails_on_handshake_with_position_cycle():
@@ -100,6 +106,101 @@ def test_connected_components():
     comps3 = connected_components(dependency_graph(ac))
     names = [tuple(r.id for r in c) for c in comps3]
     assert ("r2", "r3") in names  # the key/enters cluster is one component
+
+
+# the benchmark's `generated` workload parameters
+GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+                 body_atoms=1, head_atoms=2, head_shape="discrete")
+
+
+def _corpus(name):
+    if name == "fixtures":
+        return [make() for make in (
+            fixtures.handshake, fixtures.handshake_trusted, fixtures.access_control,
+            fixtures.walk, fixtures.vacuous_self, fixtures.triad, fixtures.triad_guarded,
+            fixtures.datalog_first_pair,
+        )]
+    if name == "generated":
+        return [cs.generate(cs.GenParams(seed=s, **GENERATED)) for s in range(200)]
+    import test_properties as props
+
+    rng = random.Random(0)
+    return [props.random_rule_set(rng, 4) for _ in range(300)]
+
+
+def _random_graph(rng):
+    """A random relation on 0-40 one-atom rules, self-loops included."""
+    n = rng.randrange(41)
+    rules = tuple(
+        cs.Rule(id="r%d" % i, body=(cs.Atom("p", (Variable("X_%d" % i),)),),
+                head=(cs.Atom("q", (Variable("X_%d" % i),)),))
+        for i in range(n)
+    )
+    density = rng.uniform(0, 3) / max(n, 1)
+    edges = tuple((i, j) for i in range(n) for j in range(n) if rng.random() < density)
+    return DependencyGraph(cs.RuleSet(rules), edges)
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated"])
+def test_connected_components_match_tarjan(corpus):
+    for rs in _corpus(corpus):
+        graph = dependency_graph(rs)
+        assert connected_components(graph) == connected_components_reference(graph)
+
+
+def test_connected_components_match_tarjan_on_random_relations():
+    rng = random.Random(17)
+    for case in range(300):
+        graph = _random_graph(rng)
+        assert connected_components(graph) == connected_components_reference(graph), case
+
+
+def _closed_walk(witness, edges) -> bool:
+    return (
+        len(witness) >= 2
+        and witness[0] == witness[-1]
+        and all(step in edges for step in zip(witness, witness[1:]))
+    )
+
+
+def _ja_edges(rs) -> set:
+    """y1 -> y2 when every body position of some frontier variable of the
+    rule of y2 lies in Move(y1)."""
+    moves = joint_move_sets(rs)
+    edges = set()
+    for r in rs:
+        for y2 in r.existentials:
+            for x in r.frontier:
+                body = {Position(a.pred, s) for a in r.body for s, t in enumerate(a.args, 1)
+                        if t == Variable(x)}
+                edges.update((y1, y2) for y1, move in moves.items() if body <= move)
+    return edges
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated", "random"])
+def test_witnesses_are_closed_walks(corpus):
+    for rs in _corpus(corpus):
+        g = position_graph(rs)
+        wa = is_wa(rs)
+        assert (wa.value is False) == (wa.witness is not None)
+        if wa.witness is not None:
+            assert _closed_walk(wa.witness, set(g.normal_edges) | set(g.special_edges))
+            assert any(step in set(g.special_edges) for step in zip(wa.witness, wa.witness[1:]))
+        ja = is_ja(rs)
+        assert (ja.value is False) == (ja.witness is not None)
+        if ja.witness is not None:
+            assert _closed_walk(ja.witness, _ja_edges(rs))
+        graph = dependency_graph(rs)
+        rules = rs.rules
+        agrd = is_agrd(rs)
+        if agrd.witness is not None:
+            assert _closed_walk(agrd.witness, {(rules[i].id, rules[j].id) for i, j in graph.edges})
+        # aGRD holds exactly when every component is one rule without a self-loop
+        acyclic = all(
+            len(c) == 1 and (rules.index(c[0]),) * 2 not in graph.edges
+            for c in connected_components(graph)
+        )
+        assert agrd.value is acyclic and (agrd.witness is None) == acyclic
 
 
 def test_cycle_function_from_condition():

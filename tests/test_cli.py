@@ -180,6 +180,25 @@ def test_cycles_command(tmp_path, capsys):
     assert out.splitlines() == ["r -> r"]
 
 
+@pytest.mark.parametrize("n,k", [(600, 1), (400, 2)])
+def test_cycles_on_a_long_ring_is_not_a_traceback(tmp_path, n, k):
+    # the first cycle of the ring has k * n + 1 elements, so a search that
+    # recursed per path element would overflow the stack
+    f = tmp_path / "ring.dlgp"
+    f.write_text("".join("[r%d] p%d(X) :- p%d(X).\n" % (i, (i + 1) % n, i) for i in range(n)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "chase_sentinel", "cycles", str(f), "--k", str(k), "--max-cycles", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    cycle, marker = done.stdout.splitlines()
+    ids = cycle.split(" -> ")
+    assert ids[0] == ids[-1] == "r0"
+    assert marker == "... truncated at 1 cycles"
+
+
 def test_bounded_command(handshake_file, capsys):
     code, out, _ = run(capsys, "bounded", handshake_file, "--delta", "const:3", "--json")
     assert code == 0

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import deps
 from chase_sentinel.acyclicity import Condition
 from chase_sentinel.deps import (
     PieceUnifier,
@@ -171,6 +172,25 @@ def test_dependency_graph_triad():
 def test_dependency_graph_disjoint_rules():
     rs = cs.parse_rules("[a] q(X) :- p(X).\n[b] s(Y) :- t(Y).")
     assert dependency_graph(rs).edges == ()
+
+
+def test_dependency_graph_searches_only_pairs_that_share_a_predicate(monkeypatch):
+    # A unifier pairs atoms of one predicate, so of the 360,000 ordered
+    # pairs of the 600-rule ring only the 600 neighbours reach the search.
+    n = 600
+    rs = cs.parse_rules("".join("[r%d] p%d(X) :- p%d(X).\n" % (i, (i + 1) % n, i) for i in range(n)))
+    calls = [0]
+    single_pieces = deps._single_pieces
+
+    def counted(r1, r2):
+        calls[0] += 1
+        return single_pieces(r1, r2)
+
+    monkeypatch.setattr(deps, "_single_pieces", counted)
+    graph = dependency_graph(rs)
+    assert calls[0] <= n
+    assert graph.edges == tuple(sorted((i, (i + 1) % n) for i in range(n)))
+    assert graph.successors[n - 1] == [0] and graph.predecessors[0] == [n - 1]
 
 
 def test_representative_map_rule():

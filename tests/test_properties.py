@@ -298,11 +298,15 @@ def test_cycle_enumeration_matches_brute_force_200():
         def depends(later, earlier):
             return relation[(later.id, earlier.id)]
 
-        def dep_on_earlier(candidate, path):
-            return any(depends(candidate, e) for e in path)
-
+        edges = tuple(
+            (i, j)
+            for i, earlier in enumerate(rules)
+            for j, later in enumerate(rules)
+            if depends(later, earlier)
+        )
+        graph = cs.DependencyGraph(cs.RuleSet(tuple(rules)), edges)
         k = rng.choice([1, 2])
-        got = {c.rule_ids() for c in _sequences(rules, k, dep_on_earlier)}
+        got = {c.rule_ids() for c in _sequences(rules, k, graph)}
         expected = brute_force_sequences(rules, k, depends)
         assert got == expected, "case %d (n=%d k=%d)" % (case, n, k)
 
