@@ -7,11 +7,16 @@ so a possibly-infinite chase comes back with an explicit BudgetExhausted
 outcome naming the limit it reached, never runs on.
 
 Both policies are incremental, since the loop never removes an atom: the
-skolem chase runs semi-naive rounds that match only homomorphisms using an
-atom of the last round, and the restricted chase never tests a trigger
-again once it found it inactive.  Each step then costs probes in proportion
-to what changed, not to the whole instance, and the traces are those of a
-full rescan (`tests/oracles.py` keeps the rescanning policies to check it).
+skolem chase runs semi-naive rounds that search only the rules reading a
+predicate the last round grew, and match only homomorphisms using an atom
+of that round.  The restricted chase keeps per rule a frontier below which
+every trigger is known to be inactive, so a step enumerates only the
+triggers past it, and its activeness tests match head atoms through an
+argument index.  A probe is one candidate atom tested, in a body or a head
+match; a restricted step costs probes in proportion to the triggers and
+head candidates the steps before it added, not to the whole instance (the
+restricted walk charges one probe a step).  The traces are those of a full
+rescan (`tests/oracles.py` keeps the rescanning policies to check it).
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from .hom import (
+    ArgIndex,
     apply_trigger,
     body_image,
     find_homomorphisms,
     freeze_bindings,
+    instantiate,
     is_active_trigger,
 )
 from .model import Atom, Instance, Rule, RuleSet, has_cyclic_nesting
@@ -148,6 +155,7 @@ class ChaseTrace:
     steps: List[TraceStep]
     outcome: Outcome
     final: Optional[Instance] = None
+    restricted: bool = False  # replay checks that each trigger was active
 
     def __repr__(self) -> str:
         # the steps of a long run hold deep terms; printing them all can
@@ -155,15 +163,19 @@ class ChaseTrace:
         return "ChaseTrace(outcome=%r, steps=%d)" % (self.outcome, len(self.steps))
 
     def replay(self, rules: RuleSet) -> Instance:
-        """Re-execute the trace, verifying every application; returns the
-        reconstructed instance."""
+        """Re-execute the trace, verifying every application, and for a
+        restricted trace that every trigger was active when it fired;
+        returns the reconstructed instance."""
         inst = Instance(self.initial)
+        index = ArgIndex(inst) if self.restricted else None
         for i, step in enumerate(self.steps, start=1):
             rule = rules.by_id[step.rule_id]
             h = dict(step.bindings)
             for a in body_image(rule, h):
                 if a not in inst:
                     raise AssertionError("replay: body atom %s missing at step %d" % (a, i))
+            if index is not None and not is_active_trigger(rule, h, inst, index=index):
+                raise AssertionError("replay: the trigger of step %d is not active" % i)
             added = apply_trigger(rule, h, inst, i)
             if tuple(added) != step.added:
                 raise AssertionError(
@@ -251,21 +263,38 @@ def skolem_chase(
     As the filtered enumeration keeps the full one's order, every round,
     and so the trace, is the same as with a full rescan.  A rule none of
     whose body predicates grew has no new homomorphism, so a round does
-    not search it at all."""
-    preds = {a.pred for rule in rules for a in rule.body}
-    bodies = [(rule, {a.pred for a in rule.body}) for rule in rules]
-    sizes: Optional[dict] = None  # predicate sizes at the previous round
+    not search it at all.  Only the head predicates of the rules that
+    fired last round can have grown, and an index from each body predicate
+    to the rules that read it names the rules to search, so a round costs
+    what the last one added, not the size of the rule set."""
+    rule_list = list(rules)
+    readers: dict = {}  # body predicate -> positions of the rules reading it
+    for i, rule in enumerate(rule_list):
+        for p in {a.pred for a in rule.body}:
+            readers.setdefault(p, []).append(i)
+    writes = [{a.pred for a in r.head if a.pred in readers} for r in rule_list]
+    sizes: dict = {}  # body predicate -> its size when the previous round ran, if not 0
+    written: Optional[set] = None  # head predicates of the rules the last round fired
 
     def round_of_triggers(inst: Instance, probe: Callable[[], None]) -> list:
-        nonlocal sizes
-        since, sizes = sizes, {p: len(inst.by_pred(p)) for p in preds}
-        grown = preds if since is None else {p for p in preds if sizes[p] > since[p]}
-        return [
-            (rule, h)
-            for rule, body_preds in bodies
-            if not grown.isdisjoint(body_preds)
-            for h in find_homomorphisms(rule.body, inst, probe=probe, since=since)
-        ]
+        nonlocal written
+        since = None if written is None else sizes
+        grown = {}
+        for p in readers if written is None else written:
+            n = len(inst.by_pred(p))
+            if n > sizes.get(p, 0):
+                grown[p] = n
+        batch: list = []
+        written = set()
+        for i in sorted({i for p in grown for i in readers[p]}):
+            rule = rule_list[i]
+            before = len(batch)
+            for h in find_homomorphisms(rule.body, inst, probe=probe, since=since):
+                batch.append((rule, h))
+            if len(batch) > before:
+                written |= writes[i]
+        sizes.update(grown)
+        return batch
 
     return _run(database, budget, round_of_triggers, detect_cyclic_terms)
 
@@ -278,27 +307,62 @@ def greedy_restricted(
 ) -> ChaseTrace:
     """One restricted chase sequence, always firing the first active trigger
     in (rule order, homomorphism order); Datalog rules first when asked.
+    The trace is marked restricted, so its replay also checks that every
+    step's trigger was active.
 
-    A trigger found inactive is remembered by its rule and body bindings
-    and never tested again: the loop only adds atoms, so the head match (or,
-    for a Datalog rule, the head atoms) that made it inactive stays."""
+    The loop only adds atoms, so a trigger found inactive stays inactive,
+    and a step searches only what the steps before it added:
+
+    - each rule keeps a frontier, per body predicate the number of atoms
+      below which every trigger of the rule is known to be inactive.  A
+      rule none of whose body predicates grew past it is skipped; else
+      `find_homomorphisms(..., since=frontier)` yields, in the full
+      enumeration's order, only the triggers that use an atom past it.  A
+      rule whose enumeration ends without an active trigger moves its
+      frontier to the current sizes, and a rule with a one-atom body that
+      fires moves it past the atom it fired on (the triggers before it
+      were inactive, and the fired one is no longer active);
+    - a trigger found inactive past the frontier is remembered by its rule
+      and body bindings and not tested again;
+    - the head match of an activeness test reads an `ArgIndex` of the run's
+      instance, so a head atom with a bound argument or a constant tests
+      only the atoms that share it.
+
+    A probe is one candidate tested, in a body or a head match, so the
+    restricted walk charges one probe a step."""
     order = list(rules)
     if datalog_first:
         order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
+    bodies = [(rule, list(dict.fromkeys(a.pred for a in rule.body))) for rule in order]
+    frontiers: list = [{} for _ in order]
     dead: set = set()
+    index: Optional[ArgIndex] = None
 
     def first_active(inst: Instance, probe: Callable[[], None]) -> list:
-        for rule in order:
-            for h in find_homomorphisms(rule.body, inst, probe=probe):
+        nonlocal index
+        if index is None:
+            index = ArgIndex(inst)
+        for (rule, preds), frontier in zip(bodies, frontiers):
+            sizes = [len(inst.by_pred(p)) for p in preds]
+            if all(n <= frontier.get(p, 0) for p, n in zip(preds, sizes)):
+                continue
+            for h in find_homomorphisms(rule.body, inst, probe=probe, since=frontier):
                 key = (rule.id, tuple([h[v] for v in rule.body_vars]))
                 if key in dead:
                     continue
-                if is_active_trigger(rule, h, inst, probe=probe):
+                if is_active_trigger(rule, h, inst, probe=probe, index=index):
+                    if len(rule.body) == 1:
+                        (pred,) = preds
+                        fired = instantiate(rule.body[0], h)
+                        frontier[pred] = inst.by_pred(pred).index(fired, frontier.get(pred, 0)) + 1
                     return [(rule, h)]
                 dead.add(key)
+            frontier.update(zip(preds, sizes))
         return []
 
-    return _run(database, budget, first_active)
+    trace = _run(database, budget, first_active)
+    trace.restricted = True
+    return trace
 
 
 def datalog_first_filter(path: Sequence[Rule], rule_set: RuleSet) -> bool:

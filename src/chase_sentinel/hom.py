@@ -39,12 +39,17 @@ per candidate tested, and it returns at the first extension.  That is the
 work `find_homomorphisms` does on the head with h substituted up to its
 first yield, probe for probe, without a generator per call or a copied
 binding per answer.  A Datalog rule is active iff one of its instantiated
-head atoms is missing.  `instantiate` fills the variable slots of a
-function-free atom's plan, with no term walk.  `apply_trigger` builds
-each existential's skolem term once per trigger and fills every head
-atom from it, so the atoms of one trigger share one null object per
-existential; it returns only the atoms it added, and a backtracking
-search retracts them by rolling the instance back to its earlier length.
+head atoms is missing.  The restricted chase hands it an `ArgIndex` of
+its growing instance, and a head atom with a constant or a bound argument
+then tests only the atoms that share it.  The chained search keeps the
+scan: it rolls its instance back all the time, which an index fed from
+the tail of the predicate lists would not follow.  `instantiate` fills
+the variable slots of a function-free atom's plan, with no term walk.
+`apply_trigger` builds each existential's skolem term once per trigger
+and fills every head atom from it, so the atoms of one trigger share one
+null object per existential; it returns only the atoms it added, and a
+backtracking search retracts them by rolling the instance back to its
+earlier length.
 """
 
 from __future__ import annotations
@@ -198,11 +203,60 @@ def freeze_bindings(h: dict) -> tuple:
     return tuple(sorted(h.items()))
 
 
+class ArgIndex:
+    """The atoms of a growing instance by (predicate, argument position,
+    term), each list in insertion order.
+
+    A predicate's atoms are indexed when it is first asked for, and then
+    fed from the tail of its `Instance.by_pred` list on each later ask, so
+    the index follows an instance that only grows; a rollback would leave
+    it stale.  `candidates` gives the atoms that share a pattern's rarest
+    bound argument, a subsequence of the predicate's atoms."""
+
+    __slots__ = ("inst", "_fed", "_positions")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self._fed: dict = {}  # predicate -> how many of its atoms are indexed
+        self._positions: dict = {}  # predicate -> per position, term -> atoms
+
+    def candidates(self, pattern: Atom, binding: Mapping[str, Term]) -> Sequence[Atom]:
+        """The instance atoms of the pattern's predicate that hold, at one
+        position, the pattern's constant or bound variable there: those of
+        the position with the fewest, or all of them if nothing is bound."""
+        pred = pattern.pred
+        atoms = self.inst.by_pred(pred)
+        positions = self._positions.setdefault(pred, [])
+        fed = self._fed.get(pred, 0)
+        if fed < len(atoms):
+            for a in atoms[fed:]:
+                args = a.args
+                while len(positions) < len(args):
+                    positions.append({})
+                for i, t in enumerate(args):
+                    positions[i].setdefault(t, []).append(a)
+            self._fed[pred] = len(atoms)
+        best = atoms
+        plan = pattern.plan
+        for i, t in plan.consts:
+            found = positions[i].get(t, ()) if i < len(positions) else ()
+            if len(found) < len(best):
+                best = found
+        for i, name in plan.slots:
+            v = binding.get(name)
+            if v is not None:
+                found = positions[i].get(v, ()) if i < len(positions) else ()
+                if len(found) < len(best):
+                    best = found
+        return best
+
+
 def is_active_trigger(
     rule: Rule,
     h: dict,
     inst: Instance,
     probe: Optional[Callable[[], None]] = None,
+    index: Optional[ArgIndex] = None,
 ) -> bool:
     """True iff no extension of h over the existentials maps the head into
     the instance. Datalog rules: active iff some head atom is missing.
@@ -211,7 +265,9 @@ def is_active_trigger(
     insertion order, charging `probe` once per candidate tested, and the
     test stops at the first extension: the candidates and probes are those
     of `find_homomorphisms` on the head atoms with h substituted, up to its
-    first yield."""
+    first yield.  Given an `ArgIndex` of `inst`, each head atom tests only
+    the atoms its `candidates` gives, still one probe per candidate, and
+    the answer is the same."""
     head = rule.head
     if rule.is_datalog:
         for a in head:
@@ -220,7 +276,7 @@ def is_active_trigger(
         return False
     if len(head) > 1:
         head = [head[i] for i in order_atoms(head, inst, h)]
-    return not _extends(head, 0, dict(h), inst, probe)
+    return not _extends(head, 0, dict(h), inst, probe, index)
 
 
 def _extends(
@@ -229,6 +285,7 @@ def _extends(
     binding: dict,
     inst: Instance,
     probe: Optional[Callable[[], None]],
+    index: Optional[ArgIndex],
 ) -> bool:
     """Some extension of `binding` maps patterns[depth:] into the
     instance.  Bindings made on the way to a True answer are left in
@@ -238,11 +295,15 @@ def _extends(
     arity = len(pattern.args)
     deeper = depth + 1 < len(patterns)
     trail: list = []
-    for cand in inst.by_pred(pattern.pred):
+    if index is None:
+        candidates = inst.by_pred(pattern.pred)
+    else:
+        candidates = index.candidates(pattern, binding)
+    for cand in candidates:
         if probe is not None:
             probe()
         if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
-            if not deeper or _extends(patterns, depth + 1, binding, inst, probe):
+            if not deeper or _extends(patterns, depth + 1, binding, inst, probe, index):
                 return True
         if trail:
             for name in trail:

@@ -14,8 +14,9 @@ failed states and its chain test before activeness at the last step, which
 `chase_sentinel.activeness` replaced; and the single-piece unifier search
 on a union-find that the representative map of `chase_sentinel.deps`
 replaced; and the hand-iterated Tarjan components that the two-pass
-components of `chase_sentinel.acyclicity` replaced; as differential
-references.
+components of `chase_sentinel.acyclicity` replaced; and the whole-term
+walk of the cyclic-nesting test that the cached function sets of
+`chase_sentinel.model` replaced; as differential references.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -74,6 +75,28 @@ from chase_sentinel.model import (
 )
 
 
+def has_cyclic_nesting_reference(t: Term) -> bool:
+    """The same skolem function twice on one nesting path, by a walk of
+    the whole term: the stack holds the terms still to visit and, below
+    each term's arguments, its function name, popped when the walk leaves
+    the term; a set holds the functions on the path."""
+    if t.__class__ is not SkolemTerm:
+        return False
+    path: set = set()
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            path.remove(item)
+            continue
+        if item.fn in path:
+            return True
+        path.add(item.fn)
+        stack.append(item.fn)
+        stack.extend([a for a in item.args if a.__class__ is SkolemTerm])
+    return False
+
+
 def instance_terms(inst: Instance) -> list:
     """Top-level argument terms of an instance, in first-occurrence order."""
     return list(dict.fromkeys(t for a in inst.atoms() for t in a.args))
@@ -117,7 +140,13 @@ def restricted_chase_exhaustive(
 
     def snapshot(outcome: Outcome) -> None:
         traces.append(
-            ChaseTrace(initial=initial_atoms, steps=list(steps), outcome=outcome, final=None)
+            ChaseTrace(
+                initial=initial_atoms,
+                steps=list(steps),
+                outcome=outcome,
+                final=None,
+                restricted=True,
+            )
         )
 
     def explore(inst: Instance, depth: int) -> None:
@@ -729,8 +758,9 @@ def greedy_restricted_rescanning(
     budget: Optional[Budget] = None,
     datalog_first: bool = False,
 ) -> ChaseTrace:
-    """`greedy_restricted` without its memo: every step tests the
-    activeness of every trigger again, from the first rule on."""
+    """`greedy_restricted` without its memo, frontiers or head index: every
+    step tests the activeness of every trigger again, from the first rule
+    on, scanning each head predicate's atoms."""
     order = list(rules)
     if datalog_first:
         order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
@@ -742,7 +772,9 @@ def greedy_restricted_rescanning(
                     return [(rule, h)]
         return []
 
-    return _run(database, budget, first_active)
+    trace = _run(database, budget, first_active)
+    trace.restricted = True
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,22 @@ from chase_sentinel.chase import (
     BudgetExhausted,
     CyclicTermFound,
     Saturated,
+    TraceStep,
     datalog_first_filter,
     greedy_restricted,
     skolem_chase,
 )
 from chase_sentinel.critdb import skolem_critical_db
 from chase_sentinel.gen import GenParams, generate
-from chase_sentinel.hom import body_image, find_homomorphisms, is_active_trigger
-from chase_sentinel.model import Atom, Constant
+from chase_sentinel.hom import (
+    ArgIndex,
+    apply_trigger,
+    body_image,
+    find_homomorphisms,
+    freeze_bindings,
+    is_active_trigger,
+)
+from chase_sentinel.model import Atom, Constant, Instance
 
 from fixtures import (
     access_control,
@@ -240,13 +248,13 @@ def test_every_budget_ends_the_walk_and_the_trace_replays(run, reason):
 
 @pytest.mark.parametrize(
     "run, reason, steps",
-    [(skolem_chase, "height", 999), (greedy_restricted, "probes", 815)],
+    [(skolem_chase, "height", 999), (greedy_restricted, "height", 999)],
     ids=["skolem_chase", "greedy_restricted"],
 )
 def test_unbudgeted_walk_ends_on_a_default_budget(run, reason, steps):
     # budget=None means DEFAULT_BUDGET: the diverging walk stops on its
-    # height limit (skolem) or probe limit (restricted); the alarm turns a
-    # chase that never stops into a failure
+    # height limit, as both chases charge about one probe a step; the alarm
+    # turns a chase that never stops into a failure
     def give_up(signum, frame):
         raise TimeoutError("the unbudgeted chase ran for 120 s")
 
@@ -276,13 +284,23 @@ def test_unbudgeted_walk_ends_on_a_default_budget(run, reason, steps):
 )
 def test_walk_probes_grow_linearly_with_the_steps(run, budget):
     # semi-naive rounds charge the skolem walk one probe a step, and the
-    # dead-trigger memo leaves the restricted walk one activeness test a
-    # step; rescanning runs out of these probe budgets after 199 and 81 steps
+    # restricted walk makes one activeness test a step; rescanning runs out
+    # of these probe budgets after 199 and 81 steps
     rs = walk()
     trace = run(_db("e(a,b)."), rs, budget=budget)
     assert trace.outcome == BudgetExhausted("steps")
     assert len(trace.steps) == budget.max_steps
     assert fingerprint(trace.replay(rs)) == fingerprint(trace.final)
+
+
+def test_restricted_walk_charges_at_most_two_probes_a_step():
+    # the rule's frontier leaves one body candidate a step and the head
+    # index no head candidate; re-enumerating every body from the first
+    # rule on charged 60,902 probes for these 200 steps
+    rs = walk()
+    trace = greedy_restricted(_db("e(a,b)."), rs, budget=Budget(max_steps=200, max_probes=400))
+    assert trace.outcome == BudgetExhausted("steps")
+    assert len(trace.steps) == 200
 
 
 # The differential runs compare the incremental loop with the rescanning
@@ -340,6 +358,15 @@ def test_incremental_chase_matches_the_rescanning_oracle_on_the_walk(run, oracle
 
 
 @pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_a_two_atom_walk(run, oracle, kwargs):
+    # the rule fires on every step, so its restricted frontier never moves
+    # and every step re-enumerates its triggers past the memo
+    rs = cs.parse_rules("[r] e(X2,Z), f(X2) :- e(X1,X2), f(X1).\n")
+    db = _db("e(a,b). e(a,c). e(c,a). f(a). f(c).")
+    assert_same_run(run, oracle, db, rs, Budget(max_steps=60), **kwargs)
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
 def test_incremental_chase_matches_the_rescanning_oracle_on_access_facts(run, oracle, kwargs):
     rs = access_control()
     for seed in range(5):
@@ -347,9 +374,8 @@ def test_incremental_chase_matches_the_rescanning_oracle_on_access_facts(run, or
         assert_same_run(run, oracle, db, rs, Budget(max_steps=200, max_height=4), **kwargs)
 
 
-@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
-def test_incremental_chase_matches_the_rescanning_oracle_on_generated_sets(run, oracle, kwargs):
-    budget = Budget(max_steps=60, max_atoms=60, max_height=6)
+def _generated_sets():
+    """50 generated 3-rule sets, each with random facts over its schema."""
     for seed in range(50):
         rs = generate(GenParams(count=3, predicate_pool=4, arity=2, body_atoms=1 + seed % 2,
                                 head_atoms=2, seed=seed))
@@ -359,7 +385,59 @@ def test_incremental_chase_matches_the_rescanning_oracle_on_generated_sets(run, 
             for pred, arity in sorted(rs.schema.items())
             for _ in range(rng.randrange(4))
         ]
+        yield rs, facts
+
+
+@pytest.mark.parametrize("run, oracle, kwargs", _POLICIES)
+def test_incremental_chase_matches_the_rescanning_oracle_on_generated_sets(run, oracle, kwargs):
+    budget = Budget(max_steps=60, max_atoms=60, max_height=6)
+    for rs, facts in _generated_sets():
         assert_same_run(run, oracle, facts, rs, budget, **kwargs)
+
+
+def _index_answers_along(trace, rs):
+    """Grow an instance step by step along `trace`, keeping one ArgIndex
+    of it, and test every trigger after every step with and without the
+    index; the answers, which must agree."""
+    inst = Instance(trace.initial)
+    index = ArgIndex(inst)
+    answers = []
+    for i, step in enumerate([None] + trace.steps):
+        if step is not None:
+            apply_trigger(rs.by_id[step.rule_id], dict(step.bindings), inst, i)
+        for rule in rs:
+            for h in find_homomorphisms(rule.body, inst):
+                active = is_active_trigger(rule, h, inst)
+                assert is_active_trigger(rule, h, inst, index=index) == active, (rule.id, h)
+                answers.append(active)
+    return answers
+
+
+# Head atoms with a constant in the first or second position, beside a
+# bound argument or alone; neither the fixtures nor the generator write
+# constants in rules.
+CONSTANT_HEADS = """
+[k1] r(X,a,Z) :- p(X,Y).
+[k2] p(Z,X), r(b,X,Z) :- r(X,Y,Z).
+[k3] p(W,c) :- r(X,Y,Y).
+"""
+
+
+def test_the_head_index_gives_the_scanning_answer_on_every_trigger():
+    # skolem traces fire inactive triggers too, so both answers occur
+    answers = []
+    budget = Budget(max_steps=40, max_atoms=400, max_height=5)
+    for make in (access_control, datalog_first_pair, handshake, handshake_trusted,
+                 triad, triad_guarded, vacuous_self, walk):
+        rs = make()
+        answers += _index_answers_along(skolem_chase(skolem_critical_db(rs), rs, budget), rs)
+    rs = cs.parse_rules(CONSTANT_HEADS)
+    db = _db("p(a,b). p(b,a). r(a,b,a). r(b,a,c). r(c,c,c). r(b,b,a).")
+    answers += _index_answers_along(skolem_chase(db, rs, budget), rs)
+    budget = Budget(max_steps=60, max_atoms=60, max_height=6)
+    for rs, facts in _generated_sets():
+        answers += _index_answers_along(skolem_chase(facts, rs, budget), rs)
+    assert answers.count(True) > 100 and answers.count(False) > 100
 
 
 def test_a_chase_run_starts_from_its_database_atoms_at_step_0():
@@ -377,39 +455,84 @@ def _without_step_one_body(rs, trace):
     return replace(trace, initial=tuple(a for a in trace.initial if a not in image))
 
 
+def _skolem_handshake():
+    rs = handshake_trusted()
+    return rs, skolem_chase(_db("typeB(a,b)."), rs, budget=Budget(max_steps=3))
+
+
+def _restricted_walk():
+    # e(b,c) satisfies the head of the trigger on e(a,b), so it never fires
+    rs = walk()
+    return rs, greedy_restricted(_db("e(a,b). e(b,c)."), rs, budget=Budget(max_steps=3))
+
+
+def _inactive_step_appended(rs, trace):
+    # firing an inactive trigger adds atoms over a new null, so only the
+    # activeness check can reject the step
+    inst = trace.replay(rs)
+    for rule in rs:
+        for h in find_homomorphisms(rule.body, inst):
+            if not is_active_trigger(rule, h, inst):
+                added = apply_trigger(rule, h, inst, len(trace.steps) + 1)
+                if added:
+                    step = TraceStep(rule.id, freeze_bindings(h), tuple(added))
+                    return replace(trace, steps=trace.steps + [step])
+    raise AssertionError("no inactive trigger adds an atom")
+
+
 TRACE_TAMPERING = [
-    pytest.param(_without_step_one_body, "body atom .* missing at step 1", id="initial-atom-dropped"),
     pytest.param(
+        _skolem_handshake, _without_step_one_body, "body atom .* missing at step 1",
+        id="initial-atom-dropped",
+    ),
+    pytest.param(
+        _skolem_handshake,
         lambda rs, t: replace(t, steps=[replace(t.steps[0], added=t.steps[0].added[1:])] + t.steps[1:]),
         "step 1 added",
         id="added-changed",
     ),
     pytest.param(
-        lambda rs, t: replace(t, steps=t.steps[:1] + t.steps), "step 2 added", id="step-repeated"
+        _skolem_handshake,
+        lambda rs, t: replace(t, steps=t.steps[:1] + t.steps),
+        "step 2 added",
+        id="step-repeated",
+    ),
+    pytest.param(
+        _restricted_walk, _inactive_step_appended, "trigger of step 4 is not active",
+        id="restricted-inactive-step",
     ),
 ]
 
 
-@pytest.mark.parametrize("tamper, message", TRACE_TAMPERING)
-def test_trace_replay_rejects_tampered_evidence(tamper, message):
-    rs = handshake_trusted()
-    trace = skolem_chase(_db("typeB(a,b)."), rs, budget=Budget(max_steps=3))
+@pytest.mark.parametrize("run, tamper, message", TRACE_TAMPERING)
+def test_trace_replay_rejects_tampered_evidence(run, tamper, message):
+    rs, trace = run()
     trace.replay(rs)
     with pytest.raises(AssertionError, match=message):
         tamper(rs, trace).replay(rs)
 
 
 def test_skolem_rounds_search_only_rules_whose_body_predicates_grew(monkeypatch):
-    # each round of the 600-rule chain grows one predicate, read by one rule
-    calls = []
+    # each round of the 600-rule chain grows one predicate, read by one
+    # rule; after one look at every body predicate, a round tests only the
+    # predicate the last round added to (testing every rule for growth made
+    # 361,799 by_pred calls)
+    searches, lookups = [], []
+    by_pred = Instance.by_pred
 
-    def counted(*args, **kwargs):
-        calls.append(None)
+    def counted_search(*args, **kwargs):
+        searches.append(None)
         return find_homomorphisms(*args, **kwargs)
 
-    monkeypatch.setattr(chase, "find_homomorphisms", counted)
+    def counted_lookup(inst, pred):
+        lookups.append(None)
+        return by_pred(inst, pred)
+
+    monkeypatch.setattr(chase, "find_homomorphisms", counted_search)
+    monkeypatch.setattr(Instance, "by_pred", counted_lookup)
     text = "".join("[r%d] p%d(X,Z) :- p%d(Y,X).\n" % (i, i + 1, i) for i in range(600))
     trace = skolem_chase(_db("p0(a,b)."), cs.parse_rules(text))
     assert isinstance(trace.outcome, Saturated)
     assert len(trace.steps) == 600
-    assert len(calls) <= 2 * len(trace.steps)
+    assert len(searches) <= 2 * len(trace.steps)
+    assert len(lookups) <= 3 * len(trace.steps)

@@ -2,15 +2,18 @@
 hashing, equality, height, printing, instance updates and the chase must
 all work on them without recursing down the term."""
 
+import pickle
+import random
 import sys
 
 import chase_sentinel as cs
 from chase_sentinel import cli
 from chase_sentinel.chase import Budget, BudgetExhausted, Saturated, skolem_chase
 from chase_sentinel.hom import apply_trigger
-from chase_sentinel.model import Instance, has_cyclic_nesting
+from chase_sentinel.model import Instance, SkolemTerm, has_cyclic_nesting
 
 from fixtures import WALK, walk
+from oracles import has_cyclic_nesting_reference
 
 DEPTH = 10_000
 
@@ -98,11 +101,71 @@ def test_cyclic_nesting_check_walks_deep_terms_without_recursion():
     assert not has_cyclic_nesting(a)
 
 
-def test_skolem_chase_of_a_600_rule_chain_saturates_with_cyclic_term_detection():
-    # each rule nests one more distinct function: 600 levels, no cycle
+def test_skolem_chase_of_a_600_rule_chain_saturates_with_cyclic_term_detection(monkeypatch):
+    # each rule nests one more distinct function: 600 levels, no cycle.
+    # Reads of SkolemTerm.args count term visits: a walk of every new term
+    # makes O(n^2) of them on the chain, cached function sets O(n)
+    slot = SkolemTerm.__dict__["args"]
+    reads = []
+
+    def read(term):
+        reads.append(None)
+        return slot.__get__(term, SkolemTerm)
+
+    monkeypatch.setattr(SkolemTerm, "args", property(read, slot.__set__))
     text = "".join("[r%d] p%d(X,Z) :- p%d(Y,X).\n" % (i, i + 1, i) for i in range(600))
     trace = skolem_chase(cs.parse("p0(a,b).").database(), cs.parse_rules(text),
                          detect_cyclic_terms=True)
     assert trace.outcome == Saturated()
     assert len(trace.steps) == 600
     assert trace.final.ht() == 601
+    assert len(reads) <= 4 * len(trace.steps)
+
+
+def _random_terms(rng, n):
+    """`n` skolem terms over three functions, each over constants and
+    earlier terms, so that subterms are shared and nest up to n deep."""
+    terms = [cs.Constant(c) for c in "ab"]
+    for _ in range(n):
+        args = tuple(rng.choice(terms[-6:] if rng.random() < 0.7 else terms)
+                     for _ in range(rng.randint(1, 3)))
+        terms.append(cs.SkolemTerm(rng.choice("fgh"), args))
+    return terms[2:]
+
+
+def test_cyclic_nesting_agrees_with_the_whole_term_walk_on_random_terms():
+    for seed in range(30):
+        rng = random.Random(seed)
+        terms = _random_terms(rng, 40)
+        # ask in a random order: some terms meet cached arguments, some not
+        order = list(terms)
+        rng.shuffle(order)
+        got = {id(t): has_cyclic_nesting(t) for t in order}
+        assert [got[id(t)] for t in terms] == [has_cyclic_nesting_reference(t) for t in terms]
+    assert any(got.values()) and not all(got.values())
+
+
+def test_cyclic_nesting_agrees_with_the_whole_term_walk_on_deep_terms():
+    names = ["f%d" % i for i in range(3_000)]
+    for tower in (
+        _named_tower(names),
+        _named_tower([names[-1]] + names[1:]),
+        _named_tower(names[:1500] + names[:1]),
+        _named_tower(["f", "g"] * 1500),
+    ):
+        # asking about a middle subterm first leaves the rest half cached
+        middle = tower
+        for _ in range(1500):
+            middle = middle.args[0]
+        assert has_cyclic_nesting(middle) == has_cyclic_nesting_reference(middle)
+        assert has_cyclic_nesting(tower) == has_cyclic_nesting_reference(tower)
+
+
+def test_cached_nesting_stays_out_of_repr_equality_and_pickling():
+    t = cs.SkolemTerm("f", (cs.SkolemTerm("f", (cs.Constant("a"),)),))
+    fresh = cs.SkolemTerm("f", (cs.SkolemTerm("f", (cs.Constant("a"),)),))
+    text = repr(t)
+    assert has_cyclic_nesting(t)
+    assert repr(t) == text and t == fresh and hash(t) == hash(fresh)
+    assert pickle.dumps(t) == pickle.dumps(fresh)
+    assert has_cyclic_nesting(pickle.loads(pickle.dumps(t)))
