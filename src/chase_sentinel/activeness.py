@@ -9,6 +9,10 @@ not).  Safety of a path is decided against its restricted critical
 database under the index-lowering renamings proposed from homomorphism
 near misses (see `critdb` for what they cover).
 
+`replay_witness` replays a witness's steps as a restricted chase trace
+(`ChaseTrace.replay`), then checks its chain through `hom.consumed_steps`,
+the helper the search builds the chain with.
+
 The search remembers the states whose subtree failed, and does not search
 them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
 and those derived by chain-reachable steps (step 1, and any step whose
@@ -32,7 +36,16 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, CycleFunction, check_condition, connected_components
-from .chase import DEFAULT_BUDGET, Budget, BudgetExceeded, Meter, TraceStep, datalog_first_filter
+from .chase import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
+    ChaseTrace,
+    Meter,
+    Saturated,
+    TraceStep,
+    datalog_first_filter,
+)
 from .critdb import (
     RenamingFunction,
     apply_renaming,
@@ -45,6 +58,7 @@ from .deps import dependency_graph
 from .hom import (
     apply_trigger,
     body_image,
+    consumed_steps,
     find_homomorphisms,
     freeze_bindings,
     is_active_trigger,
@@ -148,12 +162,11 @@ class _Search:
         return self._step(0, frozenset(), frozenset())
 
     def _found(self) -> None:
-        inst = self.inst
         self.witness_steps = [
             TraceStep(rule.id, freeze_bindings(h), tuple(added)) for rule, h, added in self.trail
         ]
         self.witness_chain = _chain_through(
-            [frozenset(map(inst.first_derived_at, body_image(rule, h))) for rule, h, _ in self.trail]
+            [consumed_steps(rule, h, self.inst) for rule, h, _ in self.trail]
         )
 
     def _step(self, i: int, derived: frozenset, reached: frozenset) -> bool:
@@ -298,35 +311,23 @@ def is_path_active(
 
 
 def replay_witness(witness: ChainWitness, rs: RuleSet) -> Instance:
-    """Re-run a witness end to end, re-verifying trigger activeness and the
-    chain edges; raises AssertionError on any mismatch, and when the steps
-    do not apply the rules of `witness.rule_ids`, the cycle it names."""
+    """Re-run a witness as a restricted chase trace (`ChaseTrace.replay`),
+    then check its chain edges; raises AssertionError on any mismatch, and,
+    before replaying, when the steps do not apply the rules of
+    `witness.rule_ids`, the cycle it names."""
     applied = tuple(s.rule_id for s in witness.steps)
     if applied != witness.rule_ids:
         raise AssertionError(
             "witness: steps apply %s, not the cycle %s" % (applied, witness.rule_ids)
         )
-    inst = Instance(witness.initial)
-    used_steps: List[frozenset] = []
-    for i, step in enumerate(witness.steps, start=1):
-        rule = rs.by_id[step.rule_id]
-        h = dict(step.bindings)
-        image = body_image(rule, h)
-        for a in image:
-            if a not in inst:
-                raise AssertionError("witness: body atom %s missing at step %d" % (a, i))
-        if not is_active_trigger(rule, h, inst):
-            raise AssertionError("witness: trigger at step %d is not active" % i)
-        used_steps.append(frozenset(inst.first_derived_at(a) for a in image))
-        added = apply_trigger(rule, h, inst, i)
-        if tuple(added) != step.added:
-            raise AssertionError("witness: step %d derived %s, recorded %s" % (i, added, step.added))
+    inst = ChaseTrace(witness.initial, list(witness.steps), Saturated(), restricted=True).replay(rs)
     chain = witness.chain
     if len(witness.steps) >= 2:
         if not chain or chain[0] != 1 or chain[-1] != len(witness.steps):
             raise AssertionError("witness: chain does not span the path")
         for a, b in zip(chain, chain[1:]):
-            if a not in used_steps[b - 1]:
+            step = witness.steps[b - 1]
+            if a not in consumed_steps(rs.by_id[step.rule_id], dict(step.bindings), inst):
                 raise AssertionError("witness: step %d does not consume step %d output" % (b, a))
     return inst
 

@@ -26,7 +26,7 @@ from .chase import (
     skolem_chase,
 )
 from .critdb import skolem_critical_db
-from .hom import body_image
+from .hom import consumed_steps
 from .model import RuleSet, rule_set_size, term_height
 
 
@@ -131,10 +131,7 @@ def _support_paths(trace: ChaseTrace, rules: RuleSet, bound: int) -> List[tuple]
                 continue
             support.add(s)
             step = trace.steps[s - 1]
-            rule = rules.by_id[step.rule_id]
-            h = dict(step.bindings)
-            for a in body_image(rule, h):
-                origin = inst.first_derived_at(a)
+            for origin in consumed_steps(rules.by_id[step.rule_id], dict(step.bindings), inst):
                 if origin > 0 and origin not in support:
                     frontier.append(origin)
         path = tuple(trace.steps[s - 1].rule_id for s in sorted(support))
@@ -162,9 +159,10 @@ def memb_check(
     bound at or above that height cannot be breached, so phase 2 is never
     reached and the clamp changes no verdict; `bound_clamped` reports it.
 
-    Without a budget the run gets DEFAULT_BUDGET.  Raises ValueError when
-    delta(||R||) < 1: a bound function maps positive integers to positive
-    integers."""
+    An unknown answer names the first budget that ran out; in phase 2 it
+    also gives the breach paths.  Without a budget the run gets
+    DEFAULT_BUDGET.  Raises ValueError when delta(||R||) < 1: a bound
+    function maps positive integers to positive integers."""
     budget = budget or DEFAULT_BUDGET
     limits = (budget.max_steps, budget.max_atoms, sys.maxsize)
     reach = 1 + min(b for b in limits if b is not None)
@@ -208,9 +206,11 @@ def memb_check(
                 witness=verdict.witness,
             )
         if verdict.status is Status.INCONCLUSIVE:
-            inconclusive = verdict.reason
+            inconclusive = inconclusive or verdict.reason
     if inconclusive is not None:
-        return MembCheckResult(value=None, bound=bound, phase=2, reason=inconclusive)
+        return MembCheckResult(
+            value=None, bound=bound, phase=2, breach_paths=tuple(paths), reason=inconclusive
+        )
     return MembCheckResult(value=True, bound=bound, phase=2, breach_paths=tuple(paths))
 
 

@@ -165,7 +165,9 @@ class ChaseTrace:
     def replay(self, rules: RuleSet) -> Instance:
         """Re-execute the trace, verifying every application, and for a
         restricted trace that every trigger was active when it fired;
-        returns the reconstructed instance."""
+        returns the reconstructed instance.  This is the one replay of
+        recorded steps: `activeness.replay_witness` replays a chain witness
+        as a restricted trace and then checks only its chain."""
         inst = Instance(self.initial)
         index = ArgIndex(inst) if self.restricted else None
         for i, step in enumerate(self.steps, start=1):
@@ -321,9 +323,9 @@ def greedy_restricted(
       rule whose enumeration ends without an active trigger moves its
       frontier to the current sizes, and a rule with a one-atom body that
       fires moves it past the atom it fired on (the triggers before it
-      were inactive, and the fired one is no longer active);
-    - a trigger found inactive past the frontier is remembered by its rule
-      and body bindings and not tested again;
+      were inactive, and the fired one is no longer active).  A rule with
+      a longer body that fires keeps its frontier, so its next step may
+      test again a trigger it found inactive past the frontier;
     - the head match of an activeness test reads an `ArgIndex` of the run's
       instance, so a head atom with a bound argument or a constant tests
       only the atoms that share it.
@@ -335,7 +337,6 @@ def greedy_restricted(
         order = [r for r in order if r.is_datalog] + [r for r in order if not r.is_datalog]
     bodies = [(rule, list(dict.fromkeys(a.pred for a in rule.body))) for rule in order]
     frontiers: list = [{} for _ in order]
-    dead: set = set()
     index: Optional[ArgIndex] = None
 
     def first_active(inst: Instance, probe: Callable[[], None]) -> list:
@@ -347,16 +348,12 @@ def greedy_restricted(
             if all(n <= frontier.get(p, 0) for p, n in zip(preds, sizes)):
                 continue
             for h in find_homomorphisms(rule.body, inst, probe=probe, since=frontier):
-                key = (rule.id, tuple([h[v] for v in rule.body_vars]))
-                if key in dead:
-                    continue
                 if is_active_trigger(rule, h, inst, probe=probe, index=index):
                     if len(rule.body) == 1:
                         (pred,) = preds
                         fired = instantiate(rule.body[0], h)
                         frontier[pred] = inst.by_pred(pred).index(fired, frontier.get(pred, 0)) + 1
                     return [(rule, h)]
-                dead.add(key)
             frontier.update(zip(preds, sizes))
         return []
 

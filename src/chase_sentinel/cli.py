@@ -6,7 +6,7 @@ chase (run a chase variant), cycles (list k-cycles), bounded
 verdict grid over a directory: T, N, or R:<budget that ran out>), graph
 (dependency graph as DOT).
 
-Exit codes for analyze/bounded: 0 proven, 1 not proven, 2 resources
+Exit codes for analyze/check/bounded: 0 proven, 1 not proven, 2 resources
 exhausted, 3 usage or parse error; an input or output file that cannot be
 read or written is a usage error.  chase exits 2 when its run ends on a
 budget and 0 when it saturates or finds a cyclic term.
@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +44,14 @@ EXIT_PROVEN = 0
 EXIT_NOT_PROVEN = 1
 EXIT_EXHAUSTED = 2
 EXIT_USAGE = 3
+
+# the exit code of a three-valued answer: proven, refuted, budget exhausted
+EXIT_CODES = {True: EXIT_PROVEN, False: EXIT_NOT_PROVEN, None: EXIT_EXHAUSTED}
+VERDICT_ANSWERS = {
+    Verdict.TERMINATING: True,
+    Verdict.NOT_PROVEN: False,
+    Verdict.RESOURCE_EXHAUSTED: None,
+}
 
 SCHEMA_VERSION = 1
 
@@ -155,7 +164,8 @@ def cmd_analyze(args) -> int:
         datalog_first=args.datalog_first,
         budget=_budget_from_args(args),
     )
-    stats = report.stats
+    stats = asdict(report.stats)
+    elapsed_s = stats.pop("elapsed_s")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "file": args.file,
@@ -165,18 +175,10 @@ def cmd_analyze(args) -> int:
         "status": report.verdict.value,
         "reason": report.reason,
         "witness": _witness_json(report.witness),
-        "stats": {
-            "components": stats.components,
-            "components_skipped": stats.components_skipped,
-            "cycles_enumerated": stats.cycles_enumerated,
-            "cycles_condition_true": stats.cycles_condition_true,
-            "cycles_datalog_pruned": stats.cycles_datalog_pruned,
-            "cycles_checked": stats.cycles_checked,
-            "truncated": stats.truncated,
-        },
+        "stats": stats,
     }
     if args.timings:
-        payload["elapsed_s"] = round(stats.elapsed_s, 6)
+        payload["elapsed_s"] = round(elapsed_s, 6)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -198,19 +200,11 @@ def cmd_analyze(args) -> int:
             print("  renaming: %s" % w.renaming)
             print("  chain: %s" % " -> ".join(str(i) for i in w.chain))
         print(
-            "  cycles: %d enumerated, %d passed condition, %d pruned (datalog-first), %d checked"
-            % (
-                stats.cycles_enumerated,
-                stats.cycles_condition_true,
-                stats.cycles_datalog_pruned,
-                stats.cycles_checked,
-            )
+            "  cycles: %(cycles_enumerated)d enumerated, %(cycles_condition_true)d passed "
+            "condition, %(cycles_datalog_pruned)d pruned (datalog-first), %(cycles_checked)d "
+            "checked" % stats
         )
-    return {
-        Verdict.TERMINATING: EXIT_PROVEN,
-        Verdict.NOT_PROVEN: EXIT_NOT_PROVEN,
-        Verdict.RESOURCE_EXHAUSTED: EXIT_EXHAUSTED,
-    }[report.verdict]
+    return EXIT_CODES[VERDICT_ANSWERS[report.verdict]]
 
 
 def cmd_check(args) -> int:
@@ -233,9 +227,7 @@ def cmd_check(args) -> int:
             print("  budget exhausted: %s" % res.witness)
         elif res.witness is not None:
             print("  witness: %s" % (res.witness,))
-    if res.value is True:
-        return EXIT_PROVEN
-    return EXIT_NOT_PROVEN if res.value is False else EXIT_EXHAUSTED
+    return EXIT_CODES[res.value]
 
 
 def cmd_chase(args) -> int:
@@ -284,6 +276,7 @@ def cmd_bounded(args) -> int:
         result = memb_check(rs, delta, budget=_budget_from_args(args))
     except ValueError as e:  # delta(||R||) < 1, as for linear:1,0 with no rules
         raise UsageError(e) from e
+    caveat = multi_head_caveat(rs)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "file": args.file,
@@ -294,7 +287,7 @@ def cmd_bounded(args) -> int:
         "value": result.value,
         "phase": result.phase,
         "breach_paths": [list(p) for p in result.breach_paths],
-        "caveat": multi_head_caveat(rs),
+        "caveat": caveat,
         "reason": result.reason,
     }
     if args.json:
@@ -308,12 +301,9 @@ def cmd_bounded(args) -> int:
         )
         if result.reason is not None:
             print("  budget exhausted: %s" % result.reason)
-        caveat = multi_head_caveat(rs)
         if caveat and result.value is False:
             print("  note: %s" % caveat)
-    if result.value is True:
-        return EXIT_PROVEN
-    return EXIT_NOT_PROVEN if result.value is False else EXIT_EXHAUSTED
+    return EXIT_CODES[result.value]
 
 
 def cmd_generate(args) -> int:

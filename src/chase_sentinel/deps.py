@@ -229,10 +229,6 @@ class DependencyGraph:
     def positions(self) -> dict:  # rule id -> index
         return {r.id: i for i, r in enumerate(self.rule_set.rules)}
 
-    def depends(self, later: Rule, earlier: Rule) -> bool:
-        """Whether `later` depends on `earlier`, by rule id."""
-        return self.positions[earlier.id] in self.predecessors[self.positions[later.id]]
-
     def to_dot(self) -> str:
         rules = self.rule_set.rules
         lines = ["digraph dependencies {"]

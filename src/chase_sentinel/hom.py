@@ -342,3 +342,10 @@ def apply_trigger(rule: Rule, h: dict, inst: Instance, step: int) -> list:
 
 def body_image(rule: Rule, h: Mapping[str, Term]) -> list:
     return [instantiate(a, h) for a in rule.body]
+
+
+def consumed_steps(rule: Rule, h: Mapping[str, Term], inst: Instance) -> frozenset:
+    """The steps that first derived the atoms of the trigger's body image
+    (0 for a database atom).  An atom's first step never changes once it
+    is in `inst`, so the set is the same before and after later steps."""
+    return frozenset(map(inst.first_derived_at, body_image(rule, h)))

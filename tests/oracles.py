@@ -6,7 +6,7 @@ of two rules with respect to one instance.  Also the term-walking
 homomorphism search that the compiled match path of `chase_sentinel.hom`
 replaced, with the orientation of its near misses into merges that
 `chase_sentinel.critdb.near_miss_recorder` replaced; the rescanning chase
-policies that the semi-naive skolem rounds and the dead-trigger memo of
+policies that the semi-naive skolem rounds and the trigger frontiers of
 `chase_sentinel.chase` replaced; and the generator-based activeness test
 and skolem-head instantiation that the direct trigger path of
 `chase_sentinel.hom` replaced; and the chained search without its memo of
@@ -16,7 +16,10 @@ on a union-find that the representative map of `chase_sentinel.deps`
 replaced; and the hand-iterated Tarjan components that the two-pass
 components of `chase_sentinel.acyclicity` replaced; and the whole-term
 walk of the cyclic-nesting test that the cached function sets of
-`chase_sentinel.model` replaced; as differential references.
+`chase_sentinel.model` replaced; and the step-by-step witness replay that
+replaying a witness as a restricted `ChaseTrace` replaced; as differential
+references.  Also the rule-id dependency test of a built graph, which only
+the tests read, and a tampering shared by the replay tests.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -27,6 +30,7 @@ live in `chase_sentinel.chase`, its demand-driven renaming search in
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from chase_sentinel.activeness import (
@@ -455,6 +459,11 @@ def is_relevant(cycle_path: Sequence[Rule]) -> bool:
     )
 
 
+def graph_depends(graph: DependencyGraph, later: Rule, earlier: Rule) -> bool:
+    """Whether `later` depends on `earlier` in `graph`, by rule id."""
+    return graph.positions[earlier.id] in graph.predecessors[graph.positions[later.id]]
+
+
 def connected_components_reference(graph: DependencyGraph) -> List[tuple]:
     """`acyclicity.connected_components` by Tarjan's algorithm on a
     resumable work stack, ordered by smallest rule index."""
@@ -758,7 +767,7 @@ def greedy_restricted_rescanning(
     budget: Optional[Budget] = None,
     datalog_first: bool = False,
 ) -> ChaseTrace:
-    """`greedy_restricted` without its memo, frontiers or head index: every
+    """`greedy_restricted` without its frontiers or head index: every
     step tests the activeness of every trigger again, from the first rule
     on, scanning each head predicate's atoms."""
     order = list(rules)
@@ -882,3 +891,50 @@ def is_active_wrt_reference(
         renaming=RenamingFunction.identity(),
     )
     return SafetyVerdict(Status.ACTIVE, witness=witness), list(search.merges)
+
+
+# ---------------------------------------------------------------------------
+# The witness replay as it was before it replayed a witness as a restricted
+# trace: its own loop re-checks each body image, tests activeness by a head
+# scan, collects the steps each trigger consumed from, and compares the
+# added atoms, then checks the chain against what it collected.
+
+
+def replay_witness_reference(witness: ChainWitness, rs: RuleSet) -> Instance:
+    """`activeness.replay_witness` by its own step loop."""
+    applied = tuple(s.rule_id for s in witness.steps)
+    if applied != witness.rule_ids:
+        raise AssertionError(
+            "witness: steps apply %s, not the cycle %s" % (applied, witness.rule_ids)
+        )
+    inst = Instance(witness.initial)
+    used_steps: List[frozenset] = []
+    for i, step in enumerate(witness.steps, start=1):
+        rule = rs.by_id[step.rule_id]
+        h = dict(step.bindings)
+        image = body_image(rule, h)
+        for a in image:
+            if a not in inst:
+                raise AssertionError("witness: body atom %s missing at step %d" % (a, i))
+        if not is_active_trigger(rule, h, inst):
+            raise AssertionError("witness: trigger at step %d is not active" % i)
+        used_steps.append(frozenset(inst.first_derived_at(a) for a in image))
+        added = apply_trigger(rule, h, inst, i)
+        if tuple(added) != step.added:
+            raise AssertionError("witness: step %d derived %s, recorded %s" % (i, added, step.added))
+    chain = witness.chain
+    if len(witness.steps) >= 2:
+        if not chain or chain[0] != 1 or chain[-1] != len(witness.steps):
+            raise AssertionError("witness: chain does not span the path")
+        for a, b in zip(chain, chain[1:]):
+            if a not in used_steps[b - 1]:
+                raise AssertionError("witness: step %d does not consume step %d output" % (b, a))
+    return inst
+
+
+def without_step_one_body(rs: RuleSet, evidence):
+    """A chase trace or chain witness whose initial atoms lack the body
+    image of its first step."""
+    first = evidence.steps[0]
+    image = set(body_image(rs.by_id[first.rule_id], dict(first.bindings)))
+    return replace(evidence, initial=tuple(a for a in evidence.initial if a not in image))

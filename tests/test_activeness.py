@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,6 @@ import chase_sentinel as cs
 from chase_sentinel.activeness import Status, Verdict, is_active_wrt, is_path_active, k_safe, replay_witness
 from chase_sentinel.chase import Budget, Meter
 from chase_sentinel.critdb import restricted_critical_db
-from chase_sentinel.hom import body_image
 
 from fixtures import (
     access_control,
@@ -20,7 +20,13 @@ from fixtures import (
     vacuous_self,
     walk,
 )
-from oracles import indexed_constants, is_active_wrt_reference, renaming_sweep
+from oracles import (
+    indexed_constants,
+    is_active_wrt_reference,
+    renaming_sweep,
+    replay_witness_reference,
+    without_step_one_body,
+)
 
 
 def test_access_control_key_loop_is_safe_from_haskey_db():
@@ -311,27 +317,21 @@ def test_replay_witness_rejects_steps_that_apply_another_cycle(rule_ids):
         replay_witness(replace(witness, rule_ids=rule_ids), rs)
 
 
-def _without_step_one_body(rs, w):
-    first = w.steps[0]
-    image = set(body_image(rs.by_id[first.rule_id], dict(first.bindings)))
-    return replace(w, initial=tuple(a for a in w.initial if a not in image))
-
-
 WITNESS_TAMPERING = [
-    pytest.param(_without_step_one_body, "body atom .* missing at step 1", id="initial-atom-dropped"),
+    pytest.param(without_step_one_body, "body atom .* missing at step 1", id="initial-atom-dropped"),
     pytest.param(
         lambda rs, w: replace(w, steps=(replace(w.steps[0], added=w.steps[0].added[1:]),) + w.steps[1:]),
-        "step 1 derived",
+        "step 1 added",
         id="added-changed",
     ),
     pytest.param(
         lambda rs, w: replace(w, initial=w.initial + w.steps[0].added),
-        "trigger at step 1 is not active",
+        "trigger of step 1 is not active",
         id="head-atoms-in-initial",
     ),
     pytest.param(
         lambda rs, w: replace(w, steps=w.steps[:1] + w.steps, rule_ids=w.rule_ids[:1] + w.rule_ids),
-        "trigger at step 2 is not active",
+        "trigger of step 2 is not active",
         id="step-repeated",
     ),
     pytest.param(
@@ -415,6 +415,79 @@ def test_chained_search_matches_the_memo_free_reference_on_random_cycles():
     tally = _differential(cycle for rs in draws for cycle in _first_cycles(rs, 3))
     assert tally["probes"] < tally["reference_probes"]
     assert tally["decided_now"] > 0
+
+
+# `replay_witness` against the step loop it replaced, kept in tests/oracles.py:
+# the NotProven witnesses at k = 1 under WA of the fixture sets and of the
+# first 30 generated sets (the benchmark's `generated` parameters) that
+# give one under 2,000 probes a path, each as found, under every tampering
+# of WITNESS_TAMPERING, and under four seeded random ones.  Both replays
+# must accept the same evidence, and rebuild the same instance from it.
+
+
+def _not_proven_witnesses():
+    from test_acyclicity import GENERATED
+
+    for make in _FIXTURE_SETS:
+        rs = make()
+        witness = k_safe(rs, 1, cs.Condition.WA).witness
+        if witness is not None:
+            yield rs, witness
+    found = 0
+    for seed in itertools.count():
+        rs = cs.generate(cs.GenParams(seed=seed, **GENERATED))
+        witness = k_safe(rs, 1, cs.Condition.WA, budget=Budget(max_probes=2_000)).witness
+        if witness is not None:
+            yield rs, witness
+            found += 1
+            if found == 30:
+                return
+
+
+def _random_tamperings(rng, w):
+    """Drop an initial atom, drop an added atom, swap two steps (with their
+    rule ids, so the replay runs), and drop one chain index."""
+    i = rng.randrange(len(w.initial))
+    yield replace(w, initial=w.initial[:i] + w.initial[i + 1:])
+    j = rng.choice([j for j, step in enumerate(w.steps) if step.added])
+    a = rng.randrange(len(w.steps[j].added))
+    steps = list(w.steps)
+    steps[j] = replace(steps[j], added=steps[j].added[:a] + steps[j].added[a + 1:])
+    yield replace(w, steps=tuple(steps))
+    i, j = sorted(rng.sample(range(len(w.steps)), 2))
+    steps = list(w.steps)
+    steps[i], steps[j] = steps[j], steps[i]
+    yield replace(w, steps=tuple(steps), rule_ids=tuple(step.rule_id for step in steps))
+    cut = rng.randrange(len(w.chain))
+    yield replace(w, chain=w.chain[:cut] + w.chain[cut + 1:])
+
+
+def _replayed(replay, witness, rs):
+    """The atoms a replay rebuilds, with their first steps; or, when it
+    rejects the witness, the check that failed and the step it names."""
+    try:
+        inst = replay(witness, rs)
+    except AssertionError as e:
+        message = str(e)
+        check = re.search(r"missing|not active|added|derived|span|consume|apply", message)
+        step = re.search(r"step (\d+)", message)
+        return check.group().replace("derived", "added"), step and step.group(1)
+    return [(a, inst.first_derived_at(a)) for a in inst.atoms()]
+
+
+def test_replay_witness_matches_the_step_loop_reference():
+    rng = random.Random(0)
+    tally = {"witnesses": 0, "accepted": 0, "rejected": 0}
+    for rs, witness in _not_proven_witnesses():
+        tally["witnesses"] += 1
+        tampered = [tamper(rs, witness) for tamper, _ in (p.values for p in WITNESS_TAMPERING)]
+        for w in [witness, *tampered, *_random_tamperings(rng, witness)]:
+            got = _replayed(replay_witness, w, rs)
+            assert got == _replayed(replay_witness_reference, w, rs), (witness.rule_ids, w)
+            tally["rejected" if isinstance(got, tuple) else "accepted"] += 1
+    # 20 of the 350 tamperings leave valid evidence: each drops an initial
+    # atom that no step reads
+    assert tally == {"witnesses": 35, "accepted": 55, "rejected": 330}
 
 
 def test_generated_set_two_stays_within_its_probe_count(monkeypatch):

@@ -1,6 +1,8 @@
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import bounded
+from chase_sentinel.activeness import SafetyVerdict, Status
 from chase_sentinel.bounded import (
     constant_bound,
     exp_tower_bound,
@@ -83,6 +85,31 @@ def test_a_height_limit_does_not_stop_phase_two():
     # at that height must not end the chained search that reaches it
     res = memb_check(handshake(), constant_bound(2), budget=Budget(max_height=3, max_probes=10**6))
     assert (res.value, res.phase, res.reason) == (False, 2, None)
+
+
+def test_a_phase_two_unknown_keeps_its_breach_paths():
+    # the `fixtures` workload's budget of the benchmark: the chained search
+    # of the one breach path runs out of probes
+    budget = Budget(max_steps=20_000, max_height=None, max_atoms=50_000, max_probes=50_000)
+    res = memb_check(handshake(), linear_bound(1, 1), budget=budget)
+    assert (res.value, res.phase, res.reason) == (None, 2, "probes")
+    assert res.breach_paths == (("r1", "r2") * 14,)
+
+
+def test_a_phase_two_unknown_names_the_first_budget_that_ran_out(monkeypatch):
+    # phase 1 stops at the first breaching step, so a real run has one
+    # breach path; two are forced here to see which reason is kept
+    rs = handshake()
+    paths = [("r1", "r2"), ("r1", "r2", "r1", "r2")]
+    reasons = iter(["renamings", "probes"])
+    monkeypatch.setattr(bounded, "_support_paths", lambda trace, rules, bound: paths)
+    monkeypatch.setattr(
+        bounded, "is_path_active",
+        lambda path, **kwargs: SafetyVerdict(Status.INCONCLUSIVE, reason=next(reasons)),
+    )
+    res = memb_check(rs, constant_bound(2))
+    assert (res.value, res.phase, res.reason) == (None, 2, "renamings")
+    assert res.breach_paths == tuple(paths)
 
 
 def test_multi_head_caveat():

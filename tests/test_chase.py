@@ -21,7 +21,6 @@ from chase_sentinel.gen import GenParams, generate
 from chase_sentinel.hom import (
     ArgIndex,
     apply_trigger,
-    body_image,
     find_homomorphisms,
     freeze_bindings,
     is_active_trigger,
@@ -43,6 +42,7 @@ from oracles import (
     longest_restricted_run,
     restricted_chase_exhaustive,
     skolem_chase_rescanning,
+    without_step_one_body,
 )
 
 
@@ -449,12 +449,6 @@ def test_a_chase_run_starts_from_its_database_atoms_at_step_0():
     assert [trace.final.first_derived_at(a) for a in before] == [0, 0]
 
 
-def _without_step_one_body(rs, trace):
-    first = trace.steps[0]
-    image = set(body_image(rs.by_id[first.rule_id], dict(first.bindings)))
-    return replace(trace, initial=tuple(a for a in trace.initial if a not in image))
-
-
 def _skolem_handshake():
     rs = handshake_trusted()
     return rs, skolem_chase(_db("typeB(a,b)."), rs, budget=Budget(max_steps=3))
@@ -482,7 +476,7 @@ def _inactive_step_appended(rs, trace):
 
 TRACE_TAMPERING = [
     pytest.param(
-        _skolem_handshake, _without_step_one_body, "body atom .* missing at step 1",
+        _skolem_handshake, without_step_one_body, "body atom .* missing at step 1",
         id="initial-atom-dropped",
     ),
     pytest.param(

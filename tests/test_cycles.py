@@ -13,7 +13,7 @@ from chase_sentinel.cycles import (
 from chase_sentinel.deps import dependency_graph
 
 from fixtures import handshake, handshake_trusted, triad, vacuous_self, walk
-from oracles import is_relevant
+from oracles import graph_depends, is_relevant
 
 
 def _ids(stream):
@@ -114,7 +114,9 @@ def test_enumeration_matches_brute_force(k):
     for rs in (handshake(), triad(), walk()):
         graph = dependency_graph(rs)
         found = set(_ids(enumerate_k_cycles(rs, k, graph)))
-        expected = brute_force_cycles(list(rs.rules), k, graph.depends)
+        expected = brute_force_cycles(
+            list(rs.rules), k, lambda later, earlier: graph_depends(graph, later, earlier)
+        )
         assert found == expected
 
 
