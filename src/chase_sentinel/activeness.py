@@ -13,6 +13,23 @@ near misses (see `critdb` for what they cover).
 (`ChaseTrace.replay`), then checks its chain through `hom.consumed_steps`,
 the helper the search builds the chain with.
 
+The search matches each path rule's body in derived-first order: the
+atoms the path derived, then the database atoms, each in insertion order,
+with the body atoms in `hom.order_atoms` order.  Only a step that consumes
+a derived atom extends the chain, so trying those first pays.  Measured
+over one gated benchmark pass at seed 1 on a 2-vCPU VM, against the same
+search in insertion order (`fixtures` was not timed):
+
+    workload    order            time      probes   decided
+    generated   insertion        318.7 s   51.9 M   198 of 200
+    generated   derived first      5.19 s   0.71 M   199 of 200
+    fixtures    insertion                   1.80 M    93 of 100
+    fixtures    derived first               1.69 M    95 of 100
+
+Each candidate tested is charged one probe, and each candidate that fails
+to match is a near miss, which `critdb.near_miss_recorder` turns into the
+merge it proposes, for `propose_merges`.
+
 The search remembers the states whose subtree failed, and does not search
 them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
 and those derived by chain-reachable steps (step 1, and any step whose
@@ -25,6 +42,31 @@ only failing subtrees are skipped, so the first witness and the recorded
 merges are those of a search without the memo, with at most its probes
 and steps.  Likewise the last step skips a body match whose image holds
 no reached atom before testing its activeness: it cannot end a chain.
+
+The same fixed database makes three more answers fixed for one search,
+and the search caches them; the caches die with it.
+- Trigger heads: the ground head atoms of a trigger depend only on its
+  rule and frontier values, so they are built once per search and
+  re-added when the trigger fires again after a rollback.  A Datalog path
+  rule is active iff one of these atoms is missing.
+- Body images: the matcher yields each match with the instance atoms it
+  matched, which are the trigger's body image, so the chain tests read
+  them instead of instantiating the body.
+- Database matches: whether a database atom matches a body atom, and the
+  near miss it is if not, depend only on the body atom and the values
+  bound to its variables, and the database atoms do not change.  So the
+  database part of a scan is memoized per (body atom, bound values): a
+  repeat re-binds the recorded hits and skips the rest.  It still charges
+  one probe per database atom, in scan order, so probe counts and the
+  point where a probe budget runs out are those of a full scan.  Its near
+  misses were recorded by the first scan, and recording one again changes
+  nothing.  Derived atoms come and go with rollbacks; they are scanned
+  every time.
+So the search tests, applies and records exactly what it would without
+the caches, and only builds and matches less.
+
+The search runs on an explicit stack, one frame per path position, so a
+long path needs no deep recursion.
 """
 
 from __future__ import annotations
@@ -33,7 +75,8 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, CycleFunction, check_condition, connected_components
 from .chase import (
@@ -56,14 +99,15 @@ from .critdb import (
 from .cycles import enumerate_k_cycles
 from .deps import dependency_graph
 from .hom import (
-    apply_trigger,
-    body_image,
     consumed_steps,
     find_homomorphisms,
     freeze_bindings,
+    head_image,
     is_active_trigger,
+    match_args,
+    order_atoms,
 )
-from .model import Instance, Rule, RuleSet
+from .model import Atom, Instance, Rule, RuleSet
 
 
 class Status(enum.Enum):
@@ -123,9 +167,12 @@ class _Search:
     height limits, as in the chase loop.  As it goes, the search records
     in `merges` the merge that each indexed-constant near miss of a body
     match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
-    `failed` holds the keys of the states whose subtree failed (see the
-    module docstring), and `trail` a (rule, bindings, added atoms) record
-    per applied trigger, from which a witness is built once, on success."""
+    `failed` holds the keys of the states whose subtree failed, `heads`
+    the head atoms of each path position's rule per frontier values (one
+    dict per distinct rule), and `database_matches` the memo of database
+    matches (see the module docstring).  `trail` holds a (rule, bindings,
+    added atoms) record per applied trigger, from which a witness is built
+    once, on success."""
 
     def __init__(
         self,
@@ -144,6 +191,9 @@ class _Search:
         self.failed: set = set()
         self.merges: Dict[frozenset, None] = {}
         self.on_miss = near_miss_recorder(self.merges)
+        rule_heads: Dict[Rule, dict] = {}
+        self.heads = [rule_heads.setdefault(rule, {}) for rule in self.path]
+        self.database_matches: Dict[tuple, list] = {}
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
 
@@ -158,8 +208,76 @@ class _Search:
                     return True
         return False
 
-    def run(self) -> bool:
-        return self._step(0, frozenset(), frozenset())
+    def matches(self, conj: Sequence[Atom]) -> Iterator[Tuple[dict, tuple]]:
+        """(h, image) for each homomorphism h of `conj` into the instance,
+        in derived-first order, where `image` holds the instance atoms
+        matched, in `conj` order.  One probe is charged per candidate and
+        each failed candidate's near miss recorded, as the module docstring
+        says, with database matches memoized.  The instance may change
+        while the matches are read if it is rolled back before the next."""
+        inst, memo, on_miss = self.inst, self.database_matches, self.on_miss
+        probe = self.meter.charge_probe
+        order = [0] if len(conj) == 1 else order_atoms(conj, inst)
+        last = len(order) - 1
+        binding: dict = {}
+        image: list = [None] * len(conj)
+
+        def search(depth: int) -> Iterator[Tuple[dict, tuple]]:
+            at = order[depth]
+            pattern = conj[at]
+            plan = pattern.plan
+            arity = len(pattern.args)
+            derived = inst.derived_by_pred(pattern.pred)
+            database = inst.database_by_pred(pattern.pred)
+            hits: Optional[list] = []  # no database atoms: nothing to memoize
+            if database:
+                key = (pattern, tuple(map(binding.get, plan.names)))
+                hits = memo.get(key)
+            # the derived atoms, numbered from -len(derived), then the
+            # database atoms from 0 unless the memo holds their hits; a first
+            # scan records each database hit with the pairs it bound
+            found = []
+            candidates = derived if hits is not None else chain(derived, database)
+            for pos, cand in enumerate(candidates, -len(derived)):
+                probe()
+                trail: list = []
+                if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
+                    if pos >= 0:
+                        found.append((pos, tuple([(name, binding[name]) for name in trail])))
+                    image[at] = cand
+                    if depth == last:
+                        yield dict(binding), tuple(image)
+                    else:
+                        yield from search(depth + 1)
+                    for name in trail:
+                        del binding[name]
+                    continue
+                for name in trail:
+                    del binding[name]
+                on_miss(pattern, binding, cand)
+            if hits is None:
+                memo[key] = found
+                return
+            # a repeat: one probe per database atom, the hits re-bound
+            scanned = 0
+            for pos, pairs in hits:
+                for _ in range(pos - scanned):
+                    probe()
+                probe()
+                scanned = pos + 1
+                for name, value in pairs:
+                    binding[name] = value
+                image[at] = database[pos]
+                if depth == last:
+                    yield dict(binding), tuple(image)
+                else:
+                    yield from search(depth + 1)
+                for name, _ in pairs:
+                    del binding[name]
+            for _ in range(len(database) - scanned):
+                probe()
+
+        return search(0)
 
     def _found(self) -> None:
         self.witness_steps = [
@@ -169,44 +287,63 @@ class _Search:
             [consumed_steps(rule, h, self.inst) for rule, h, _ in self.trail]
         )
 
-    def _step(self, i: int, derived: frozenset, reached: frozenset) -> bool:
-        key = (i, derived, reached)
-        if key in self.failed:
-            return False
-        rule = self.path[i]
-        last = i == len(self.path) - 1
-        if not rule.is_datalog and self._datalog_blocked():
-            self.failed.add(key)
-            return False
-        inst, meter = self.inst, self.meter
+    def run(self) -> bool:
+        """Depth-first over the path positions.  A frame holds a state's
+        key (i, derived, reached), its body matches, and the instance
+        length before the trigger its child state was entered with."""
+        path, inst, meter, trail, failed = self.path, self.inst, self.meter, self.trail, self.failed
         probe = meter.charge_probe
-        for h in find_homomorphisms(
-            rule.body, inst, derived_first=True, probe=probe, on_miss=self.on_miss
-        ):
-            if i and last and reached.isdisjoint(body_image(rule, h)):
-                continue
-            if not is_active_trigger(rule, h, inst, probe=probe):
-                continue
-            size = len(inst)
-            added = apply_trigger(rule, h, inst, i + 1)
-            meter.charge_step()
-            meter.check_instance(inst)
-            self.trail.append((rule, h, added))
-            if last:
-                if inst.ht() >= self.min_height:
-                    self._found()
-                    return True
-            else:
+        last = len(path) - 1
+        frames: List[list] = []
+        key: Optional[tuple] = (0, frozenset(), frozenset())
+        while True:
+            if key is not None:  # enter a state
+                rule = path[key[0]]
+                if key in failed or (not rule.is_datalog and self._datalog_blocked()):
+                    failed.add(key)
+                else:
+                    frames.append([key, self.matches(rule.body), None])
+                key = None
+            if not frames:
+                return False
+            frame = frames[-1]
+            (i, derived, reached), matches, size = frame
+            if size is not None:  # its child state failed: retract that trigger
+                trail.pop()
+                inst.rollback(size)
+            rule = path[i]
+            heads = self.heads[i]
+            for h, image in matches:
+                if i and i == last and reached.isdisjoint(image):
+                    continue
+                if not rule.is_datalog and not is_active_trigger(rule, h, inst, probe=probe):
+                    continue
+                frontier = tuple(map(h.__getitem__, rule.frontier))
+                head = heads.get(frontier)
+                if head is None:
+                    head = heads[frontier] = head_image(rule, h)
+                if rule.is_datalog and all(a in inst for a in head):
+                    continue  # a Datalog trigger is active iff a head atom is missing
+                size = len(inst)
+                added = [a for a in head if inst.add(a, i + 1)]
+                meter.charge_step()
+                meter.check_instance(inst)
+                trail.append((rule, h, added))
+                if i == last:
+                    if inst.ht() >= self.min_height:
+                        self._found()
+                        return True
+                    trail.pop()
+                    inst.rollback(size)
+                    continue
+                frame[2] = size
                 # step 1 starts every chain
-                chained = not i or not reached.isdisjoint(body_image(rule, h))
-                if self._step(
-                    i + 1, derived.union(added), reached.union(added) if chained else reached
-                ):
-                    return True
-            self.trail.pop()
-            inst.rollback(size)
-        self.failed.add(key)
-        return False
+                chained = not i or not reached.isdisjoint(image)
+                key = (i + 1, derived.union(added), reached.union(added) if chained else reached)
+                break
+            else:
+                failed.add(frame[0])
+                frames.pop()
 
 
 def is_active_wrt(

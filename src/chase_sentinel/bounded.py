@@ -3,9 +3,9 @@ keeps skolem-term nesting within delta(||R||).
 
 Phase 1 runs the skolem chase on the skolem critical database, halting as
 soon as a term of height delta(||R||)+1 appears; saturation without such a
-term already proves the bound.  Phase 2 extracts, for each atom that first
-breached the bound, the support chain of trigger applications that fed it,
-and tests the corresponding rule path for activeness w.r.t. its restricted
+term already proves the bound.  Phase 2 extracts the support chain of
+trigger applications that fed the one step that breached the bound, and
+tests the corresponding rule path for activeness w.r.t. its restricted
 critical databases; only an active path refutes the bound.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 from .activeness import Status, is_path_active
 from .chase import (
@@ -27,7 +27,7 @@ from .chase import (
 )
 from .critdb import skolem_critical_db
 from .hom import consumed_steps
-from .model import RuleSet, rule_set_size, term_height
+from .model import RuleSet, rule_set_size
 
 
 @dataclass(frozen=True)
@@ -104,41 +104,26 @@ class MembCheckResult:
     value: Optional[bool]  # True / False / None (budget)
     bound: int  # delta(||R||), or the reachable height when clamped
     phase: int  # 1 or 2
-    breach_paths: tuple = ()  # rule-id tuples whose chains reached bound+1
+    breach_paths: tuple = ()  # (rule ids of the breaching step's support,) in phase 2
     witness: Optional[object] = None  # ChainWitness for F verdicts
     reason: Optional[str] = None
     bound_clamped: bool = False  # delta(||R||) exceeded the reachable height
 
 
-def _support_paths(trace: ChaseTrace, rules: RuleSet, bound: int) -> List[tuple]:
-    """Rule paths reconstructed from derivation support chains of the atoms
-    whose terms first reached bound+1."""
+def _support_path(trace: ChaseTrace, rules: RuleSet) -> tuple:
+    """The rule path of the last step's derivation support: the steps it
+    consumed from, transitively, in step order."""
     inst = trace.final
-    breach_steps = []
-    for i, step in enumerate(trace.steps, start=1):
-        for a in step.added:
-            if any(term_height(t) > bound for t in a.args):
-                breach_steps.append(i)
-                break
-    paths: List[tuple] = []
-    seen = set()
-    for breach in breach_steps:
-        support = set()
-        frontier = [breach]
-        while frontier:
-            s = frontier.pop()
-            if s in support or s == 0:
-                continue
-            support.add(s)
-            step = trace.steps[s - 1]
-            for origin in consumed_steps(rules.by_id[step.rule_id], dict(step.bindings), inst):
-                if origin > 0 and origin not in support:
-                    frontier.append(origin)
-        path = tuple(trace.steps[s - 1].rule_id for s in sorted(support))
-        if path and path not in seen:
-            seen.add(path)
-            paths.append(path)
-    return paths
+    support = set()
+    frontier = [len(trace.steps)]
+    while frontier:
+        s = frontier.pop()
+        if s in support or s == 0:
+            continue
+        support.add(s)
+        step = trace.steps[s - 1]
+        frontier.extend(consumed_steps(rules.by_id[step.rule_id], dict(step.bindings), inst))
+    return tuple(trace.steps[s - 1].rule_id for s in sorted(support))
 
 
 def memb_check(
@@ -187,31 +172,23 @@ def memb_check(
             value=None, bound=bound, phase=1, reason=trace.outcome.reason, bound_clamped=clamped
         )
 
-    # The critical database has height 1, below bound + 1, so a height stop
-    # means some step added a term above the bound; that step lies in its own
-    # support path, so `paths` is never empty.  Here `min_height` is the
-    # height test, and a path is finite, so no height limit applies.
-    paths = _support_paths(trace, rs, bound)
-    path_budget = replace(budget, max_height=None)
-    inconclusive = None
-    for path_ids in paths:
-        path = tuple(rs.by_id[rid] for rid in path_ids)
-        verdict = is_path_active(path, budget=path_budget, min_height=bound + 1)
-        if verdict.status is Status.ACTIVE:
-            return MembCheckResult(
-                value=False,
-                bound=bound,
-                phase=2,
-                breach_paths=tuple(paths),
-                witness=verdict.witness,
-            )
-        if verdict.status is Status.INCONCLUSIVE:
-            inconclusive = inconclusive or verdict.reason
-    if inconclusive is not None:
+    # The critical database has height 1, below bound + 1, and the meter
+    # checks the height after every step, so a height stop comes right after
+    # the one step that added a term above the bound: the last step, whose
+    # support path is the path to test.  Here `min_height` is the height
+    # test, and a path is finite, so no height limit applies.
+    path_ids = _support_path(trace, rs)
+    path = tuple(rs.by_id[rid] for rid in path_ids)
+    verdict = is_path_active(path, budget=replace(budget, max_height=None), min_height=bound + 1)
+    if verdict.status is Status.ACTIVE:
         return MembCheckResult(
-            value=None, bound=bound, phase=2, breach_paths=tuple(paths), reason=inconclusive
+            value=False, bound=bound, phase=2, breach_paths=(path_ids,), witness=verdict.witness
         )
-    return MembCheckResult(value=True, bound=bound, phase=2, breach_paths=tuple(paths))
+    if verdict.status is Status.INCONCLUSIVE:
+        return MembCheckResult(
+            value=None, bound=bound, phase=2, breach_paths=(path_ids,), reason=verdict.reason
+        )
+    return MembCheckResult(value=True, bound=bound, phase=2, breach_paths=(path_ids,))
 
 
 def multi_head_caveat(rs: RuleSet) -> Optional[str]:

@@ -9,9 +9,9 @@ back (see `activeness.is_active_wrt`).
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
 differs from it only where both hold indexed constants (an unbound
-variable agrees with anything).  The chained search passes
-`near_miss_recorder` as its `on_miss` hook, and the recorder keeps each
-near miss as the merge it proposes: the higher index of every differing
+variable agrees with anything).  The chained search's matcher hands each
+failed candidate to the hook `near_miss_recorder` returns, which keeps
+each near miss as the merge it proposes: the higher index of every differing
 pair renamed to the lower.  A near miss with two constants of one index,
 or one constant that would go two ways, proposes nothing.
 `propose_merges` makes one renaming of each distinct merge; it offers no
@@ -161,9 +161,11 @@ def apply_renaming(rn: RenamingFunction, db: Instance) -> Instance:
 
 
 def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, Atom], None]:
-    """The `on_miss` hook of `find_homomorphisms` that records near misses
-    into `merges`, each as the frozenset of the (higher, lower) pairs of
-    its merge, once each in first-seen order.
+    """The near-miss hook of the chained search's matcher
+    (`activeness._Search.matches`): `on_miss(pattern, binding, candidate)`
+    records the near miss of a failed candidate, under the bindings made
+    before `pattern`, into `merges`, each as the frozenset of the (higher,
+    lower) pairs of its merge, once each in first-seen order.
 
     The hook substitutes one argument at a time and stops at the first
     difference that is not between two indexed constants of different

@@ -1,24 +1,14 @@
 """Homomorphism search from conjunctions into instances, plus triggers.
 
 The search backtracks over instance atoms per body atom, most-constrained
-atom first, candidates in instance insertion order (derived atoms first
-when asked).  Enumeration order is deterministic, so analyses are
-reproducible run to run.  Given per-predicate counts of old atoms, the same
-search is semi-naive: it yields, in that order, only the homomorphisms that
-use a newer atom, which is how the skolem chase finds each round's triggers.
-
-Derived-first order is what the chained search of `activeness` asks for,
-and it pays: it tries the atoms the path derived before the database
-atoms, and only a step that consumes a derived atom extends the chain.
-Measured over one gated benchmark pass at seed 1 on a 2-vCPU VM, against
-the same code with `derived_first=True` removed from `_Search._step`
-(`fixtures` was not timed):
-
-    workload    order            time      probes   decided
-    generated   insertion        318.7 s   51.9 M   198 of 200
-    generated   derived first      5.19 s   0.71 M   199 of 200
-    fixtures    insertion                   1.80 M    93 of 100
-    fixtures    derived first               1.69 M    95 of 100
+atom first, candidates in instance insertion order.  Enumeration order is
+deterministic, so analyses are reproducible run to run.  Given
+per-predicate counts of old atoms, the same search is semi-naive: it
+yields, in that order, only the homomorphisms that use a newer atom, which
+is how the skolem chase finds each round's triggers.  The chained search of
+`activeness` has its own matcher over the same parts (`order_atoms`,
+`match_args`): derived atoms first, near misses recorded, database matches
+memoized.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
 once per atom and kept on it: ground arguments are compared by cached
@@ -42,19 +32,20 @@ binding per answer.  A Datalog rule is active iff one of its instantiated
 head atoms is missing.  The restricted chase hands it an `ArgIndex` of
 its growing instance, and a head atom with a constant or a bound argument
 then tests only the atoms that share it.  The chained search keeps the
-scan: it rolls its instance back all the time, which an index fed from
-the tail of the predicate lists would not follow.  `instantiate` fills
-the variable slots of a function-free atom's plan, with no term walk.
-`apply_trigger` builds each existential's skolem term once per trigger
-and fills every head atom from it, so the atoms of one trigger share one
-null object per existential; it returns only the atoms it added, and a
-backtracking search retracts them by rolling the instance back to its
-earlier length.
+scan: it rolls its instance back all the time, and an index kept in step
+with the rollbacks cost more than it saved when measured (ROADMAP item
+10).  `instantiate` fills the variable slots of a function-free atom's
+plan, with no term walk.
+`head_image` builds each existential's skolem term once per trigger and
+fills every head atom from it, so the atoms of one trigger share one null
+object per existential.  `apply_trigger` adds them and returns only the
+atoms it added, and a backtracking search retracts them by rolling the
+instance back to its earlier length.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .model import (
@@ -115,18 +106,12 @@ def order_atoms(conj: Sequence[Atom], inst: Instance, bound: Collection[str] = (
 def find_homomorphisms(
     conj: Sequence[Atom],
     inst: Instance,
-    derived_first: bool = False,
     probe: Optional[Callable[[], None]] = None,
-    on_miss: Optional[Callable[[Atom, dict, Atom], None]] = None,
     since: Optional[Mapping[str, int]] = None,
 ) -> Iterator[dict]:
     """All h over vars(conj) with h(conj) contained in inst, each exactly
-    once, in deterministic order.
-
-    `probe` is charged once per candidate test.  `on_miss(pattern, binding,
-    candidate)` sees every candidate that failed to match, with the
-    bindings made before that pattern; the dict is live, so read it during
-    the call only.
+    once, in deterministic order.  `probe` is charged once per candidate
+    test.
 
     `since` makes the search semi-naive.  It maps a predicate to the number
     of its atoms that are old (a predicate it does not name has none); as
@@ -137,8 +122,7 @@ def find_homomorphisms(
     earlier depth has matched a new atom, a depth whose later patterns have
     no new atoms scans only its new suffix.  Once a new atom is matched,
     the deeper depths run the full search and every leaf reached is
-    yielded.  It relies on insertion order, so it does not combine with
-    `derived_first`, and the instance must not change while it runs.
+    yielded.  The instance must not change while it runs.
     """
     binding: dict = {}
     if not conj:
@@ -163,12 +147,7 @@ def find_homomorphisms(
     def search(depth: int, fresh: bool, candidates=None) -> Iterator[dict]:
         pattern = patterns[depth]
         if candidates is None:
-            if derived_first:
-                candidates = chain(
-                    inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
-                )
-            else:
-                candidates = inst.by_pred(pattern.pred)
+            candidates = inst.by_pred(pattern.pred)
             if not fresh:
                 # semi-naive, no new atom matched yet: old candidates lead
                 # to a yield only through a later new atom
@@ -188,13 +167,8 @@ def find_homomorphisms(
                     yield dict(binding)
                 else:
                     yield from search(depth + 1, fresh)
-                for name in trail:
-                    del binding[name]
-                continue
             for name in trail:
                 del binding[name]
-            if on_miss is not None:
-                on_miss(pattern, binding, cand)
 
     yield from search(0, since is None)
 
@@ -321,23 +295,23 @@ def instantiate(a: Atom, binding: Mapping[str, Term]) -> Atom:
     return Atom(a.pred, tuple(args))
 
 
-def apply_trigger(rule: Rule, h: dict, inst: Instance, step: int) -> list:
-    """Add h(sk(head)) at `step`; returns the atoms that were new.  Each
-    existential's skolem term is built once, so the head atoms of one
-    trigger share one null object per existential.  To undo it, roll
-    `inst` back to its length before the call."""
+def head_image(rule: Rule, h: Mapping[str, Term]) -> list:
+    """h(sk(head)), the ground head atoms of a trigger.  Each existential's
+    skolem term is built once, so the atoms share one null object per
+    existential.  They depend on h only through the frontier."""
     env = h
     if rule.skolem_functions:
         env = dict(h)
         frontier = tuple([h[v] for v in rule.frontier])
         for z, fn in rule.skolem_functions:
             env[z] = SkolemTerm(fn, frontier)
-    added = []
-    for a in rule.head:
-        ground = instantiate(a, env)
-        if inst.add(ground, step):
-            added.append(ground)
-    return added
+    return [instantiate(a, env) for a in rule.head]
+
+
+def apply_trigger(rule: Rule, h: dict, inst: Instance, step: int) -> list:
+    """Add h(sk(head)) at `step`; returns the atoms that were new.  To undo
+    it, roll `inst` back to its length before the call."""
+    return [a for a in head_image(rule, h) if inst.add(a, step)]
 
 
 def body_image(rule: Rule, h: Mapping[str, Term]) -> list:

@@ -222,12 +222,12 @@ class IndexedConstant(Term):
 class ArgPlan:
     """How a function-free pattern's arguments match a ground argument
     tuple: `consts` holds (position, ground term) pairs compared by
-    equality, and `slots` (position, variable name) pairs.  `vars` is the
-    set of slot names.  Every match compiles its pattern here, so an
+    equality, and `slots` (position, variable name) pairs.  `names` holds
+    the slot names in position order and `vars` their set.  Every match compiles its pattern here, so an
     argument that is neither a variable nor ground (a skolem term over
     variables) raises ValueError instead of being mis-matched."""
 
-    __slots__ = ("consts", "slots", "vars")
+    __slots__ = ("consts", "slots", "names", "vars")
 
     def __init__(self, args: tuple):
         consts, slots = [], []
@@ -240,7 +240,8 @@ class ArgPlan:
                 raise ValueError("pattern argument %s is neither a variable nor ground" % t)
         self.consts = tuple(consts)
         self.slots = tuple(slots)
-        self.vars = frozenset(name for _, name in slots)
+        self.names = tuple([name for _, name in slots])
+        self.vars = frozenset(self.names)
 
 
 @dataclass(frozen=True, slots=True)
@@ -528,8 +529,8 @@ class Instance:
     trigger and calls `rollback` with that size afterwards, without
     copying.  Each predicate keeps its atoms in
     insertion order three ways: all of them, the derived ones (step > 0) and
-    the database ones, so the derived-first candidate order of `hom` needs
-    no partitioning."""
+    the database ones, so the derived-first candidate order of the chained
+    search (`activeness`) needs no partitioning."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._fda: dict = {}  # atom -> first derivation step, in insertion order

@@ -17,9 +17,12 @@ replaced; and the hand-iterated Tarjan components that the two-pass
 components of `chase_sentinel.acyclicity` replaced; and the whole-term
 walk of the cyclic-nesting test that the cached function sets of
 `chase_sentinel.model` replaced; and the step-by-step witness replay that
-replaying a witness as a restricted `ChaseTrace` replaced; as differential
-references.  Also the rule-id dependency test of a built graph, which only
-the tests read, and a tampering shared by the replay tests.
+replaying a witness as a restricted `ChaseTrace` replaced; and the
+derived-first matcher with a near-miss hook and the chained search over
+it that the per-search caches of `chase_sentinel.activeness` replaced; as
+differential references.  Also the rule-id dependency test of a built
+graph, which only the tests read, and a tampering shared by the replay
+tests.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -61,9 +64,12 @@ from chase_sentinel.critdb import (
 from chase_sentinel.hom import (
     apply_trigger,
     body_image,
+    consumed_steps,
     find_homomorphisms,
     freeze_bindings,
     is_active_trigger,
+    match_args,
+    order_atoms,
 )
 from chase_sentinel.deps import DependencyGraph, PieceUnifier, _rename_apart
 from chase_sentinel.model import (
@@ -844,9 +850,7 @@ class ChainedSearchReference:
             return False
         inst, meter = self.inst, self.meter
         probe = meter.charge_probe
-        for h in find_homomorphisms(
-            rule.body, inst, derived_first=True, probe=probe, on_miss=self.on_miss
-        ):
+        for h in find_homomorphisms_derived_first(rule.body, inst, probe, self.on_miss):
             if not is_active_trigger(rule, h, inst, probe=probe):
                 continue
             used = frozenset(map(inst.first_derived_at, body_image(rule, h)))
@@ -864,17 +868,11 @@ class ChainedSearchReference:
         return False
 
 
-def is_active_wrt_reference(
-    path: Sequence[Rule],
-    database: Instance,
-    meter: Meter,
-    datalog_rules: Sequence[Rule] = (),
-    min_height: int = 0,
-) -> tuple:
-    """`activeness.is_active_wrt` over `ChainedSearchReference`: the
-    verdict and the near-miss merges, in the order first recorded."""
+def _search_verdict(search, path: Sequence[Rule], database: Instance) -> tuple:
+    """Run a chained search object as `activeness.is_active_wrt` runs
+    `_Search`: the verdict and the near-miss merges, in the order first
+    recorded."""
     size = len(database)
-    search = ChainedSearchReference(path, database, meter, datalog_rules, min_height)
     try:
         found = search.run()
     except BudgetExceeded as e:
@@ -891,6 +889,163 @@ def is_active_wrt_reference(
         renaming=RenamingFunction.identity(),
     )
     return SafetyVerdict(Status.ACTIVE, witness=witness), list(search.merges)
+
+
+def is_active_wrt_reference(
+    path: Sequence[Rule],
+    database: Instance,
+    meter: Meter,
+    datalog_rules: Sequence[Rule] = (),
+    min_height: int = 0,
+) -> tuple:
+    """`activeness.is_active_wrt` over `ChainedSearchReference`: the
+    verdict and the near-miss merges, in the order first recorded."""
+    search = ChainedSearchReference(path, database, meter, datalog_rules, min_height)
+    return _search_verdict(search, path, database)
+
+
+# ---------------------------------------------------------------------------
+# The chained search as it was before its per-search caches: the compiled
+# matcher in derived-first order with a near-miss hook, which
+# `find_homomorphisms` offered as its `derived_first` and `on_miss` mode,
+# and the recursive search over it, which builds every trigger head and
+# every body image anew and scans every database candidate every time.
+
+
+def find_homomorphisms_derived_first(
+    conj: Sequence[Atom],
+    inst: Instance,
+    probe: Optional[Callable[[], None]] = None,
+    on_miss: Optional[Callable[[Atom, dict, Atom], None]] = None,
+) -> Iterator[dict]:
+    """All h over vars(conj) with h(conj) contained in inst, each once: the
+    patterns in `order_atoms` order, the derived candidates before the
+    database ones.  `probe` is charged once per candidate tested, and
+    `on_miss(pattern, binding, candidate)` sees each one that failed to
+    match, with the bindings made before that pattern."""
+    patterns = conj if len(conj) == 1 else [conj[i] for i in order_atoms(conj, inst)]
+    last = len(patterns) - 1
+    binding: dict = {}
+
+    def search(depth: int) -> Iterator[dict]:
+        pattern = patterns[depth]
+        plan = pattern.plan
+        arity = len(pattern.args)
+        candidates = itertools.chain(
+            inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
+        )
+        for cand in candidates:
+            if probe is not None:
+                probe()
+            trail: list = []
+            if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
+                if depth == last:
+                    yield dict(binding)
+                else:
+                    yield from search(depth + 1)
+                for name in trail:
+                    del binding[name]
+                continue
+            for name in trail:
+                del binding[name]
+            if on_miss is not None:
+                on_miss(pattern, binding, cand)
+
+    yield from search(0)
+
+
+class ChainedSearchUncached:
+    """`activeness._Search` without its caches: the same memo of failed
+    states and the same order, probes, steps and merges, on a recursive
+    step."""
+
+    def __init__(
+        self,
+        path: Sequence[Rule],
+        inst: Instance,
+        meter: Meter,
+        datalog_rules: Sequence[Rule] = (),
+        min_height: int = 0,
+    ):
+        self.path = list(path)
+        self.inst = inst
+        self.meter = meter
+        self.datalog_rules = list(datalog_rules)
+        self.min_height = min_height
+        self.trail: List[tuple] = []
+        self.failed: set = set()
+        self.merges: Dict[frozenset, None] = {}
+        self.on_miss = near_miss_recorder(self.merges)
+        self.witness_steps: Optional[List[TraceStep]] = None
+        self.witness_chain: Optional[tuple] = None
+
+    def _datalog_blocked(self) -> bool:
+        probe = self.meter.charge_probe
+        for d in self.datalog_rules:
+            for h in find_homomorphisms(d.body, self.inst, probe=probe):
+                if is_active_trigger(d, h, self.inst, probe=probe):
+                    return True
+        return False
+
+    def run(self) -> bool:
+        return self._step(0, frozenset(), frozenset())
+
+    def _found(self) -> None:
+        self.witness_steps = [
+            TraceStep(rule.id, freeze_bindings(h), tuple(added)) for rule, h, added in self.trail
+        ]
+        self.witness_chain = _chain_through(
+            [consumed_steps(rule, h, self.inst) for rule, h, _ in self.trail]
+        )
+
+    def _step(self, i: int, derived: frozenset, reached: frozenset) -> bool:
+        key = (i, derived, reached)
+        if key in self.failed:
+            return False
+        rule = self.path[i]
+        last = i == len(self.path) - 1
+        if not rule.is_datalog and self._datalog_blocked():
+            self.failed.add(key)
+            return False
+        inst, meter = self.inst, self.meter
+        probe = meter.charge_probe
+        for h in find_homomorphisms_derived_first(rule.body, inst, probe, self.on_miss):
+            if i and last and reached.isdisjoint(body_image(rule, h)):
+                continue
+            if not is_active_trigger(rule, h, inst, probe=probe):
+                continue
+            size = len(inst)
+            added = apply_trigger(rule, h, inst, i + 1)
+            meter.charge_step()
+            meter.check_instance(inst)
+            self.trail.append((rule, h, added))
+            if last:
+                if inst.ht() >= self.min_height:
+                    self._found()
+                    return True
+            else:
+                chained = not i or not reached.isdisjoint(body_image(rule, h))
+                if self._step(
+                    i + 1, derived.union(added), reached.union(added) if chained else reached
+                ):
+                    return True
+            self.trail.pop()
+            inst.rollback(size)
+        self.failed.add(key)
+        return False
+
+
+def is_active_wrt_uncached(
+    path: Sequence[Rule],
+    database: Instance,
+    meter: Meter,
+    datalog_rules: Sequence[Rule] = (),
+    min_height: int = 0,
+) -> tuple:
+    """`activeness.is_active_wrt` over `ChainedSearchUncached`: the verdict
+    and the near-miss merges, in the order first recorded."""
+    search = ChainedSearchUncached(path, database, meter, datalog_rules, min_height)
+    return _search_verdict(search, path, database)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import activeness
 from chase_sentinel.activeness import Status, Verdict, is_active_wrt, is_path_active, k_safe, replay_witness
 from chase_sentinel.chase import Budget, Meter
 from chase_sentinel.critdb import restricted_critical_db
@@ -21,8 +22,10 @@ from fixtures import (
     walk,
 )
 from oracles import (
+    ChainedSearchUncached,
     indexed_constants,
     is_active_wrt_reference,
+    is_active_wrt_uncached,
     renaming_sweep,
     replay_witness_reference,
     without_step_one_body,
@@ -415,6 +418,91 @@ def test_chained_search_matches_the_memo_free_reference_on_random_cycles():
     tally = _differential(cycle for rs in draws for cycle in _first_cycles(rs, 3))
     assert tally["probes"] < tally["reference_probes"]
     assert tally["decided_now"] > 0
+
+
+# The chained search against its uncached form, kept in tests/oracles.py:
+# its caches only skip building and matching, so it must give the same
+# verdict, witness, merges (content and order) and probes on every search,
+# exhausted ones included.  The fixture and random cycles are those of the
+# memo differential above; the handshake 2-cycle (r1,r2,r1,r2,r1) runs out
+# of the benchmark's 50,000 probes across its renamings, so the whole
+# renaming worklist must charge its probes at the same points.
+
+
+def _uncached_differential(cycles) -> int:
+    searches = 0
+    for rs, path in cycles:
+        for datalog_rules in dict.fromkeys(((), rs.datalog_rules)):
+            for min_height in (0, 3):
+                ref_meter, meter = Meter(Budget(max_probes=5_000)), Meter(Budget(max_probes=5_000))
+                ref, ref_merges = is_active_wrt_uncached(
+                    path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
+                )
+                if ref.status is Status.INCONCLUSIVE:
+                    ref_merges = []  # an exhausted search hands on no merges
+                merges: list = []
+                got = is_active_wrt(path, restricted_critical_db(path), datalog_rules=datalog_rules,
+                                    min_height=min_height, meter=meter, _collect=merges)
+                case = (tuple(r.id for r in path), bool(datalog_rules), min_height)
+                assert (got, merges, meter.probes) == (ref, ref_merges, ref_meter.probes), case
+                searches += 1
+    return searches
+
+
+def test_chained_search_matches_the_uncached_search_on_fixture_cycles():
+    cycles = [cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)]
+    assert _uncached_differential(cycles) >= 2 * len(cycles)
+
+
+def test_chained_search_matches_the_uncached_search_on_random_cycles():
+    import test_properties as props
+
+    rng = random.Random(0)
+    draws = [props.random_rule_set(rng, 4) for _ in range(300)]
+    cycles = [cycle for rs in draws for cycle in _first_cycles(rs, 3)]
+    assert _uncached_differential(cycles) >= 2 * len(cycles)
+
+
+def _path_searches(monkeypatch, search_class, path, budget) -> tuple:
+    """`is_path_active` run on `search_class`: its verdict, and per search
+    the verdict, the merges handed on and the probes charged so far."""
+    searches = []
+    run_search = activeness.is_active_wrt
+
+    def recording(*args, meter, _collect, **kwargs):
+        verdict = run_search(*args, meter=meter, _collect=_collect, **kwargs)
+        searches.append((verdict, list(_collect), meter.probes))
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(activeness, "_Search", search_class)
+        patch.setattr(activeness, "is_active_wrt", recording)
+        return is_path_active(path, budget=budget), searches
+
+
+def test_exhausted_renaming_worklist_matches_the_uncached_search(monkeypatch):
+    rs = handshake()
+    path = tuple(rs.by_id[rid] for rid in ("r1", "r2", "r1", "r2", "r1"))
+    budget = Budget(max_steps=20_000, max_atoms=50_000, max_probes=50_000)
+    got = _path_searches(monkeypatch, activeness._Search, path, budget)
+    assert got == _path_searches(monkeypatch, ChainedSearchUncached, path, budget)
+    verdict, searches = got
+    assert verdict.reason == "probes" and len(searches) > 10
+    assert searches[-1][2] == 50_001
+
+
+def test_a_long_path_searches_without_recursion():
+    # the 1,201-step path twice around a 600-rule ring with one existential
+    # rule: one stack frame per path position would overflow Python's stack
+    n = 600
+    rs = cs.parse_rules("[r0] p1(Y,Z) :- p0(X,Y).\n" + "".join(
+        "[r%d] p%d(X,Y) :- p%d(X,Y).\n" % (i, (i + 1) % n, i) for i in range(1, n)
+    ))
+    path = tuple(rs.rules[j % n] for j in range(2 * n + 1))
+    verdict = is_path_active(path)
+    assert verdict.status is Status.ACTIVE
+    assert verdict.witness.chain == tuple(range(1, 2 * n + 2))
+    replay_witness(verdict.witness, rs)
 
 
 # `replay_witness` against the step loop it replaced, kept in tests/oracles.py:

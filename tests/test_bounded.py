@@ -96,20 +96,22 @@ def test_a_phase_two_unknown_keeps_its_breach_paths():
     assert res.breach_paths == (("r1", "r2") * 14,)
 
 
-def test_a_phase_two_unknown_names_the_first_budget_that_ran_out(monkeypatch):
-    # phase 1 stops at the first breaching step, so a real run has one
-    # breach path; two are forced here to see which reason is kept
+def test_phase_two_tests_the_one_support_path_of_the_breach(monkeypatch):
+    # phase 1 stops right after the step that breached the bound, so phase 2
+    # tests that step's support path once, and an unknown answer names the
+    # budget its search ran out of
     rs = handshake()
-    paths = [("r1", "r2"), ("r1", "r2", "r1", "r2")]
-    reasons = iter(["renamings", "probes"])
-    monkeypatch.setattr(bounded, "_support_paths", lambda trace, rules, bound: paths)
-    monkeypatch.setattr(
-        bounded, "is_path_active",
-        lambda path, **kwargs: SafetyVerdict(Status.INCONCLUSIVE, reason=next(reasons)),
-    )
+    tested = []
+
+    def inconclusive(path, **kwargs):
+        tested.append(tuple(r.id for r in path))
+        return SafetyVerdict(Status.INCONCLUSIVE, reason="renamings")
+
+    monkeypatch.setattr(bounded, "is_path_active", inconclusive)
     res = memb_check(rs, constant_bound(2))
     assert (res.value, res.phase, res.reason) == (None, 2, "renamings")
-    assert res.breach_paths == tuple(paths)
+    assert tested == [("r1", "r2")]
+    assert res.breach_paths == (("r1", "r2"),)
 
 
 def test_multi_head_caveat():

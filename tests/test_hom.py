@@ -4,8 +4,10 @@ import random
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel.chase import Budget, skolem_chase
-from chase_sentinel.critdb import near_miss_recorder, restricted_critical_db
+from chase_sentinel import activeness
+from chase_sentinel.activeness import _Search
+from chase_sentinel.chase import Budget, Meter, skolem_chase
+from chase_sentinel.critdb import restricted_critical_db
 from chase_sentinel.cycles import enumerate_k_cycles
 from chase_sentinel.deps import dependency_graph
 from chase_sentinel.hom import find_homomorphisms, is_active_trigger
@@ -187,28 +189,22 @@ def test_apply_trigger_records_steps_and_keeps_existing():
 
 
 # ---------------------------------------------------------------------------
-# Differential: the compiled match path against the term-walking reference
-# in oracles.py.  Same substitutions in the same order, the same number of
-# probes, and the same failed (substituted pattern, candidate) pairs, hence
-# the same near misses and the same merges.
+# Differential: the compiled match paths against the term-walking reference
+# in oracles.py.  `find_homomorphisms` in insertion order gives the same
+# substitutions in the same order for the same number of probes.  The
+# chained search's matcher in derived-first order also gives the same
+# images, and records the merges of the reference's near misses, oriented,
+# in first-seen order.
 
 
-def _run_new(conj, inst, derived_first, handler=None):
-    probes = [0]
-    misses = []
-
-    def probe():
-        probes[0] += 1
-
-    def on_miss(pattern, b, cand):
-        misses.append((apply_atom(b, pattern), cand))
-        if handler is not None:
-            handler(pattern, b, cand)
-
-    homs = list(
-        find_homomorphisms(conj, inst, derived_first, probe=probe, on_miss=on_miss)
-    )
-    return homs, probes[0], misses
+def _run_new(conj, inst, derived_first):
+    meter = Meter(Budget())
+    if not derived_first:
+        homs = list(find_homomorphisms(conj, inst, probe=meter.charge_probe))
+        return homs, meter.probes, None
+    search = _Search((), inst, meter)
+    homs = list(search.matches(conj))
+    return homs, meter.probes, list(search.merges)
 
 
 def _run_reference(conj, inst, derived_first):
@@ -223,22 +219,20 @@ def _run_reference(conj, inst, derived_first):
             conj, inst, derived_first, probe=probe, on_miss=lambda p, c: misses.append((p, c))
         )
     )
-    return homs, probes[0], misses
+    if not derived_first:
+        return homs, probes[0], None
+    images = [(h, tuple(apply_atom(h, a) for a in conj)) for h in homs]
+    pairs = (near_miss_pairs_reference(p, c) for p, c in misses)
+    oriented = (orient_reference(p) for p in pairs if p)
+    return images, probes[0], list(dict.fromkeys(m for m in oriented if m))
 
 
 def _assert_same_search(rules, inst):
     for rule in rules:
         for conj in (rule.body, rule.head):
             for derived_first in (False, True):
-                # the chained search's near-miss recorder, fed by the new
-                # search, against the reference near misses oriented
-                merges = {}
-                new = _run_new(conj, inst, derived_first, handler=near_miss_recorder(merges))
-                ref = _run_reference(conj, inst, derived_first)
-                assert new == ref, (str(rule), derived_first)
-                pairs = (near_miss_pairs_reference(p, c) for p, c in ref[2])
-                oriented = (orient_reference(p) for p in pairs if p)
-                assert list(merges) == list(dict.fromkeys(m for m in oriented if m))
+                new = _run_new(conj, inst, derived_first)
+                assert new == _run_reference(conj, inst, derived_first), (str(rule), derived_first)
         for h in itertools.islice(find_homomorphisms(rule.body, inst), 12):
             counts = [0, 0]
 
@@ -309,6 +303,54 @@ def test_match_path_agrees_with_reference_on_random_skolem_instances():
                 a = cs.Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
                 inst.add(a, rng.choice([0, 0, 1, 2]))
         _assert_same_search(rs.rules, inst)
+
+
+def test_chained_matcher_agrees_with_reference_across_rollbacks(monkeypatch):
+    # One search keeps one memo of database matches while derived atoms come
+    # and go: every match of every rule body and head must still give the
+    # reference's bindings, images and probes, and the search's merges must
+    # be the reference's near misses so far, in first-seen order.  Fewer
+    # candidate tests than probes show that the memo answered some scans.
+    rs = cs.parse_rules(DIFFERENTIAL_RULES)
+    flat = [_c("a"), _c("b"), cs.IndexedConstant("X", 1), cs.IndexedConstant("X", 2)]
+    pool = flat + [cs.SkolemTerm("f_Z_1", (t,)) for t in flat]
+    tested = [0]
+    match_args = activeness.match_args
+
+    def counting(*args):
+        tested[0] += 1
+        return match_args(*args)
+
+    monkeypatch.setattr(activeness, "match_args", counting)
+
+    def random_atom(rng):
+        pred, arity = rng.choice(SCHEMA)
+        return cs.Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
+
+    probes = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = Instance(random_atom(rng) for _ in range(rng.randrange(4, 12)))
+        meter = Meter(Budget())
+        search = _Search((), inst, meter)
+        merges: dict = {}
+        sizes = [len(inst)]
+        for step in range(1, 9):
+            if rng.random() < 0.4 and len(sizes) > 1:
+                inst.rollback(sizes.pop())
+            sizes.append(len(inst))
+            for _ in range(rng.randrange(1, 4)):
+                inst.add(random_atom(rng), step)
+            for rule in rs.rules:
+                for conj in (rule.body, rule.head):
+                    before = meter.probes
+                    got = list(search.matches(conj))
+                    images, ref_probes, ref_merges = _run_reference(conj, inst, True)
+                    merges.update(dict.fromkeys(ref_merges))
+                    assert (got, meter.probes - before) == (images, ref_probes), (seed, step)
+                    assert list(search.merges) == list(merges), (seed, step)
+        probes += meter.probes
+    assert tested[0] < probes
 
 
 # the benchmark's `generated` workload parameters
