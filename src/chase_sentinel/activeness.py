@@ -9,9 +9,15 @@ not).  Safety of a path is decided against its restricted critical
 database under the index-lowering renamings proposed from homomorphism
 near misses (see `critdb` for what they cover).
 
+The search decides once whether a step chains: step 1 does, and so does
+a step whose body image holds a reached atom, one first derived by a
+chained step.  The trail keeps that flag, and the witness's chain is read
+back from the last step, which always chains: each chained step's
+predecessor is the latest chained step it consumed from.
+
 `replay_witness` replays a witness's steps as a restricted chase trace
 (`ChaseTrace.replay`), then checks its chain through `hom.consumed_steps`,
-the helper the search builds the chain with.
+the helper the search reads the chain back with.
 
 The search matches each path rule's body in derived-first order: the
 atoms the path derived, then the database atoms, each in insertion order,
@@ -134,31 +140,6 @@ class SafetyVerdict:
     reason: Optional[str] = None
 
 
-def _chain_through(used_steps: List[frozenset]) -> Optional[tuple]:
-    """A strictly increasing sequence 1 = i_1 < ... < i_m = n where step
-    i_{a+1} consumed an atom first derived at step i_a; None when absent."""
-    n = len(used_steps)
-    if n == 0:
-        return None
-    if n == 1:
-        return (1,)
-    # parent[j] = some i < j that j consumes from, reachable from step 1
-    reachable = {1}
-    parent: Dict[int, int] = {}
-    for j in range(2, n + 1):
-        for i in sorted(used_steps[j - 1], reverse=True):
-            if i >= 1 and i in reachable:
-                reachable.add(j)
-                parent[j] = i
-                break
-    if n not in reachable:
-        return None
-    chain = [n]
-    while chain[-1] != 1:
-        chain.append(parent[chain[-1]])
-    return tuple(reversed(chain))
-
-
 class _Search:
     """Backtracking search for a chained sequence of active triggers along a
     fixed path.  Each trigger is retracted by rolling the instance back to
@@ -171,8 +152,8 @@ class _Search:
     the head atoms of each path position's rule per frontier values (one
     dict per distinct rule), and `database_matches` the memo of database
     matches (see the module docstring).  `trail` holds a (rule, bindings,
-    added atoms) record per applied trigger, from which a witness is built
-    once, on success."""
+    added atoms, chained) record per applied trigger, from which a witness
+    and its chain are built once, on success."""
 
     def __init__(
         self,
@@ -280,12 +261,16 @@ class _Search:
         return search(0)
 
     def _found(self) -> None:
+        """The witness of the trail, its chain read back from the last step."""
+        trail, inst = self.trail, self.inst
         self.witness_steps = [
-            TraceStep(rule.id, freeze_bindings(h), tuple(added)) for rule, h, added in self.trail
+            TraceStep(rule.id, freeze_bindings(h), tuple(added)) for rule, h, added, _ in trail
         ]
-        self.witness_chain = _chain_through(
-            [consumed_steps(rule, h, self.inst) for rule, h, _ in self.trail]
-        )
+        chain = [len(trail)]
+        while chain[-1] != 1:
+            rule, h, _, _ = trail[chain[-1] - 1]
+            chain.append(max(i for i in consumed_steps(rule, h, inst) if i and trail[i - 1][3]))
+        self.witness_chain = tuple(reversed(chain))
 
     def run(self) -> bool:
         """Depth-first over the path positions.  A frame holds a state's
@@ -328,7 +313,9 @@ class _Search:
                 added = [a for a in head if inst.add(a, i + 1)]
                 meter.charge_step()
                 meter.check_instance(inst)
-                trail.append((rule, h, added))
+                # step 1 starts every chain
+                chained = not i or not reached.isdisjoint(image)
+                trail.append((rule, h, added, chained))
                 if i == last:
                     if inst.ht() >= self.min_height:
                         self._found()
@@ -337,8 +324,6 @@ class _Search:
                     inst.rollback(size)
                     continue
                 frame[2] = size
-                # step 1 starts every chain
-                chained = not i or not reached.isdisjoint(image)
                 key = (i + 1, derived.union(added), reached.union(added) if chained else reached)
                 break
             else:
@@ -524,7 +509,7 @@ def k_safe(
 
     `jobs` must be 1: cycles are checked one at a time.  The keyword stays
     only because the benchmark runner passes `jobs=1`; it goes with the next
-    benchmark change (ROADMAP item 5).
+    benchmark change (ROADMAP item 7).
     """
     start = time.monotonic()
     if jobs != 1:
@@ -568,7 +553,7 @@ def k_safe(
             failing.append(comp)
 
     datalog_rules = rs.datalog_rules if datalog_first else ()
-    stream = enumerate_k_cycles(rs, k, graph, limit=budget.max_cycles, components=failing)
+    stream = enumerate_k_cycles(k, graph, limit=budget.max_cycles, components=failing)
     deadline = (
         start + budget.total_wall_clock_s if budget.total_wall_clock_s is not None else None
     )

@@ -261,7 +261,7 @@ def cmd_chase(args) -> int:
 def cmd_cycles(args) -> int:
     _, rs = _load(args.file)
     graph = dependency_graph(rs)
-    stream = enumerate_k_cycles(rs, args.k, graph, limit=args.max_cycles)
+    stream = enumerate_k_cycles(args.k, graph, limit=args.max_cycles)
     for cycle in stream:
         print(" -> ".join(cycle.rule_ids()))
     if stream.truncated:

@@ -212,7 +212,7 @@ def all_renamings(indexed: Sequence[IndexedConstant], limit: int = 100_000):
     The library no longer calls it: it is the tests' oracle for the
     demand-driven renamings (`tests/oracles.renaming_sweep`).  It stays here
     only because the benchmark's tracer patches it by this name; it moves to
-    `tests/oracles.py` with the next benchmark change (ROADMAP item 5)."""
+    `tests/oracles.py` with the next benchmark change (ROADMAP item 7)."""
     consts = sorted(indexed, key=lambda c: (c.index, c.var))
     targets = []
     total = 1

@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from .acyclicity import connected_components
 from .deps import DependencyGraph
-from .model import Rule, RuleSet
+from .model import Rule
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ def _sequences(rules: Sequence[Rule], k: int, graph: DependencyGraph) -> Iterato
 
 
 def enumerate_k_cycles(
-    rs: RuleSet,
     k: int,
     graph: DependencyGraph,
     limit: Optional[int] = None,

@@ -19,10 +19,13 @@ walk of the cyclic-nesting test that the cached function sets of
 `chase_sentinel.model` replaced; and the step-by-step witness replay that
 replaying a witness as a restricted `ChaseTrace` replaced; and the
 derived-first matcher with a near-miss hook and the chained search over
-it that the per-search caches of `chase_sentinel.activeness` replaced; as
-differential references.  Also the rule-id dependency test of a built
-graph, which only the tests read, and a tampering shared by the replay
-tests.
+it that the per-search caches of `chase_sentinel.activeness` replaced; and
+`_chain_through`, the forward chain rule over the steps each trigger
+consumed from, which the chained flag that `chase_sentinel.activeness`
+keeps per trail step replaced (both references build their witness chains
+with it); as differential references.  Also the rule-id dependency test
+of a built graph, which only the tests read, and a tampering shared by the
+replay tests.
 
 They are slow and meant for small inputs only; the library's own chase runs
 live in `chase_sentinel.chase`, its demand-driven renaming search in
@@ -40,7 +43,6 @@ from chase_sentinel.activeness import (
     ChainWitness,
     SafetyVerdict,
     Status,
-    _chain_through,
     is_active_wrt,
 )
 from chase_sentinel.chase import (
@@ -796,7 +798,35 @@ def greedy_restricted_rescanning(
 # The chained search as it was before its memo of failed states: every state
 # is searched, every body match of the last step is tested for activeness
 # and applied, the chain is checked at the leaf, and a `TraceStep` is built
-# for every applied trigger.
+# for every applied trigger.  `_chain_through` is the chain rule both
+# reference searches share: it rebuilds the chain forward from the steps
+# each trigger consumed from, apart from the flag the library's search keeps.
+
+
+def _chain_through(used_steps: List[frozenset]) -> Optional[tuple]:
+    """A strictly increasing sequence 1 = i_1 < ... < i_m = n where step
+    i_{a+1} consumed an atom first derived at step i_a; None when absent.
+    Forward over the steps: a step is reachable from step 1 when it
+    consumed from a reachable step, and its parent is the latest such."""
+    n = len(used_steps)
+    if n == 0:
+        return None
+    if n == 1:
+        return (1,)
+    reachable = {1}
+    parent: Dict[int, int] = {}
+    for j in range(2, n + 1):
+        for i in sorted(used_steps[j - 1], reverse=True):
+            if i >= 1 and i in reachable:
+                reachable.add(j)
+                parent[j] = i
+                break
+    if n not in reachable:
+        return None
+    chain = [n]
+    while chain[-1] != 1:
+        chain.append(parent[chain[-1]])
+    return tuple(reversed(chain))
 
 
 class ChainedSearchReference:

@@ -150,7 +150,7 @@ def test_criterion_2_trusted_handshake_k2():
         # the expected verdict rests on the hand-written derivation, not on
         # k_safe's own witness
         cycle_ids = ("r3", "r4", "r4", "r4", "r3")
-        enumerated = cs.enumerate_k_cycles(rs, 2, cs.dependency_graph(rs))
+        enumerated = cs.enumerate_k_cycles(2, cs.dependency_graph(rs))
         assert cycle_ids in {c.rule_ids() for c in enumerated}
         cycle = tuple(rs.by_id[i] for i in cycle_ids)
         for cond in (Condition.WA, Condition.AGRD):
@@ -214,7 +214,7 @@ def test_criterion_6_guarded_triad_renaming():
         r1, r2, r3 = rs.rules
         # every 1-cycle is safe against its plain critical database
         graph = cs.dependency_graph(rs)
-        for cycle in cs.enumerate_k_cycles(rs, 1, graph):
+        for cycle in cs.enumerate_k_cycles(1, graph):
             plain = cs.is_active_wrt(cycle.path, restricted_critical_db(cycle.path))
             assert plain.status is Status.SAFE, cycle.rule_ids()
         # the index-lowering renaming activates the reverse rotation

@@ -219,7 +219,7 @@ def _renaming_differential_cases():
     for make in (access_control, datalog_first_pair, handshake, handshake_trusted,
                  triad, triad_guarded, vacuous_self, walk):
         rs = make()
-        for cycle in cs.enumerate_k_cycles(rs, 1, cs.dependency_graph(rs)):
+        for cycle in cs.enumerate_k_cycles(1, cs.dependency_graph(rs)):
             if len(indexed_constants(restricted_critical_db(cycle.path))) <= 6:
                 ids = ",".join(cycle.rule_ids())
                 yield pytest.param(rs, ids, False, id="%s:%s" % (make.__name__, ids))
@@ -355,16 +355,26 @@ def test_replay_witness_rejects_tampered_evidence(tamper, message):
         replay_witness(tamper(rs, witness), rs)
 
 
-# The chained search against the memo-free reference of tests/oracles.py,
-# on the restricted critical database of each cycle, with and without the
-# rule set's Datalog rules (as Datalog-first), at min_height 0 and 3, under
-# 5,000 probes a search.  Both search in the same order and the memo skips
+# The chained search against two references of tests/oracles.py, on the
+# restricted critical database of each cycle, with and without the rule
+# set's Datalog rules (as Datalog-first), at min_height 0 and 3, under 5,000
+# probes a search.  The library search runs once per case and is checked
+# against both.
+#
+# The memo-free reference searches in the same order, and the memo skips
 # only subtrees that fail, so a search may decide where the reference runs
 # out of probes, but no status flips, an active path has the reference's
 # witness, a completed search records the reference's merges in the same
 # order, and no search charges more probes.  The random corpus holds the
 # cycle (t2,t2,t2) of draw 226, whose witness changes under a memo keyed
 # on depth and atoms alone, without the chain-reached atoms.
+#
+# The uncached search differs only in the caches, which only skip building
+# and matching, so it must give the same verdict, witness, merges (content
+# and order) and probes on every search, exhausted ones included.
+#
+# Both references build their witness chains with their own chain rule,
+# `_chain_through`, not with the flag the library search keeps per step.
 
 _FIXTURE_SETS = (access_control, datalog_first_pair, handshake, handshake_trusted,
                  triad, triad_guarded, vacuous_self, walk)
@@ -373,23 +383,34 @@ _FIXTURE_SETS = (access_control, datalog_first_pair, handshake, handshake_truste
 def _first_cycles(rs, per_k: int):
     graph = cs.dependency_graph(rs)
     for k in (1, 2):
-        for cycle in itertools.islice(cs.enumerate_k_cycles(rs, k, graph), per_k):
+        for cycle in itertools.islice(cs.enumerate_k_cycles(k, graph), per_k):
             yield rs, cycle.path
 
 
 def _differential(cycles) -> dict:
-    tally = {"decided_now": 0, "probes": 0, "reference_probes": 0}
+    tally = {"searches": 0, "decided_now": 0, "probes": 0, "reference_probes": 0}
     for rs, path in cycles:
         for datalog_rules in dict.fromkeys(((), rs.datalog_rules)):
             for min_height in (0, 3):
-                ref_meter, meter = Meter(Budget(max_probes=5_000)), Meter(Budget(max_probes=5_000))
-                ref, ref_merges = is_active_wrt_reference(
-                    path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
-                )
+                case = (tuple(r.id for r in path), bool(datalog_rules), min_height)
+                meter = Meter(Budget(max_probes=5_000))
                 merges: list = []
                 got = is_active_wrt(path, restricted_critical_db(path), datalog_rules=datalog_rules,
                                     min_height=min_height, meter=meter, _collect=merges)
-                case = (tuple(r.id for r in path), bool(datalog_rules), min_height)
+                tally["searches"] += 1
+
+                unc_meter = Meter(Budget(max_probes=5_000))
+                unc, unc_merges = is_active_wrt_uncached(
+                    path, restricted_critical_db(path), unc_meter, datalog_rules, min_height
+                )
+                if unc.status is Status.INCONCLUSIVE:
+                    unc_merges = []  # an exhausted search hands on no merges
+                assert (got, merges, meter.probes) == (unc, unc_merges, unc_meter.probes), case
+
+                ref_meter = Meter(Budget(max_probes=5_000))
+                ref, ref_merges = is_active_wrt_reference(
+                    path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
+                )
                 tally["probes"] += meter.probes
                 tally["reference_probes"] += ref_meter.probes
                 assert meter.probes <= ref_meter.probes, case
@@ -402,65 +423,28 @@ def _differential(cycles) -> dict:
     return tally
 
 
-def test_chained_search_matches_the_memo_free_reference_on_fixture_cycles():
-    tally = _differential(
-        cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)
-    )
+def _assert_differential(cycles: list) -> None:
+    tally = _differential(cycles)
+    assert tally["searches"] >= 2 * len(cycles)
     assert tally["probes"] < tally["reference_probes"]
     assert tally["decided_now"] > 0
 
 
-def test_chained_search_matches_the_memo_free_reference_on_random_cycles():
+def test_chained_search_matches_the_references_on_fixture_cycles():
+    _assert_differential([cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)])
+
+
+def test_chained_search_matches_the_references_on_random_cycles():
     import test_properties as props
 
     rng = random.Random(0)
     draws = [props.random_rule_set(rng, 4) for _ in range(300)]
-    tally = _differential(cycle for rs in draws for cycle in _first_cycles(rs, 3))
-    assert tally["probes"] < tally["reference_probes"]
-    assert tally["decided_now"] > 0
+    _assert_differential([cycle for rs in draws for cycle in _first_cycles(rs, 3)])
 
 
-# The chained search against its uncached form, kept in tests/oracles.py:
-# its caches only skip building and matching, so it must give the same
-# verdict, witness, merges (content and order) and probes on every search,
-# exhausted ones included.  The fixture and random cycles are those of the
-# memo differential above; the handshake 2-cycle (r1,r2,r1,r2,r1) runs out
-# of the benchmark's 50,000 probes across its renamings, so the whole
-# renaming worklist must charge its probes at the same points.
-
-
-def _uncached_differential(cycles) -> int:
-    searches = 0
-    for rs, path in cycles:
-        for datalog_rules in dict.fromkeys(((), rs.datalog_rules)):
-            for min_height in (0, 3):
-                ref_meter, meter = Meter(Budget(max_probes=5_000)), Meter(Budget(max_probes=5_000))
-                ref, ref_merges = is_active_wrt_uncached(
-                    path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
-                )
-                if ref.status is Status.INCONCLUSIVE:
-                    ref_merges = []  # an exhausted search hands on no merges
-                merges: list = []
-                got = is_active_wrt(path, restricted_critical_db(path), datalog_rules=datalog_rules,
-                                    min_height=min_height, meter=meter, _collect=merges)
-                case = (tuple(r.id for r in path), bool(datalog_rules), min_height)
-                assert (got, merges, meter.probes) == (ref, ref_merges, ref_meter.probes), case
-                searches += 1
-    return searches
-
-
-def test_chained_search_matches_the_uncached_search_on_fixture_cycles():
-    cycles = [cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)]
-    assert _uncached_differential(cycles) >= 2 * len(cycles)
-
-
-def test_chained_search_matches_the_uncached_search_on_random_cycles():
-    import test_properties as props
-
-    rng = random.Random(0)
-    draws = [props.random_rule_set(rng, 4) for _ in range(300)]
-    cycles = [cycle for rs in draws for cycle in _first_cycles(rs, 3)]
-    assert _uncached_differential(cycles) >= 2 * len(cycles)
+# The whole renaming worklist against the uncached search: the handshake
+# 2-cycle (r1,r2,r1,r2,r1) runs out of the benchmark's 50,000 probes across
+# its renamings, so every search must charge its probes at the same points.
 
 
 def _path_searches(monkeypatch, search_class, path, budget) -> tuple:

@@ -22,13 +22,13 @@ def _ids(stream):
 
 def test_walk_rule_single_one_cycle():
     rs = walk()
-    cycles = _ids(enumerate_k_cycles(rs, 1, dependency_graph(rs)))
+    cycles = _ids(enumerate_k_cycles(1, dependency_graph(rs)))
     assert cycles == [("r", "r")]
 
 
 def test_handshake_one_cycles_include_both_rotations():
     rs = handshake()
-    cycles = _ids(enumerate_k_cycles(rs, 1, dependency_graph(rs)))
+    cycles = _ids(enumerate_k_cycles(1, dependency_graph(rs)))
     assert ("r1", "r2", "r1") in cycles
     assert ("r2", "r1", "r2") in cycles
     assert ("r2", "r2") in cycles
@@ -42,7 +42,7 @@ def test_handshake_one_cycles_include_both_rotations():
 
 def test_trusted_handshake_two_cycles_include_alternation():
     rs = handshake_trusted()
-    cycles = _ids(enumerate_k_cycles(rs, 2, dependency_graph(rs)))
+    cycles = _ids(enumerate_k_cycles(2, dependency_graph(rs)))
     assert ("r3", "r4", "r3", "r4", "r3") in cycles
     for ids in cycles:
         counts = {}
@@ -55,7 +55,7 @@ def test_triad_reverse_rotation_is_enumerated():
     # the reverse rotation chains through the producing rule even though the
     # middle rules do not depend on one another pairwise
     rs = triad()
-    ids = _ids(enumerate_k_cycles(rs, 1, dependency_graph(rs)))
+    ids = _ids(enumerate_k_cycles(1, dependency_graph(rs)))
     assert ("r3", "r2", "r1", "r3") in ids
 
 
@@ -70,12 +70,12 @@ def test_kcycle_invariant_checked():
 
 def test_vacuous_self_rule_yields_no_cycles():
     rs = vacuous_self()
-    assert _ids(enumerate_k_cycles(rs, 1, dependency_graph(rs))) == []
+    assert _ids(enumerate_k_cycles(1, dependency_graph(rs))) == []
 
 
 def test_truncation_marker():
     rs = handshake()
-    stream = enumerate_k_cycles(rs, 2, dependency_graph(rs), limit=2)
+    stream = enumerate_k_cycles(2, dependency_graph(rs), limit=2)
     listed = _ids(stream)
     assert len(listed) == 2
     assert stream.truncated
@@ -113,7 +113,7 @@ def brute_force_cycles(rules, k, depends):
 def test_enumeration_matches_brute_force(k):
     for rs in (handshake(), triad(), walk()):
         graph = dependency_graph(rs)
-        found = set(_ids(enumerate_k_cycles(rs, k, graph)))
+        found = set(_ids(enumerate_k_cycles(k, graph)))
         expected = brute_force_cycles(
             list(rs.rules), k, lambda later, earlier: graph_depends(graph, later, earlier)
         )
@@ -122,7 +122,7 @@ def test_enumeration_matches_brute_force(k):
 
 def test_every_two_cycle_contains_a_one_cycle_infix():
     rs = handshake_trusted()
-    two = _ids(enumerate_k_cycles(rs, 2, dependency_graph(rs)))
+    two = _ids(enumerate_k_cycles(2, dependency_graph(rs)))
     assert two
     for ids in two:
         found = False

@@ -261,7 +261,7 @@ def test_match_path_agrees_with_reference_on_fixture_cycles(fixture):
     rs = fixture()
     graph = dependency_graph(rs)
     for k in (1, 2):
-        for cycle in enumerate_k_cycles(rs, k, graph):
+        for cycle in enumerate_k_cycles(k, graph):
             db = restricted_critical_db(cycle.path)
             final = skolem_chase(db, rs, Budget(max_steps=4)).final
             _assert_same_search(rs.rules, final)
