@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -358,8 +359,8 @@ def test_replay_witness_rejects_tampered_evidence(tamper, message):
 # The chained search against two references of tests/oracles.py, on the
 # restricted critical database of each cycle, with and without the rule
 # set's Datalog rules (as Datalog-first), at min_height 0 and 3, under 5,000
-# probes a search.  The library search runs once per case and is checked
-# against both.
+# probes a search.  The library search runs once per case: `_differential`
+# runs each corpus once, and the two tests of a corpus check its records.
 #
 # The memo-free reference searches in the same order, and the memo skips
 # only subtrees that fail, so a search may decide where the reference runs
@@ -387,8 +388,27 @@ def _first_cycles(rs, per_k: int):
             yield rs, cycle.path
 
 
-def _differential(cycles) -> dict:
-    tally = {"searches": 0, "decided_now": 0, "probes": 0, "reference_probes": 0}
+def _fixture_cycles() -> list:
+    return [cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)]
+
+
+def _random_cycles() -> list:
+    import test_properties as props
+
+    rng = random.Random(0)
+    draws = [props.random_rule_set(rng, 4) for _ in range(300)]
+    return [cycle for rs in draws for cycle in _first_cycles(rs, 3)]
+
+
+_CORPORA = {"fixture": _fixture_cycles, "random": _random_cycles}
+
+
+@functools.cache
+def _differential(corpus: str) -> tuple:
+    """The corpus's cycle count, and per case its key and the (verdict,
+    merges, probes) of the library, uncached and memo-free searches."""
+    cycles = _CORPORA[corpus]()
+    records = []
     for rs, path in cycles:
         for datalog_rules in dict.fromkeys(((), rs.datalog_rules)):
             for min_height in (0, 3):
@@ -397,49 +417,59 @@ def _differential(cycles) -> dict:
                 merges: list = []
                 got = is_active_wrt(path, restricted_critical_db(path), datalog_rules=datalog_rules,
                                     min_height=min_height, meter=meter, _collect=merges)
-                tally["searches"] += 1
-
                 unc_meter = Meter(Budget(max_probes=5_000))
                 unc, unc_merges = is_active_wrt_uncached(
                     path, restricted_critical_db(path), unc_meter, datalog_rules, min_height
                 )
-                if unc.status is Status.INCONCLUSIVE:
-                    unc_merges = []  # an exhausted search hands on no merges
-                assert (got, merges, meter.probes) == (unc, unc_merges, unc_meter.probes), case
-
                 ref_meter = Meter(Budget(max_probes=5_000))
                 ref, ref_merges = is_active_wrt_reference(
                     path, restricted_critical_db(path), ref_meter, datalog_rules, min_height
                 )
-                tally["probes"] += meter.probes
-                tally["reference_probes"] += ref_meter.probes
-                assert meter.probes <= ref_meter.probes, case
-                if ref.status is Status.INCONCLUSIVE:
-                    tally["decided_now"] += got.status is not Status.INCONCLUSIVE
-                    continue
-                assert got.status is ref.status, case
-                assert got.witness == ref.witness, case
-                assert merges == ref_merges, case
-    return tally
+                records.append((case, (got, merges, meter.probes),
+                                (unc, unc_merges, unc_meter.probes),
+                                (ref, ref_merges, ref_meter.probes)))
+    return len(cycles), tuple(records)
 
 
-def _assert_differential(cycles: list) -> None:
-    tally = _differential(cycles)
-    assert tally["searches"] >= 2 * len(cycles)
+def _assert_matches_memo_free_reference(corpus: str) -> None:
+    tally = {"decided_now": 0, "probes": 0, "reference_probes": 0}
+    for case, (got, merges, probes), _, (ref, ref_merges, ref_probes) in _differential(corpus)[1]:
+        tally["probes"] += probes
+        tally["reference_probes"] += ref_probes
+        assert probes <= ref_probes, case
+        if ref.status is Status.INCONCLUSIVE:
+            tally["decided_now"] += got.status is not Status.INCONCLUSIVE
+            continue
+        assert got.status is ref.status, case
+        assert got.witness == ref.witness, case
+        assert merges == ref_merges, case
     assert tally["probes"] < tally["reference_probes"]
     assert tally["decided_now"] > 0
 
 
-def test_chained_search_matches_the_references_on_fixture_cycles():
-    _assert_differential([cycle for make in _FIXTURE_SETS for cycle in _first_cycles(make(), 20)])
+def _assert_matches_uncached_search(corpus: str) -> None:
+    cycles, records = _differential(corpus)
+    for case, got, (unc, unc_merges, unc_probes), _ in records:
+        if unc.status is Status.INCONCLUSIVE:
+            unc_merges = []  # an exhausted search hands on no merges
+        assert got == (unc, unc_merges, unc_probes), case
+    assert len(records) >= 2 * cycles
 
 
-def test_chained_search_matches_the_references_on_random_cycles():
-    import test_properties as props
+def test_chained_search_matches_the_memo_free_reference_on_fixture_cycles():
+    _assert_matches_memo_free_reference("fixture")
 
-    rng = random.Random(0)
-    draws = [props.random_rule_set(rng, 4) for _ in range(300)]
-    _assert_differential([cycle for rs in draws for cycle in _first_cycles(rs, 3)])
+
+def test_chained_search_matches_the_memo_free_reference_on_random_cycles():
+    _assert_matches_memo_free_reference("random")
+
+
+def test_chained_search_matches_the_uncached_search_on_fixture_cycles():
+    _assert_matches_uncached_search("fixture")
+
+
+def test_chained_search_matches_the_uncached_search_on_random_cycles():
+    _assert_matches_uncached_search("random")
 
 
 # The whole renaming worklist against the uncached search: the handshake
