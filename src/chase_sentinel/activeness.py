@@ -49,19 +49,22 @@ merges are those of a search without the memo, with at most its probes
 and steps.  Likewise the last step skips a body match whose image holds
 no reached atom before testing its activeness: it cannot end a chain.
 
-The same fixed database makes three more answers fixed for one search,
-and the search caches them; the caches die with it.
+Three more answers are cached.
 - Trigger heads: the ground head atoms of a trigger depend only on its
-  rule and frontier values, so they are built once per search and
-  re-added when the trigger fires again after a rollback.  A Datalog path
-  rule is active iff one of these atoms is missing.
+  rule and frontier values (`hom.head_image`), not on the database, the
+  renaming or the search.  So they outlive the search: they are kept on
+  the rule (`Rule.trigger_heads`), built once for all searches of a rule
+  set, and re-added whenever the trigger fires again.  Atoms and skolem
+  terms are immutable values, so sharing them changes no instance.  A
+  Datalog path rule is active iff one of these atoms is missing.
 - Body images: the matcher yields each match with the instance atoms it
   matched, which are the trigger's body image, so the chain tests read
   them instead of instantiating the body.
 - Database matches: whether a database atom matches a body atom, and the
   near miss it is if not, depend only on the body atom and the values
-  bound to its variables, and the database atoms do not change.  So the
-  database part of a scan is memoized per (body atom, bound values): a
+  bound to its variables, and the database atoms do not change during one
+  search.  So the database part of a scan is memoized per search, per
+  (body atom, bound values), and the memo dies with the search: a
   repeat re-binds the recorded hits and skips the rest.  It still charges
   one probe per database atom, in scan order, so probe counts and the
   point where a probe budget runs out are those of a full scan.  Its near
@@ -148,12 +151,11 @@ class _Search:
     height limits, as in the chase loop.  As it goes, the search records
     in `merges` the merge that each indexed-constant near miss of a body
     match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
-    `failed` holds the keys of the states whose subtree failed, `heads`
-    the head atoms of each path position's rule per frontier values (one
-    dict per distinct rule), and `database_matches` the memo of database
-    matches (see the module docstring).  `trail` holds a (rule, bindings,
-    added atoms, chained) record per applied trigger, from which a witness
-    and its chain are built once, on success."""
+    `failed` holds the keys of the states whose subtree failed, and
+    `database_matches` the memo of database matches; trigger heads are
+    memoized on the rules (see the module docstring).  `trail` holds a
+    (rule, bindings, added atoms, chained) record per applied trigger, from
+    which a witness and its chain are built once, on success."""
 
     def __init__(
         self,
@@ -172,8 +174,6 @@ class _Search:
         self.failed: set = set()
         self.merges: Dict[frozenset, None] = {}
         self.on_miss = near_miss_recorder(self.merges)
-        rule_heads: Dict[Rule, dict] = {}
-        self.heads = [rule_heads.setdefault(rule, {}) for rule in self.path]
         self.database_matches: Dict[tuple, list] = {}
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
@@ -297,7 +297,7 @@ class _Search:
                 trail.pop()
                 inst.rollback(size)
             rule = path[i]
-            heads = self.heads[i]
+            heads = rule.trigger_heads
             for h, image in matches:
                 if i and i == last and reached.isdisjoint(image):
                     continue

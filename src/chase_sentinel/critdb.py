@@ -6,6 +6,11 @@ restricted one itself under the identity and builds one new instance for
 any other renaming; the chained search runs on it in place and rolls it
 back (see `activeness.is_active_wrt`).
 
+The body frozen at path index i depends only on the rule and i, so it is
+built once per (rule, index) and kept on the rule (`Rule.frozen_bodies`).
+`restricted_critical_db` lays those bodies out in path order, and every
+cycle of a rule set reuses them.
+
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
 differs from it only where both hold indexed constants (an unbound
@@ -74,11 +79,17 @@ def skolem_critical_db(rs: RuleSet, max_atoms: Optional[int] = None) -> Instance
     )
 
 
-def _e_i(index: int, a: Atom) -> Atom:
-    args = tuple(
-        IndexedConstant(t.name, index) if isinstance(t, Variable) else t for t in a.args
-    )
-    return Atom(a.pred, args)
+def _frozen_body(rule: Rule, index: int) -> tuple:
+    """The rule's body with each variable X replaced by <X, index>."""
+    body = rule.frozen_bodies.get(index)
+    if body is None:
+        body = rule.frozen_bodies[index] = tuple(
+            Atom(a.pred, tuple(
+                IndexedConstant(t.name, index) if isinstance(t, Variable) else t for t in a.args
+            ))
+            for a in rule.body
+        )
+    return body
 
 
 def restricted_critical_db(path: Sequence[Rule]) -> Instance:
@@ -86,7 +97,7 @@ def restricted_critical_db(path: Sequence[Rule]) -> Instance:
     an instance of database atoms in path order, each once."""
     if not path:
         raise ValueError("path must be non-empty")
-    return Instance(_e_i(i, a) for i, rule in enumerate(path, start=1) for a in rule.body)
+    return Instance(a for i, rule in enumerate(path, start=1) for a in _frozen_body(rule, i))
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,16 @@ class Rule:
     def all_atoms(self) -> tuple:
         return self.body + self.head
 
+    @cached_property
+    def frozen_bodies(self) -> dict:
+        """Memo of `critdb.restricted_critical_db`: path index -> body frozen there."""
+        return {}
+
+    @cached_property
+    def trigger_heads(self) -> dict:
+        """Memo of the chained search: frontier values -> `hom.head_image`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RuleSet:

@@ -617,3 +617,50 @@ def test_generated_set_two_stays_within_its_probe_count(monkeypatch):
     assert report.verdict is Verdict.NOT_PROVEN
     replay_witness(report.witness, rs)
     assert probes[0] <= 200_000
+
+
+def _generated_set(seed: int) -> cs.RuleSet:
+    return cs.generate(cs.GenParams(
+        seed=seed, count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+        body_atoms=1, head_atoms=2, head_shape="discrete",
+    ))
+
+
+def test_warm_rule_memos_change_no_verdict_witness_or_probe(monkeypatch):
+    # Frozen bodies and trigger heads live on the rules, so a rule set that
+    # was analysed before runs on warm memos.  Each call on it must return
+    # and charge exactly what the same call on a fresh parse does.
+    budget = Budget(max_steps=2_000, max_atoms=10_000, max_probes=3_000, max_renamings=50,
+                    max_cycles=100)
+    delta = cs.parse_bound("const:3")
+    probes = [0]
+    charge_probe = Meter.charge_probe
+
+    def counting(meter):
+        probes[0] += 1
+        charge_probe(meter)
+
+    monkeypatch.setattr(Meter, "charge_probe", counting)
+
+    def outcome(call, rs):
+        probes[0] = 0
+        result = call(rs)
+        if hasattr(result, "stats"):
+            result = replace(result, stats=replace(result.stats, elapsed_s=0.0))
+        return repr(result), probes[0]
+
+    calls = (
+        lambda rs: k_safe(rs, 1, cs.Condition.WA, budget=budget),
+        lambda rs: k_safe(rs, 1, cs.Condition.WA, budget=budget),
+        lambda rs: cs.memb_check(rs, delta, budget=budget),
+    )
+    makers = list(_FIXTURE_SETS) + [functools.partial(_generated_set, s) for s in range(20)]
+    warm_heads = warm_bodies = 0
+    for make in makers:
+        rs = make()
+        warm = [outcome(call, rs) for call in calls]
+        fresh = [outcome(call, make()) for call in calls]
+        assert warm == fresh, make
+        warm_heads += sum(len(r.trigger_heads) for r in rs)
+        warm_bodies += sum(len(r.frozen_bodies) for r in rs)
+    assert warm_heads and warm_bodies  # the second and third calls did run warm

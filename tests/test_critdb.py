@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import chase_sentinel as cs
@@ -111,6 +113,45 @@ def test_restricted_critical_db_atom_count_bound():
     shared = cs.parse_rules("[r1] q(X) :- p(a,a).\n[r2] s(X) :- p(a,a), q(X).")
     db = restricted_critical_db(tuple(shared.rules))
     assert len(db) < sum(len(r.body) for r in shared.rules)
+
+
+def _frozen_afresh(path) -> list:
+    """I^pi built without the rules' memos: each body frozen anew, in path
+    order, each atom once."""
+    atoms = (
+        cs.Atom(a.pred, tuple(
+            IndexedConstant(t.name, i) if isinstance(t, cs.Variable) else t for t in a.args
+        ))
+        for i, rule in enumerate(path, start=1)
+        for a in rule.body
+    )
+    return list(dict.fromkeys(atoms))
+
+
+def _longest_gen114_cycle() -> tuple:
+    rs = cs.generate(cs.GenParams(
+        seed=114, count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+        body_atoms=1, head_atoms=2, head_shape="discrete",
+    ))
+    cycles = itertools.islice(cs.enumerate_k_cycles(1, cs.dependency_graph(rs)), 2_000)
+    return max((c.path for c in cycles), key=len)
+
+
+def test_restricted_critical_db_from_memoized_bodies_matches_freezing_afresh():
+    # Frozen bodies are kept on the rules, one per path index: paths that
+    # reuse a rule at other positions, and repeat builds, must give the
+    # atoms a fresh freeze gives, in the same order.
+    r = vacuous_self().rules[0]
+    r1, r2, r3 = cs.parse_rules(
+        "[r1] q(X,Y) :- p(X,Y).\n[r2] t(X,Y) :- r(X,Y).\n[r3] p(Z,X), r(Z,X) :- q(X,Y), t(X,Y)."
+    ).rules
+    long_path = _longest_gen114_cycle()
+    assert len(long_path) >= 8 and len(set(long_path)) < len(long_path)
+    paths = [(r, r), (r, r, r), (r1, r2, r3), (r3, r2, r1, r3), (r1, r2, r3, r1, r2, r3),
+             long_path, long_path[::-1]]
+    for path in paths + paths:
+        assert list(restricted_critical_db(path).atoms()) == _frozen_afresh(path)
+    assert sorted(r.frozen_bodies) == [1, 2, 3]
 
 
 def test_renaming_must_lower_index():
