@@ -6,7 +6,10 @@ functions treat as a failed condition (the sound direction).
 
 WA, JA and aGRD report the first cycle `_first_cycle` finds; aGRD and the
 components read the `successors` and `predecessors` lists of
-`deps.DependencyGraph`.  No traversal recurses per node.
+`deps.DependencyGraph`.  No traversal recurses per node.  WA holds at once,
+with no position graph built, for a rule set none of whose predicates
+occurs both in a head and in a body: such a graph cannot cycle (see
+`is_wa`).  The other conditions take no such exit.
 """
 
 from __future__ import annotations
@@ -100,7 +103,17 @@ def _first_cycle(adjacency, edges) -> Optional[tuple]:
 
 
 def is_wa(rs: RuleSet) -> CheckResult:
-    """Weak acyclicity: no cycle of the position graph uses a special edge."""
+    """Weak acyclicity: no cycle of the position graph uses a special edge.
+
+    Every edge of the position graph, normal or special, runs from a
+    position of a body atom of some rule to a position of a head atom of
+    the same rule.  A node on a cycle is the head of one edge and the tail
+    of the next, so its predicate occurs in some head and in some body.
+    When no predicate of `rs` is both read and written, the graph has no
+    cycle, and WA holds without building it."""
+    read = {a.pred for r in rs for a in r.body}
+    if read.isdisjoint([a.pred for r in rs for a in r.head]):
+        return CheckResult(Condition.WA, True)
     g = position_graph(rs)
     adjacency: Dict = defaultdict(list)
     for u, v in g.normal_edges + g.special_edges:

@@ -46,9 +46,11 @@ any piece-unifier passes both tests, one of the yielded unifiers does.
 This covers unifiers of several pieces and body atoms paired with more
 than one head atom.
 
-Every traversal of the graph, in `acyclicity` and `cycles`, reads the
-cached `successors` and `predecessors` lists of `DependencyGraph`; none
-recurses per rule.
+`dependency_graph` runs that test only on the pairs where body(r2) reads
+a predicate of head(r1), through an index from body predicate to rule;
+every other pair has no unifier.  Every traversal of the graph, in
+`acyclicity` and `cycles`, reads the cached `successors` and
+`predecessors` lists of `DependencyGraph`; none recurses per rule.
 """
 
 from __future__ import annotations
@@ -241,11 +243,17 @@ class DependencyGraph:
 
 
 def dependency_graph(rs: RuleSet) -> DependencyGraph:
+    """The graph of `depends_on` over every ordered rule pair, edges ordered
+    by (i, j).  Only the rules whose body reads a head predicate of rule i
+    can depend on it, so each rule i tests just those, found in an index
+    from body predicate to rule."""
     rules = rs.rules
-    edges = tuple(
-        (i, j)
-        for i, r1 in enumerate(rules)
-        for j, r2 in enumerate(rules)
-        if depends_on(r2, r1) is not None
-    )
-    return DependencyGraph(rule_set=rs, edges=edges)
+    readers: dict = {}  # body predicate -> indices of the rules reading it
+    for j, r2 in enumerate(rules):
+        for pred in {a.pred for a in r2.body}:
+            readers.setdefault(pred, []).append(j)
+    edges = []
+    for i, r1 in enumerate(rules):
+        candidates = sorted({j for a in r1.head for j in readers.get(a.pred, ())})
+        edges.extend((i, j) for j in candidates if depends_on(rules[j], r1) is not None)
+    return DependencyGraph(rule_set=rs, edges=tuple(edges))

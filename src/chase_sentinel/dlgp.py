@@ -10,11 +10,17 @@ Grammar (comments run from '%' to end of line):
     atom      := IDENT "(" term ("," term)* ")"
     term      := VARIABLE | IDENT
 
-VARIABLE tokens start with an uppercase letter, IDENT tokens with a
-lowercase letter or digit.  Head variables absent from the body are
-existential.  Parsed rules are standardized apart by suffixing variable
-names with the rule ordinal; the serializer strips that suffix again, so
-parse(serialize(doc)) is structurally the identity on parsed documents.
+Words are runs of ASCII letters, digits and '_'; a word is a VARIABLE
+when it starts with an uppercase letter, else an IDENT.  The tokenizer
+makes one regex pass per line and emits plain (kind, text, line) tuples;
+a character that is neither whitespace nor the start of a token (a
+non-ASCII letter, '@', a lone ':' or '-') is a ParseError on its line.
+Lines end at '\n' only, so CRLF text parses like LF text.
+
+Head variables absent from the body are existential.  Parsed rules are
+standardized apart by suffixing variable names with the rule ordinal; the
+serializer strips that suffix again, so parse(serialize(doc)) is
+structurally the identity on parsed documents.
 """
 
 from __future__ import annotations
@@ -32,43 +38,27 @@ class ParseError(ValueError):
         self.line = line
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<impl>:-)
-  | (?P<punct>[()\[\],.])
-  | (?P<word>[A-Za-z0-9_]+)
-""",
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'word', 'impl', '(', ')', '[', ']', ',', '.'
-    text: str
-    line: int
+# Groups: a word, ':-', a punctuation character, a bad character.  A
+# comment ('%' to the end of the line) matches with every group empty, and
+# findall skips whitespace, which no alternative matches.  Only ASCII
+# letters, digits and '_' make words.
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|(:-)|([()\[\],.])|%.*|(\S)")
 
 
 def _tokenize(text: str) -> list:
+    """(kind, text, line) triples, kind 'word', 'impl' or the punctuation
+    character itself; one regex pass per line."""
     tokens = []
-    line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line)
-        pos = m.end()
-        line += m.group(0).count("\n")
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        if m.lastgroup == "impl":
-            tokens.append(_Token("impl", ":-", line))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token(m.group(0), m.group(0), line))
-        else:
-            tokens.append(_Token("word", m.group(0), line))
+    for line, chunk in enumerate(text.split("\n"), start=1):
+        for word, impl, punct, bad in _TOKEN_RE.findall(chunk):
+            if word:
+                tokens.append(("word", word, line))
+            elif punct:
+                tokens.append((punct, punct, line))
+            elif impl:
+                tokens.append(("impl", impl, line))
+            elif bad:
+                raise ParseError("unexpected character %r" % bad, line)
     return tokens
 
 
@@ -89,6 +79,8 @@ class SourceDocument:
 
 
 class _Parser:
+    """Recursive descent over the (kind, text, line) tokens of `_tokenize`."""
+
     def __init__(self, tokens: list):
         self.toks = tokens
         self.i = 0
@@ -97,51 +89,48 @@ class _Parser:
         self.rules: list = []
         self.labels: set = set()
 
-    def _peek(self) -> Optional[_Token]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def _peek(self) -> Optional[str]:
+        """The kind of the next token, or None at the end."""
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
 
-    def _next(self, kind: Optional[str] = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last_line = self.toks[-1].line if self.toks else 1
+    def _next(self, kind: Optional[str] = None) -> tuple:
+        if self.i == len(self.toks):
+            last_line = self.toks[-1][2] if self.toks else 1
             raise ParseError("unterminated statement (unexpected end of input)", last_line)
-        if kind is not None and tok.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok.text), tok.line)
+        tok = self.toks[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError("expected %r, found %r" % (kind, tok[1]), tok[2])
         self.i += 1
         return tok
 
     def _atom(self) -> tuple:
         """Returns (pred, raw-args as (is_var, name) pairs, line)."""
-        name = self._next("word")
-        if _is_variable(name.text):
-            raise ParseError("predicate names start lowercase: %r" % name.text, name.line)
+        _, pred, line = self._next("word")
+        if _is_variable(pred):
+            raise ParseError("predicate names start lowercase: %r" % pred, line)
         self._next("(")
         args = []
         while True:
-            t = self._next("word")
-            args.append((_is_variable(t.text), t.text))
-            tok = self._next()
-            if tok.kind == ")":
+            name = self._next("word")[1]
+            args.append((_is_variable(name), name))
+            kind, _, at = self._next()
+            if kind == ")":
                 break
-            if tok.kind != ",":
-                raise ParseError("expected ',' or ')' in atom", tok.line)
-        prev = self.arities.setdefault(name.text, len(args))
+            if kind != ",":
+                raise ParseError("expected ',' or ')' in atom", at)
+        prev = self.arities.setdefault(pred, len(args))
         if prev != len(args):
             raise ParseError(
-                "predicate %s used with arity %d, previously %d" % (name.text, len(args), prev),
-                name.line,
+                "predicate %s used with arity %d, previously %d" % (pred, len(args), prev), line
             )
-        return name.text, args, name.line
+        return pred, args, line
 
     def _atomlist(self) -> list:
         atoms = [self._atom()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == ",":
-                self.i += 1
-                atoms.append(self._atom())
-            else:
-                return atoms
+        while self._peek() == ",":
+            self.i += 1
+            atoms.append(self._atom())
+        return atoms
 
     def parse(self) -> SourceDocument:
         while self._peek() is not None:
@@ -150,30 +139,29 @@ class _Parser:
 
     def _statement(self) -> None:
         label = None
-        if self._peek().kind == "[":
-            self._next("[")
-            label_tok = self._next("word")
-            label = label_tok.text
+        if self._peek() == "[":
+            self.i += 1
+            label = self._next("word")[1]
             self._next("]")
         first = self._atomlist()
-        tok = self._next()
-        if tok.kind == ".":
+        kind, _, at = self._next()
+        if kind == ".":
             if label is not None:
-                raise ParseError("facts cannot carry a rule label", tok.line)
+                raise ParseError("facts cannot carry a rule label", at)
             for pred, raw, line in first:
                 for is_var, name in raw:
                     if is_var:
                         raise ParseError("variable %s in a fact" % name, line)
                 self.facts.append(Atom(pred, tuple(Constant(n) for _, n in raw)))
             return
-        if tok.kind != "impl":
-            raise ParseError("expected '.' or ':-' after atom list", tok.line)
+        if kind != "impl":
+            raise ParseError("expected '.' or ':-' after atom list", at)
         body = self._atomlist()
-        end = self._next(".")
+        end_line = self._next(".")[2]
         ordinal = len(self.rules) + 1
         rid = label if label is not None else "r%d" % ordinal
         if rid in self.labels:
-            raise ParseError("duplicate rule label %r" % rid, end.line)
+            raise ParseError("duplicate rule label %r" % rid, end_line)
         self.labels.add(rid)
 
         def build(raw_atoms: list) -> tuple:

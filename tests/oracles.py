@@ -23,7 +23,11 @@ it that the per-search caches of `chase_sentinel.activeness` replaced; and
 `_chain_through`, the forward chain rule over the steps each trigger
 consumed from, which the chained flag that `chase_sentinel.activeness`
 keeps per trail step replaced (both references build their witness chains
-with it); as differential references.  Also the rule-id dependency test
+with it); and the match-per-token tokenizer that the one-pass tokenizer of
+`chase_sentinel.dlgp` replaced, and the weak-acyclicity test that builds
+the position graph of every rule subset, which the read-and-written
+predicate exit of `chase_sentinel.acyclicity.is_wa` replaced; as
+differential references.  Also the rule-id dependency test
 of a built graph, which only the tests read, and a tampering shared by the
 replay tests.
 
@@ -36,9 +40,12 @@ live in `chase_sentinel.chase`, its demand-driven renaming search in
 from __future__ import annotations
 
 import itertools
+import re
+from collections import defaultdict
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
+from chase_sentinel.acyclicity import CheckResult, Condition, _first_cycle, position_graph
 from chase_sentinel.activeness import (
     ChainWitness,
     SafetyVerdict,
@@ -74,6 +81,7 @@ from chase_sentinel.hom import (
     order_atoms,
 )
 from chase_sentinel.deps import DependencyGraph, PieceUnifier, _rename_apart
+from chase_sentinel.dlgp import ParseError
 from chase_sentinel.model import (
     Atom,
     IndexedConstant,
@@ -85,6 +93,55 @@ from chase_sentinel.model import (
     Variable,
     apply_atom,
 )
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<impl>:-)
+  | (?P<punct>[()\[\],.])
+  | (?P<word>[A-Za-z0-9_]+)
+""",
+    re.VERBOSE,
+)
+
+
+def tokenize_reference(text: str) -> list:
+    """The dlgp token stream as (kind, text, line) triples, one regex match
+    per token or run of whitespace; raises the first bad character's
+    `ParseError`."""
+    tokens = []
+    line = 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % text[pos], line)
+        pos = m.end()
+        line += m.group(0).count("\n")
+        if m.lastgroup in ("ws", "comment"):
+            continue
+        if m.lastgroup == "impl":
+            tokens.append(("impl", ":-", line))
+        elif m.lastgroup == "punct":
+            tokens.append((m.group(0), m.group(0), line))
+        else:
+            tokens.append(("word", m.group(0), line))
+    return tokens
+
+
+def is_wa_reference(rs: RuleSet) -> CheckResult:
+    """Weak acyclicity from the position graph of every rule set, with no
+    early exit."""
+    g = position_graph(rs)
+    adjacency: Dict = defaultdict(list)
+    for u, v in g.normal_edges + g.special_edges:
+        adjacency[u].append(v)
+    for u in adjacency:
+        adjacency[u].sort(key=str)
+    cycle = _first_cycle(adjacency, g.special_edges)
+    return CheckResult(Condition.WA, cycle is None, witness=cycle)
 
 
 def has_cyclic_nesting_reference(t: Term) -> bool:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import chase_sentinel as cs
+from chase_sentinel import acyclicity
 from chase_sentinel.acyclicity import (
     Condition,
     CycleFunction,
@@ -16,12 +17,13 @@ from chase_sentinel.acyclicity import (
     position_graph,
 )
 from chase_sentinel.chase import Budget
+from chase_sentinel.cycles import enumerate_k_cycles
 from chase_sentinel.deps import DependencyGraph, dependency_graph
 from chase_sentinel.model import Position, Variable
 
 import fixtures
 from fixtures import access_control, handshake, handshake_trusted, vacuous_self
-from oracles import connected_components_reference
+from oracles import connected_components_reference, is_wa_reference
 
 
 def test_wa_fails_on_handshake_with_position_cycle():
@@ -244,3 +246,62 @@ def test_condition_subset_monotonicity_wa_ja_agrd():
                     subset = cs.RuleSet(rules[:i] + rules[i + 1:])
                     if subset.rules:
                         assert check_condition(cond, subset).value
+
+
+def _reads_what_it_writes(rules) -> bool:
+    """Whether some predicate occurs in a body and in a head of `rules`."""
+    read = {a.pred for r in rules for a in r.body}
+    return not read.isdisjoint(a.pred for r in rules for a in r.head)
+
+
+# The cycles per rule set that the differential and count tests below read:
+# the benchmark's `generated` cap, which three sets in 0..19 reach.
+CYCLE_LIMIT = 2_000
+
+
+def _condition_subsets(rs) -> list:
+    """Each rule subset a k = 1 analysis checks a condition on, once: every
+    component, and the distinct rules of each of the first CYCLE_LIMIT
+    1-cycles."""
+    graph = dependency_graph(rs)
+    subsets = {frozenset(r.id for r in comp): comp for comp in connected_components(graph)}
+    for cycle in enumerate_k_cycles(1, graph, limit=CYCLE_LIMIT):
+        subsets.setdefault(frozenset(r.id for r in cycle.path), tuple(dict.fromkeys(cycle.path)))
+    return [cs.RuleSet(rules) for rules in subsets.values()]
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated", "random"])
+def test_wa_matches_the_reference_on_components_and_cycle_subsets(corpus):
+    mismatches = []
+    exits = checks = 0
+    for rs in _corpus(corpus):
+        for subset in [rs] + _condition_subsets(rs):
+            checks += 1
+            exits += not _reads_what_it_writes(subset)
+            if is_wa(subset) != is_wa_reference(subset):
+                mismatches.append(str(subset))
+    assert mismatches == []
+    assert 0 < exits < checks
+
+
+def test_wa_builds_no_position_graph_for_a_subset_that_cannot_cycle(monkeypatch):
+    calls = {True: 0, False: 0}  # is_wa calls, by whether the subset can cycle
+    built = []
+    wa, graph_of = acyclicity.is_wa, acyclicity.position_graph
+
+    def counted_wa(rs):
+        calls[_reads_what_it_writes(rs)] += 1
+        return wa(rs)
+
+    def counted_graph(rs):
+        built.append(rs)
+        return graph_of(rs)
+
+    monkeypatch.setattr(acyclicity, "is_wa", counted_wa)
+    monkeypatch.setattr(acyclicity, "position_graph", counted_graph)
+    budget = Budget(max_probes=1, max_cycles=CYCLE_LIMIT)
+    for seed in range(20):
+        cs.k_safe(cs.generate(cs.GenParams(seed=seed, **GENERATED)), 1, Condition.WA, budget=budget)
+    assert all(_reads_what_it_writes(rs) for rs in built)
+    assert len(built) == calls[True]
+    assert calls[False] > calls[True] > 0

@@ -176,19 +176,25 @@ def test_dependency_graph_disjoint_rules():
 
 def test_dependency_graph_searches_only_pairs_that_share_a_predicate(monkeypatch):
     # A unifier pairs atoms of one predicate, so of the 360,000 ordered
-    # pairs of the 600-rule ring only the 600 neighbours reach the search.
+    # pairs of the 600-rule ring only the 600 neighbours reach the search:
+    # rule i writes p(i+1), which only rule i+1 reads.
     n = 600
     rs = cs.parse_rules("".join("[r%d] p%d(X) :- p%d(X).\n" % (i, (i + 1) % n, i) for i in range(n)))
-    calls = [0]
-    single_pieces = deps._single_pieces
+    calls = {"depends_on": 0, "_single_pieces": 0}
 
-    def counted(r1, r2):
-        calls[0] += 1
-        return single_pieces(r1, r2)
+    def counted(name):
+        function = getattr(deps, name)
 
-    monkeypatch.setattr(deps, "_single_pieces", counted)
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(deps, name, counted(name))
     graph = dependency_graph(rs)
-    assert calls[0] <= n
+    assert calls == {"depends_on": n, "_single_pieces": n}
     assert graph.edges == tuple(sorted((i, (i + 1) % n) for i in range(n)))
     assert graph.successors[n - 1] == [0] and graph.predecessors[0] == [n - 1]
 
@@ -323,3 +329,16 @@ def test_piece_unifiers_match_the_union_find_reference(corpus):
                 if depends_on(r2, r1) != depends_on_reference(r2, r1):
                     mismatches.append(("depends_on", str(r1), str(r2)))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated", "wide_generated", "wide_pieces"])
+def test_dependency_graph_matches_the_all_pairs_graph(corpus):
+    for rs in _differential_corpus(corpus):
+        rules = rs.rules
+        all_pairs = tuple(
+            (i, j)
+            for i, r1 in enumerate(rules)
+            for j, r2 in enumerate(rules)
+            if depends_on(r2, r1) is not None
+        )
+        assert dependency_graph(rs).edges == all_pairs

@@ -1,7 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel.dlgp import ParseError, parse, serialize
+from chase_sentinel.dlgp import ParseError, _tokenize, parse, serialize
+
+import fixtures
+from oracles import tokenize_reference
 
 
 def test_parse_rule_with_existential():
@@ -100,3 +107,81 @@ def test_database_and_rule_set_views():
     assert len(db) == 1 and db.first_derived_at(doc.facts[0]) == 0
     rs = doc.rule_set()
     assert rs.schema == {"q": 1, "p": 1}
+
+
+# Each malformed text with the error it must raise: (message, line).
+MALFORMED = {
+    "p(a). @x": ("line 1: unexpected character '@'", 1),
+    "p(a).\np(é).": ("line 2: unexpected character 'é'", 2),
+    "p(aéb).": ("line 1: unexpected character 'é'", 1),
+    "p(\u0663).": ("line 1: unexpected character '\u0663'", 1),  # a non-ASCII digit
+    "[r] q(X) - p(X).": ("line 1: unexpected character '-'", 1),
+    "[r] q(X) : p(X).": ("line 1: unexpected character ':'", 1),
+    "[r] q(X) :\n- p(X).": ("line 1: unexpected character ':'", 1),
+    "p(a).\r\n\tq(X).\r\n": ("line 2: variable X in a fact", 2),
+    "p(a) % no newline after this comment": (
+        "line 1: unterminated statement (unexpected end of input)", 1),
+    "p(a)\n\n% trailing comment\n": (
+        "line 1: unterminated statement (unexpected end of input)", 1),
+    "\n\n% one\n\n  % two\np(a).\n\nq(X).": ("line 8: variable X in a fact", 8),
+    "% c\n[r] q(X) :- p(X) :- r(X).": ("line 2: expected '.', found ':-'", 2),
+    "p(a) . q(X).": ("line 1: variable X in a fact", 1),
+}
+
+# Well-formed texts with unusual layout, and their facts.
+WELL_FORMED = {
+    "p(a).\r\n\tq(b).\r\n": ["p(a)", "q(b)"],
+    "p(a). % no newline after this comment": ["p(a)"],
+    "\tp(a)\t,\tq(b)\t.\t": ["p(a)", "q(b)"],
+    "p(a).\r%x\rq(b).": ["p(a)"],  # a lone CR does not end a comment
+    "p(a)\u00a0.\u2028q(b).": ["p(a)", "q(b)"],  # Unicode spaces separate tokens
+}
+
+
+@pytest.mark.parametrize("text", sorted(MALFORMED))
+def test_malformed_text_reports_message_and_line(text):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line) == MALFORMED[text]
+
+
+@pytest.mark.parametrize("text", sorted(WELL_FORMED))
+def test_crlf_tabs_and_trailing_comments_parse(text):
+    assert [str(f) for f in parse(text).facts] == WELL_FORMED[text]
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_dlgp_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _token_corpus() -> list:
+    texts = [getattr(fixtures, name) for name in (
+        "HANDSHAKE", "HANDSHAKE_TRUSTED", "ACCESS_CONTROL", "WALK", "VACUOUS_SELF", "TRIAD",
+        "TRIAD_GUARDED", "DATALOG_FIRST_PAIR")]
+    workloads = _load_workloads()
+    for seed in (1, 2):
+        texts += [op.text for op in workloads.generated_ops(cs, seed)]
+        texts += [op.text for op in workloads.chase_ops(seed) if "access" in op.name]
+    return texts + sorted(MALFORMED) + sorted(WELL_FORMED)
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return ("error", str(e), e.line)
+
+
+def test_token_stream_matches_the_reference_tokenizer():
+    texts = _token_corpus()
+    # 8 fixtures; per seed, 200 generated sets and 18 access-control chases
+    assert len(texts) == 8 + 2 * (200 + 18) + len(MALFORMED) + len(WELL_FORMED)
+    mismatches = [
+        text for text in texts if _outcome(_tokenize, text) != _outcome(tokenize_reference, text)
+    ]
+    assert mismatches == []
