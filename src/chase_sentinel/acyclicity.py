@@ -251,7 +251,8 @@ def connected_components(graph: DependencyGraph) -> List[tuple]:
 class CycleFunction:
     """The condition on a cycle's distinct rules: `check_rules` gives True,
     False, or None when the check ran out of budget (only MFA can), which
-    callers count as False; memoized per distinct rule subset."""
+    callers count as False; memoized per distinct rule subset.  The rules
+    passed in must come from one rule set, as components and cycles do."""
 
     def __init__(self, condition: Condition, budget: Optional[Budget] = None):
         self.condition = condition
@@ -261,6 +262,10 @@ class CycleFunction:
     def check_rules(self, rules: Sequence[Rule]) -> Optional[bool]:
         key = frozenset(r.id for r in rules)
         if key not in self._memo:
-            subset = RuleSet(tuple(dict.fromkeys(rules)))
+            # Distinct ids, one arity per predicate and rules standardized
+            # apart hold for every subset of a rule set that has them, so
+            # the subset skips `RuleSet.__post_init__`.
+            subset = object.__new__(RuleSet)
+            object.__setattr__(subset, "rules", tuple(dict.fromkeys(rules)))
             self._memo[key] = check_condition(self.condition, subset, self.budget).value
         return self._memo[key]

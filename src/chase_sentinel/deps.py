@@ -19,6 +19,10 @@ soon as a class holds two existentials, a rigid term or a frontier
 variable of r1, and also when it pulls in a body atom that comes before
 the start atom: that piece is grown from its own first atom.  When no
 atom is left to pull in, the piece is closed and its unifier is yielded.
+The search is one explicit worklist of tasks "unify body atom i with head
+atom j on this partial map", popped depth first in the order above; it
+makes a task only for head atoms of the body atom's predicate, so no map
+is copied for a pair that cannot unify.
 
 A unifier is one map from every term it has met to the representative of
 its class: the constant when the class holds one (two distinct constants
@@ -26,9 +30,10 @@ clash), else the variable with the least name.  Each step copies the map,
 and each union relabels the members of the class that loses.  The
 existential condition is read off the map: every existential of r1 has a
 representative of its own, that representative is a variable, and no
-frontier variable of r1 shares it.  Those representatives mark the
-classes that pull body atoms in, and the substitution of the yielded
-unifier maps each variable to its representative.
+frontier variable of r1 shares it (looked for only when the map holds an
+existential).  Those representatives mark the classes that pull body
+atoms in, and the substitution of a unifier maps each variable to its
+representative.
 
 This is complete for the dependency test.  Take any piece-unifier u, the
 most general unifier of atom pairs P from B x H that cover B and H.
@@ -46,9 +51,16 @@ any piece-unifier passes both tests, one of the yielded unifiers does.
 This covers unifiers of several pieces and body atoms paired with more
 than one head atom.
 
-`dependency_graph` runs that test only on the pairs where body(r2) reads
-a predicate of head(r1), through an index from body predicate to rule;
-every other pair has no unifier.  Every traversal of the graph, in
+`depends_on` tests each unifier on images, under the map, of the atoms of
+both rules as (predicate, arguments) tuples, and stops at the first atom
+that decides a test; it builds no image atom, and no `PieceUnifier` but
+the one it returns.  It needs no search at all when every head atom of r2 occurs
+in body(r2): then u(head(r2)) is contained in u(body(r2)) for every u,
+so no unifier is productive.
+
+`dependency_graph` runs `depends_on` only on the pairs where body(r2)
+reads a predicate of head(r1), through an index from body predicate to
+rule; every other pair has no unifier.  Every traversal of the graph, in
 `acyclicity` and `cycles`, reads the cached `successors` and
 `predecessors` lists of `DependencyGraph`; none recurses per rule.
 """
@@ -57,18 +69,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 # Not used here: bench/test_bench.py checks that the tracer patches
 # find_homomorphisms in this namespace too.
 from .hom import find_homomorphisms  # noqa: F401
-from .model import (
-    Atom,
-    Rule,
-    RuleSet,
-    Variable,
-    apply_atom,
-)
+from .model import Atom, Rule, RuleSet, Variable
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,15 @@ class PieceUnifier:
 def _unify(rep: dict, a: Atom, b: Atom) -> Optional[dict]:
     """A copy of the representative map `rep` that also unifies the
     arguments of `a` and `b` pairwise, or None when their predicates differ
-    or two distinct constants meet."""
+    or two distinct constants meet.  Every representative is the key object
+    its term was first entered with, so representatives are compared by
+    identity."""
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     rep = dict(rep)
     for x, y in zip(a.args, b.args):
         keep, drop = rep.setdefault(x, x), rep.setdefault(y, y)
-        if keep == drop:
+        if keep is drop:
             continue
         if drop.__class__ is not Variable:
             if keep.__class__ is not Variable:
@@ -99,7 +107,7 @@ def _unify(rep: dict, a: Atom, b: Atom) -> Optional[dict]:
         elif keep.__class__ is Variable and drop.name < keep.name:
             keep, drop = drop, keep
         for t, r in rep.items():
-            if r == drop:
+            if r is drop:
                 rep[t] = keep
     return rep
 
@@ -117,71 +125,95 @@ def _rename_apart(r1: Rule, r2: Rule) -> Rule:
         while name in taken:
             name = name + "~"
         mapping[v] = Variable(name)
-    body = tuple(apply_atom(mapping, a) for a in r1.body)
-    head = tuple(apply_atom(mapping, a) for a in r1.head)
-    return Rule(id=r1.id + "~", body=body, head=head)
+
+    def rename(atoms: tuple) -> tuple:
+        return tuple(
+            Atom(a.pred, tuple([mapping[t.name] if t.__class__ is Variable else t for t in a.args]))
+            for a in atoms
+        )
+
+    return Rule(id=r1.id + "~", body=rename(r1.body), head=rename(r1.head))
 
 
-def _single_pieces(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
+def _existential_roots(rep: dict, existentials: frozenset, frontier: tuple) -> Optional[set]:
+    """The representatives of the existentials of r1 in `rep`, or None when
+    the existential condition fails: two existentials share a class, or one
+    shares it with a constant or a frontier variable of r1."""
+    roots: set = set()
+    for t, r in rep.items():
+        if t.__class__ is Variable and t.name in existentials:
+            if r.__class__ is not Variable or r in roots:
+                return None
+            roots.add(r)
+    if roots and any(t.name in frontier and r in roots for t, r in rep.items()):
+        return None
+    return roots
+
+
+def _single_pieces(r1: Rule, r2: Rule) -> Iterator[tuple]:
     """Most general single-piece unifiers of body(r2) with head(r1), for
-    rules that share no variable (see the module docstring)."""
+    rules that share no variable (see the module docstring).  Each is
+    yielded as its representative map, the indices of its body atoms (the
+    start atom first) and those of the head atoms they were unified with."""
     body, head = r2.body, r1.head
-    existentials, frontier = r1.existentials, frozenset(r1.frontier)
-
-    def unify(rep: dict, i: int, j: int) -> Optional[tuple]:
-        """The map grown by body[i] = head[j] and its existential
-        representatives, or None on a clash or a broken existential
-        condition."""
+    existentials, frontier = r1.existentials, r1.frontier
+    heads_of: dict = {}  # predicate -> indices of the head atoms that have it
+    for j, a in enumerate(head):
+        heads_of.setdefault(a.pred, []).append(j)
+    # A task unifies body[i] with head[j] on the map of the piece it grows;
+    # the stack pops them in the order of the depth-first search.
+    work = [({}, (), (), i, j) for i, a in enumerate(body) for j in heads_of.get(a.pred, ())]
+    work.reverse()
+    while work:
+        rep, piece, heads, i, j = work.pop()
         rep = _unify(rep, body[i], head[j])
         if rep is None:
-            return None
-        roots: set = set()
-        for t, r in rep.items():
-            if t.__class__ is Variable and t.name in existentials:
-                if r.__class__ is not Variable or r in roots:
-                    return None
-                roots.add(r)
-        if any(r in roots and t.name in frontier for t, r in rep.items()):
-            return None
-        return rep, roots
-
-    def grow(rep: dict, roots: set, piece: frozenset, heads: frozenset) -> Iterator[PieceUnifier]:
-        pending = next(
-            (
-                i
-                for i, a in enumerate(body)
-                if i not in piece and any(rep.get(t) in roots for t in a.args)
-            ),
-            None,
-        )
-        if pending is None:
-            yield PieceUnifier(
-                body_subset=tuple(body[i] for i in sorted(piece)),
-                head_subset=tuple(head[j] for j in sorted(heads)),
-                # a constant always represents its own class
-                subst=tuple(sorted((t.name, r) for t, r in rep.items() if t != r)),
+            continue
+        roots = _existential_roots(rep, existentials, frontier)
+        if roots is None:
+            continue
+        piece, heads = piece + (i,), heads + (j,)
+        pending = None
+        if roots and len(piece) < len(body):
+            pending = next(
+                (
+                    k
+                    for k, a in enumerate(body)
+                    if k not in piece and any(rep.get(t) in roots for t in a.args)
+                ),
+                None,
             )
-        elif pending > min(piece):  # else the search grows it from its first atom
-            for j in range(len(head)):
-                grown = unify(rep, pending, j)
-                if grown is not None:
-                    yield from grow(*grown, piece | {pending}, heads | {j})
+        if pending is None:  # no atom left to pull in: the piece is closed
+            yield rep, piece, heads
+        elif pending > piece[0]:  # else the search grows it from its first atom
+            work.extend(
+                (rep, piece, heads, pending, g) for g in reversed(heads_of.get(body[pending].pred, ()))
+            )
 
-    for i in range(len(body)):
-        for j in range(len(head)):
-            start = unify({}, i, j)
-            if start is not None:
-                yield from grow(*start, frozenset((i,)), frozenset((j,)))
+
+def _piece_unifier(r1: Rule, r2: Rule, rep: dict, piece: tuple, heads: tuple) -> PieceUnifier:
+    return PieceUnifier(
+        body_subset=tuple([r2.body[i] for i in sorted(piece)]),
+        head_subset=tuple([r1.head[j] for j in sorted(set(heads))]),
+        # a constant always represents its own class
+        subst=tuple(sorted([(t.name, r) for t, r in rep.items() if t is not r])),
+    )
 
 
 def piece_unifiers(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
     """The most general single-piece unifiers of body(r2) with head(r1),
     generated lazily; r1 is renamed apart from r2 first."""
-    return _single_pieces(_rename_apart(r1, r2), r2)
+    r1 = _rename_apart(r1, r2)
+    return (_piece_unifier(r1, r2, *found) for found in _single_pieces(r1, r2))
 
 
-def _atoms_set(atoms: Iterable[Atom], subst: dict) -> frozenset:
-    return frozenset(apply_atom(subst, a) for a in atoms)
+def _images(rep: dict, atoms: tuple) -> list:
+    """The atoms under the unifier `rep`, as (predicate, arguments) tuples.
+    They are scanned in lists rather than hashed into sets: a tuple
+    comparison tests its terms for identity first, and the mapped terms
+    are the map's shared representative objects."""
+    get = rep.get
+    return [(a.pred, tuple(map(get, a.args, a.args))) for a in atoms]
 
 
 def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
@@ -190,18 +222,18 @@ def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
     # a unifier pairs atoms of one predicate, so most pairs end here
     if {a.pred for a in r1.head}.isdisjoint(a.pred for a in r2.body):
         return None
+    if set(r2.head).issubset(r2.body):  # u(head(r2)) lies in u(body(r2)) for every u
+        return None
     r1 = _rename_apart(r1, r2)
-    for pu in _single_pieces(r1, r2):
-        theta = pu.mapping()
-        body2 = _atoms_set(r2.body, theta)
-        body1 = _atoms_set(r1.body, theta)
-        if body2 <= body1:  # atom-erasing fails
-            continue
-        head2 = _atoms_set(r2.head, theta)
-        head1 = _atoms_set(r1.head, theta)
-        if head2 <= (body1 | head1 | body2):  # not productive
-            continue
-        return pu
+    for rep, piece, heads in _single_pieces(r1, r2):
+        rule1, rule2 = _images(rep, r1.all_atoms), _images(rep, r2.all_atoms)
+        body1, body2 = rule1[: len(r1.body)], rule2[: len(r2.body)]
+        # atom-erasing: some atom of u(body2) is not in u(body1)
+        if any(a not in body1 for a in body2):
+            # productive: some atom of u(head2) is new
+            seen = rule1 + body2
+            if any(a not in seen for a in rule2[len(r2.body) :]):
+                return _piece_unifier(r1, r2, rep, piece, heads)
     return None
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel import acyclicity
+from chase_sentinel import acyclicity, model
 from chase_sentinel.acyclicity import (
     Condition,
     CycleFunction,
@@ -305,3 +305,46 @@ def test_wa_builds_no_position_graph_for_a_subset_that_cannot_cycle(monkeypatch)
     assert all(_reads_what_it_writes(rs) for rs in built)
     assert len(built) == calls[True]
     assert calls[False] > calls[True] > 0
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated"])
+def test_cycle_function_matches_the_condition_on_a_validated_subset(corpus):
+    # check_rules builds its subsets without RuleSet's checks; each value
+    # must be that of the condition on the validated subset
+    sets = _corpus(corpus)[:60]
+    mismatches = []
+    values = set()
+    for rs in sets:
+        subsets = _condition_subsets(rs)
+        for condition in Condition:
+            phi = CycleFunction(condition)
+            for subset in subsets:
+                value = phi.check_rules(subset.rules)
+                values.add(value)
+                if value != check_condition(condition, subset).value:
+                    mismatches.append((condition, str(subset)))
+    assert mismatches == []
+    assert {True, False} <= values
+
+
+def test_k_safe_validates_no_rule_subset(monkeypatch):
+    # the benchmark's `generated` pass: 1,817 distinct subsets are checked
+    sets = [cs.generate(cs.GenParams(seed=seed, **GENERATED)) for seed in range(200)]
+    counts = {"validated": 0, "checked": 0}
+    post_init, check = model.RuleSet.__post_init__, acyclicity.check_condition
+
+    def counted_post_init(rs):
+        counts["validated"] += 1
+        post_init(rs)
+
+    def counted_check(*args):
+        counts["checked"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(model.RuleSet, "__post_init__", counted_post_init)
+    monkeypatch.setattr(acyclicity, "check_condition", counted_check)
+    budget = Budget(max_steps=20_000, max_atoms=50_000, max_probes=20_000, max_renamings=200,
+                    max_cycles=CYCLE_LIMIT)
+    for rs in sets:
+        cs.k_safe(rs, 1, Condition.WA, budget=budget)
+    assert counts == {"validated": 0, "checked": 1_817}

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel import deps
+from chase_sentinel import deps, model
 from chase_sentinel.acyclicity import Condition
 from chase_sentinel.deps import (
     PieceUnifier,
@@ -12,7 +12,7 @@ from chase_sentinel.deps import (
     depends_on,
     piece_unifiers,
 )
-from chase_sentinel.model import Constant, Instance, Variable, atom
+from chase_sentinel.model import Constant, Instance, Variable, apply_atom, atom
 
 import fixtures
 from fixtures import access_control, handshake, triad, vacuous_self
@@ -215,6 +215,50 @@ def test_representative_map_rule():
     assert _unify({}, atom("p", a), atom("p", b)) is None
     assert _unify({}, atom("p", X, X), atom("p", a, b)) is None
     assert _unify({}, atom("p", X), atom("q", X)) is None
+
+
+def _unproductive_fan(n):
+    """r1 writes n p-atoms that share the existential Z; r2 re-derives one
+    of its own body atoms.  Every body atom of r2 can join a piece through
+    Z on any of the n head atoms: n^n single-piece unifiers, none of them
+    productive."""
+    head = ", ".join("p(Z,Y%d)" % i for i in range(1, n + 1))
+    body = ", ".join("p(W,A%d)" % i for i in range(1, n + 1))
+    return cs.parse_rules("[r1] %s :- q(X).\n[r2] p(W,A1) :- %s." % (head, body))
+
+
+def test_a_head_inside_its_own_body_ends_the_test_before_any_unification(monkeypatch):
+    # u(head(r2)) lies in u(body(r2)) for every unifier u when head(r2) lies
+    # in body(r2), so no search is needed to refute productivity
+    rs = _unproductive_fan(3)
+    r1, r2 = rs.rules
+    assert depends_on(r2, r1) is None and depends_on_reference(r2, r1) is None
+    assert len(list(piece_unifiers(r1, r2))) == 3 ** 3
+    unify = deps._unify
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unify(*args)
+
+    monkeypatch.setattr(deps, "_unify", counted)
+    assert dependency_graph(_unproductive_fan(6)).edges == ()
+    assert calls == []
+
+
+def test_dependency_graph_builds_no_atom_image(monkeypatch):
+    # the erasing and productive tests read (predicate, arguments) tuples
+    sets = _differential_corpus("generated")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_atom(*args)
+
+    monkeypatch.setattr(model, "apply_atom", counted)
+    monkeypatch.setattr(deps, "apply_atom", counted, raising=False)
+    assert sum(len(dependency_graph(rs).edges) for rs in sets) == 1_963
+    assert calls == []
 
 
 def test_dot_export():
