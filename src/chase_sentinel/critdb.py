@@ -120,7 +120,7 @@ class RenamingFunction:
 
     @staticmethod
     def from_dict(d: Dict[IndexedConstant, IndexedConstant]) -> "RenamingFunction":
-        items = tuple(sorted(((s, t) for s, t in d.items() if s != t), key=lambda p: str(p[0])))
+        items = tuple(sorted(((s, t) for s, t in d.items() if s is not t), key=lambda p: str(p[0])))
         return RenamingFunction(items)
 
     @cached_property
@@ -153,7 +153,7 @@ class RenamingFunction:
         for c in domain:
             mid = d_first.get(c, c)
             final = d_self.get(mid, mid)
-            if final != c:
+            if final is not c:
                 out[c] = final
         return RenamingFunction.from_dict(out)
 
@@ -191,14 +191,14 @@ def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, A
                 if p is None:
                     continue  # unbound: agrees with anything
             if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
-                if p == c:
+                if p is c:
                     continue
                 if p.index == c.index:
                     return
                 hi, lo = (p, c) if p.index > c.index else (c, p)
-                if merge.setdefault(hi, lo) != lo:
+                if merge.setdefault(hi, lo) is not lo:
                     return
-            elif p != c:
+            elif p is not c:
                 return
         if merge:
             merges.setdefault(frozenset(merge.items()))
@@ -236,5 +236,5 @@ def all_renamings(indexed: Sequence[IndexedConstant], limit: int = 100_000):
     import itertools
 
     for combo in itertools.product(*targets):
-        mapping = {c: t for c, t in zip(consts, combo) if c != t}
+        mapping = {c: t for c, t in zip(consts, combo) if c is not t}
         yield RenamingFunction.from_dict(mapping)

@@ -90,9 +90,8 @@ class PieceUnifier:
 def _unify(rep: dict, a: Atom, b: Atom) -> Optional[dict]:
     """A copy of the representative map `rep` that also unifies the
     arguments of `a` and `b` pairwise, or None when their predicates differ
-    or two distinct constants meet.  Every representative is the key object
-    its term was first entered with, so representatives are compared by
-    identity."""
+    or two distinct constants meet.  Terms are interned (see `model`), so
+    representatives are compared by identity."""
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     rep = dict(rep)
@@ -209,9 +208,8 @@ def piece_unifiers(r1: Rule, r2: Rule) -> Iterator[PieceUnifier]:
 
 def _images(rep: dict, atoms: tuple) -> list:
     """The atoms under the unifier `rep`, as (predicate, arguments) tuples.
-    They are scanned in lists rather than hashed into sets: a tuple
-    comparison tests its terms for identity first, and the mapped terms
-    are the map's shared representative objects."""
+    They are scanned in lists rather than hashed into sets: terms are
+    interned, so a tuple comparison compares its terms by identity."""
     get = rep.get
     return [(a.pred, tuple(map(get, a.args, a.args))) for a in atoms]
 

@@ -11,15 +11,14 @@ is how the skolem chase finds each round's triggers.  The chained search of
 memoized.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
-once per atom and kept on it: ground arguments are compared by cached
-hash and then equality, and variables bind or compare.  Patterns are
+once per atom and kept on it: ground arguments are compared by identity,
+and variables bind or compare by identity.  Patterns are
 function-free (a rule's atoms, or ground atoms), so no term is walked; a
 pattern with a skolem term over variables fails to compile.  A rule's
 atoms are therefore compiled once per rule, not once per candidate;
 `order_atoms` reads the plans' variable sets, and needs none for one or
-two atoms.  Terms are not interned (see `model`), so equal terms may be
-distinct objects: a comparison tries identity, then the cached hashes,
-then equality.
+two atoms.  Terms are interned (see `model`): equal terms are one
+object, so a comparison is one `is` test.
 
 The chase and the chained search test and apply a trigger per step, so
 triggers take a short path.  `is_active_trigger` is a direct boolean
@@ -37,8 +36,7 @@ with the rollbacks cost more than it saved when measured (ROADMAP item
 10).  `instantiate` fills the variable slots of a function-free atom's
 plan, with no term walk.
 `head_image` builds each existential's skolem term once per trigger and
-fills every head atom from it, so the atoms of one trigger share one null
-object per existential.  `apply_trigger` adds them and returns only the
+fills every head atom from it.  `apply_trigger` adds them and returns only the
 atoms it added, and a backtracking search retracts them by rolling the
 instance back to its earlier length.
 """
@@ -63,8 +61,7 @@ def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
     `args`; newly bound variable names go on `trail`, which the caller
     unwinds on failure as well as on backtracking."""
     for i, t in plan.consts:
-        v = args[i]
-        if v is not t and (v._hash != t._hash or not v == t):
+        if args[i] is not t:
             return False
     for i, name in plan.slots:
         v = args[i]
@@ -72,7 +69,7 @@ def match_args(plan: ArgPlan, args: tuple, binding: dict, trail: list) -> bool:
         if bound is None:
             binding[name] = v
             trail.append(name)
-        elif bound is not v and (bound._hash != v._hash or not bound == v):
+        elif bound is not v:
             return False
     return True
 
@@ -297,8 +294,8 @@ def instantiate(a: Atom, binding: Mapping[str, Term]) -> Atom:
 
 def head_image(rule: Rule, h: Mapping[str, Term]) -> list:
     """h(sk(head)), the ground head atoms of a trigger.  Each existential's
-    skolem term is built once, so the atoms share one null object per
-    existential.  They depend on h only through the frontier."""
+    skolem term is built once.  They depend on h only through the
+    frontier."""
     env = h
     if rule.skolem_functions:
         env = dict(h)

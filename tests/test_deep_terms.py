@@ -28,7 +28,7 @@ def _tower(depth, leaf="a"):
 def test_deep_term_hash_equality_height_and_str():
     assert DEPTH > sys.getrecursionlimit()
     t, u = _tower(DEPTH), _tower(DEPTH)
-    assert t is not u
+    assert t is u
     assert hash(t) == hash(u)
     assert t == u and not t != u
     assert t != _tower(DEPTH, leaf="b")

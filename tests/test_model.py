@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel.model import Instance
+from chase_sentinel.model import Instance, has_cyclic_nesting
 
 from fixtures import handshake, access_control
 from oracles import apply_atom_reference, skolem_head
@@ -196,3 +198,54 @@ def test_apply_atom_substitutes_inside_skolem_terms():
     out = apply_atom_reference({"X": cs.Constant("c")}, a)
     assert all(t.ground for t in out.args)
     assert str(out) == "p(f(c))"
+
+
+def _values():
+    """One value of each interned class, each built afresh by every call;
+    the last is a 10,000-deep skolem tower."""
+    a = cs.Constant("a")
+    tower = a
+    for _ in range(10_000):
+        tower = cs.SkolemTerm("f", (tower,))
+    return [
+        a,
+        cs.Variable("X"),
+        cs.IndexedConstant("X", 2),
+        cs.SkolemTerm("f", (a, cs.IndexedConstant("Y", 1))),
+        cs.atom("p", a, cs.Variable("X")),
+        cs.atom("q", cs.SkolemTerm("g", (a,)), a),
+        tower,
+    ]
+
+
+def test_equal_values_built_apart_are_one_object():
+    for x, y in zip(_values(), _values()):
+        assert x is y
+    assert cs.Constant("a") is not cs.Variable("a")
+    assert cs.IndexedConstant("a", 1) is not cs.IndexedConstant("a", 2)
+    assert cs.atom("p", cs.Constant("a")) is not cs.atom("p", cs.Variable("a"))
+    for cls in (cs.Constant, cs.Variable, cs.IndexedConstant, cs.SkolemTerm, cs.Atom):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+
+def test_pickling_and_copying_return_the_interned_object():
+    for x in _values()[:-1]:
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+
+
+def test_a_rebuilt_value_keeps_what_it_cached():
+    # __init__ runs again on the object __new__ returns: it must reset nothing
+    t = cs.SkolemTerm("f", (cs.SkolemTerm("f", (cs.Constant("a"),)),))
+    assert has_cyclic_nesting(t)
+    again = cs.SkolemTerm("f", (cs.SkolemTerm("f", (cs.Constant("a"),)),))
+    assert again is t and again._fns is not None and again._cyclic
+    pattern = cs.atom("p", cs.Variable("X"), cs.Constant("a"))
+    plan = pattern.plan
+    assert cs.atom("p", cs.Variable("X"), cs.Constant("a"))._plan is plan
+
+
+def test_indexed_constant_index_must_be_positive():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        cs.IndexedConstant("X", 0)

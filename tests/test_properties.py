@@ -6,6 +6,7 @@ brute-force enumerations or structural checks.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from chase_sentinel.cycles import _sequences, occurrence_counts
 from chase_sentinel.hom import find_homomorphisms, is_active_trigger
 from chase_sentinel.model import Constant, Instance, Variable, apply_atom
 
+import fixtures
 from fixtures import handshake, handshake_trusted, triad, triad_guarded, vacuous_self, walk
 from oracles import (
     instance_terms,
@@ -421,3 +423,56 @@ def test_soundness_smoke_generated_50():
         _smoke_one(rs, 1, rng)
         confirmed += 1
     assert confirmed >= 50
+
+
+# ---------------------------------------------------------------------------
+# metamorphic verdicts: shuffled rule lines, renamed variables and predicates
+
+# The benchmark's `fixtures` budget (bench/workloads.py), count-only.
+_FIXTURES_BUDGET = Budget(max_steps=20_000, max_atoms=50_000, max_probes=50_000,
+                          max_renamings=200, max_cycles=20_000)
+
+_FIXTURE_TEXTS = {
+    "handshake": fixtures.HANDSHAKE,
+    "trusted": fixtures.HANDSHAKE_TRUSTED,
+    "access_control": fixtures.ACCESS_CONTROL,
+    "walk": fixtures.WALK,
+    "vacuous": fixtures.VACUOUS_SELF,
+    "triad": fixtures.TRIAD,
+    "triad_guarded": fixtures.TRIAD_GUARDED,
+    "datalog_first": fixtures.DATALOG_FIRST_PAIR,
+}
+
+
+def _shuffled_and_renamed(text, rng):
+    """`text` with its rule lines shuffled and every variable and predicate
+    renamed, under random one-to-one maps onto fresh names."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    rng.shuffle(lines)
+    text = "\n".join(lines) + "\n"
+    renames = {}
+    for pattern, fresh in ((r"\b[A-Z]\w*", "V%d"), (r"\b[a-z]\w*(?=\()", "p%d")):
+        names = sorted(set(re.findall(pattern, text)))
+        numbers = rng.sample(range(len(names)), len(names))
+        renames.update((name, fresh % i) for name, i in zip(names, numbers))
+        text = re.sub(pattern, lambda m: renames[m.group()], text)
+    return text
+
+
+def test_decided_fixture_verdicts_survive_shuffling_and_renaming():
+    # a decided verdict may not flip between Terminating and NotProven on a
+    # variant: no answer may depend on the order of the rules or on which
+    # term objects their names map to
+    rng = random.Random(90210)
+    decided = {cs.Verdict.TERMINATING, cs.Verdict.NOT_PROVEN}
+    compared = 0
+    for name, text in _FIXTURE_TEXTS.items():
+        variants = [_shuffled_and_renamed(text, rng) for _ in range(2)]
+        for cond in (Condition.WA, Condition.AGRD):
+            base = cs.k_safe(cs.parse_rules(text), 1, cond, budget=_FIXTURES_BUDGET).verdict
+            for variant in variants:
+                got = cs.k_safe(cs.parse_rules(variant), 1, cond, budget=_FIXTURES_BUDGET).verdict
+                if base in decided and got in decided:
+                    assert got is base, (name, cond, variant)
+                    compared += 1
+    assert compared >= 28
