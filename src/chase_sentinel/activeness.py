@@ -19,12 +19,14 @@ predecessor is the latest chained step it consumed from.
 (`ChaseTrace.replay`), then checks its chain through `hom.consumed_steps`,
 the helper the search reads the chain back with.
 
-The search matches each path rule's body in derived-first order: the
-atoms the path derived, then the database atoms, each in insertion order,
-with the body atoms in `hom.order_atoms` order.  Only a step that consumes
-a derived atom extends the chain, so trying those first pays.  Measured
-over one gated benchmark pass at seed 1 on a 2-vCPU VM, against the same
-search in insertion order (`fixtures` was not timed):
+The search matches each path rule's body, its atoms in `hom.order_atoms`
+order, against `Instance.derived_first`: the atoms the path derived, then
+the database atoms.  Each candidate tested is charged one probe, and each
+one that fails to match is a near miss, which `critdb.near_miss_recorder`
+turns into the merge it proposes, for `propose_merges`.  Only a step that
+consumes a derived atom extends the chain, so trying those first pays.
+Against insertion order, over one gated benchmark pass at seed 1 on a
+2-vCPU VM (`fixtures` was not timed):
 
     workload    order            time      probes   decided
     generated   insertion        318.7 s   51.9 M   198 of 200
@@ -32,47 +34,31 @@ search in insertion order (`fixtures` was not timed):
     fixtures    insertion                   1.80 M    93 of 100
     fixtures    derived first               1.69 M    95 of 100
 
-Each candidate tested is charged one probe, and each candidate that fails
-to match is a near miss, which `critdb.near_miss_recorder` turns into the
-merge it proposes, for `propose_merges`.
-
 The search remembers the states whose subtree failed, and does not search
 them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
 and those derived by chain-reachable steps (step 1, and any step whose
 body image holds such an atom).  The key is exact, since the database is
 fixed for one search: the atom set fixes which triggers are active,
 whether a Datalog-first step is blocked, the height `min_height` tests,
-the body matches in derived-first order and their near misses, and the
-reached atoms fix whether a later step chains.  Search order is kept and
-only failing subtrees are skipped, so the first witness and the recorded
-merges are those of a search without the memo, with at most its probes
-and steps.  Likewise the last step skips a body match whose image holds
-no reached atom before testing its activeness: it cannot end a chain.
+the body matches and their near misses, and the reached atoms fix whether
+a later step chains.  Only failing subtrees are skipped, so the first
+witness and the recorded merges are those of a search without the memo,
+with at most its probes and steps.  The last step skips a body match
+whose image holds no reached atom before testing its activeness: it
+cannot end a chain.
 
-Three more answers are cached.
+Two more answers are cached, and body matches are not (ROADMAP item 10).
 - Trigger heads: the ground head atoms of a trigger depend only on its
   rule and frontier values (`hom.head_image`), not on the database, the
-  renaming or the search.  So they outlive the search: they are kept on
-  the rule (`Rule.trigger_heads`), built once for all searches of a rule
-  set, and re-added whenever the trigger fires again.  Atoms and skolem
-  terms are immutable values, so sharing them changes no instance.  A
-  Datalog path rule is active iff one of these atoms is missing.
+  renaming or the search.  So they are kept on the rule
+  (`Rule.trigger_heads`), built once for all searches of a rule set, and
+  re-added whenever the trigger fires again; atoms and skolem terms are
+  immutable, so sharing them changes no instance.  A Datalog path rule is
+  active iff one of these atoms is missing.
 - Body images: the matcher yields each match with the instance atoms it
-  matched, which are the trigger's body image, so the chain tests read
-  them instead of instantiating the body.
-- Database matches: whether a database atom matches a body atom, and the
-  near miss it is if not, depend only on the body atom and the values
-  bound to its variables, and the database atoms do not change during one
-  search.  So the database part of a scan is memoized per search, per
-  (body atom, bound values), and the memo dies with the search: a
-  repeat re-binds the recorded hits and skips the rest.  It still charges
-  one probe per database atom, in scan order, so probe counts and the
-  point where a probe budget runs out are those of a full scan.  Its near
-  misses were recorded by the first scan, and recording one again changes
-  nothing.  Derived atoms come and go with rollbacks; they are scanned
-  every time.
+  matched, the trigger's body image, which the chain tests read.
 So the search tests, applies and records exactly what it would without
-the caches, and only builds and matches less.
+the caches, and only builds less.
 
 The search runs on an explicit stack, one frame per path position, so a
 long path needs no deep recursion.
@@ -84,7 +70,6 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .acyclicity import Condition, CycleFunction, check_condition, connected_components
@@ -148,14 +133,11 @@ class _Search:
     fixed path.  Each trigger is retracted by rolling the instance back to
     its length before the trigger fired.  Each applied trigger is charged
     to the meter as a step and the instance checked against the atom and
-    height limits, as in the chase loop.  As it goes, the search records
-    in `merges` the merge that each indexed-constant near miss of a body
-    match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
-    `failed` holds the keys of the states whose subtree failed, and
-    `database_matches` the memo of database matches; trigger heads are
-    memoized on the rules (see the module docstring).  `trail` holds a
-    (rule, bindings, added atoms, chained) record per applied trigger, from
-    which a witness and its chain are built once, on success."""
+    height limits, as in the chase loop.  `merges` collects the merges
+    the near misses propose, `failed` the keys of the states whose subtree
+    failed, and `trail` a (rule, bindings, added atoms, chained) record
+    per applied trigger, from which a witness and its chain are built
+    once, on success."""
 
     def __init__(
         self,
@@ -174,7 +156,6 @@ class _Search:
         self.failed: set = set()
         self.merges: Dict[frozenset, None] = {}
         self.on_miss = near_miss_recorder(self.merges)
-        self.database_matches: Dict[tuple, list] = {}
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
 
@@ -192,11 +173,10 @@ class _Search:
     def matches(self, conj: Sequence[Atom]) -> Iterator[Tuple[dict, tuple]]:
         """(h, image) for each homomorphism h of `conj` into the instance,
         in derived-first order, where `image` holds the instance atoms
-        matched, in `conj` order.  One probe is charged per candidate and
-        each failed candidate's near miss recorded, as the module docstring
-        says, with database matches memoized.  The instance may change
+        matched, in `conj` order, charging probes and recording near
+        misses as the module docstring says.  The instance may change
         while the matches are read if it is rolled back before the next."""
-        inst, memo, on_miss = self.inst, self.database_matches, self.on_miss
+        inst, on_miss = self.inst, self.on_miss
         probe = self.meter.charge_probe
         order = [0] if len(conj) == 1 else order_atoms(conj, inst)
         last = len(order) - 1
@@ -208,23 +188,10 @@ class _Search:
             pattern = conj[at]
             plan = pattern.plan
             arity = len(pattern.args)
-            derived = inst.derived_by_pred(pattern.pred)
-            database = inst.database_by_pred(pattern.pred)
-            hits: Optional[list] = []  # no database atoms: nothing to memoize
-            if database:
-                key = (pattern, tuple(map(binding.get, plan.names)))
-                hits = memo.get(key)
-            # the derived atoms, numbered from -len(derived), then the
-            # database atoms from 0 unless the memo holds their hits; a first
-            # scan records each database hit with the pairs it bound
-            found = []
-            candidates = derived if hits is not None else chain(derived, database)
-            for pos, cand in enumerate(candidates, -len(derived)):
+            for cand in inst.derived_first(pattern.pred):
                 probe()
                 trail: list = []
                 if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
-                    if pos >= 0:
-                        found.append((pos, tuple([(name, binding[name]) for name in trail])))
                     image[at] = cand
                     if depth == last:
                         yield dict(binding), tuple(image)
@@ -236,27 +203,6 @@ class _Search:
                 for name in trail:
                     del binding[name]
                 on_miss(pattern, binding, cand)
-            if hits is None:
-                memo[key] = found
-                return
-            # a repeat: one probe per database atom, the hits re-bound
-            scanned = 0
-            for pos, pairs in hits:
-                for _ in range(pos - scanned):
-                    probe()
-                probe()
-                scanned = pos + 1
-                for name, value in pairs:
-                    binding[name] = value
-                image[at] = database[pos]
-                if depth == last:
-                    yield dict(binding), tuple(image)
-                else:
-                    yield from search(depth + 1)
-                for name, _ in pairs:
-                    del binding[name]
-            for _ in range(len(database) - scanned):
-                probe()
 
         return search(0)
 

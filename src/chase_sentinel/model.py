@@ -5,28 +5,27 @@ interned: each is built in `__new__` and stored in one process-wide table
 keyed by its class and parts (its name; its variable and index; its
 function or predicate and argument objects), so equal values built apart
 are one object.  Equality is therefore identity, and hashing is `object`'s
-own, with no Python-level call.  Pickling and copying go through the
-constructor and so return the interned object.  A skolem term caches its
-height and whether it is ground when first built, and, once
-`has_cyclic_nesting` asked, the functions it contains and whether it is
-cyclic; `__init__` is `object`'s, so rebuilding a value resets none of
-this.  A term nested thousands of levels deep hashes, compares, measures
-and is checked for cycles in O(1).  The cached fields are left out of
-`repr`, so printed terms, witnesses and JSON are unchanged.  An atom used
-as a pattern also keeps its `ArgPlan`, built on first use, so a rule's
-atoms are compiled for matching once.
+own, with no Python-level call.  A copy is the value itself, and
+unpickling goes through the constructor.  A skolem term caches its height
+and groundness when built, and, once `has_cyclic_nesting` asked, the
+functions it contains and whether it is cyclic; `__init__` is `object`'s,
+so rebuilding a value resets none of this.  So a term nested thousands of
+levels deep hashes, compares, copies, measures and is checked for cycles
+in O(1), and pickles as a flat table.  The cached fields are left out of
+`repr`, so printed terms, witnesses and JSON are unchanged.  A pattern
+atom keeps its `ArgPlan`, built on first use.
 
-The table lives as long as the process and is never pruned.  It costs less
-memory than the duplicate terms and atoms it replaces: when it came in,
-the benchmark's peak RSS (medians of 5 runs at seed 1) fell on `generated`
-(31.7 -> 30.1 MB) and `chase` (26.5 -> 25.3 MB) and stayed within the
-run-to-run spread on `fixtures` (27.5 -> 27.9 MB, runs 27.5-28.2 MB).
+The table lives as long as the process and is never pruned: it costs less
+memory than the duplicates it replaced (peak RSS, medians of 5 benchmark
+runs at seed 1: `generated` 31.7 -> 30.1 MB, `chase` 26.5 -> 25.3 MB,
+`fixtures` within its spread, 27.5 -> 27.9 MB over runs of 27.5-28.2 MB).
 
 An Instance is the one mutable structure in the package.  Its insertion
 order is its undo log: `rollback(n)` drops every atom added after the
-first n, so the backtracking searches apply and retract trigger
-applications on the instance they are given.  No instance is ever
-copied: a chase run builds its own from the database's atoms.
+first n, down to the database atoms it was built with, so the
+backtracking searches apply and retract trigger applications on the
+instance they are given.  No instance is ever copied: a chase run builds
+its own from the database's atoms.
 """
 
 from __future__ import annotations
@@ -39,6 +38,10 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 _set = object.__setattr__
 
 
+def _itself(value, memo=None):  # copying an interned, immutable value
+    return value
+
+
 class Term:
     """Marker base class; concrete terms are the dataclasses below.
 
@@ -46,6 +49,8 @@ class Term:
     meaningful only for ground terms."""
 
     __slots__ = ()
+
+    __copy__ = __deepcopy__ = _itself
 
 
 # Every term and atom ever built, keyed by its class and parts: (class,
@@ -91,15 +96,11 @@ class Variable(_Named):
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class SkolemTerm(Term):
-    """Function term naming a null.
-
-    Instances only ever hold ground skolem terms, which `hom.apply_trigger`
-    builds from a rule's frontier values.  Height and groundness are
-    computed from the arguments' cached values, in O(arity), when the term
-    is first built.  The set of functions the term contains, and whether
-    one of them occurs twice on a nesting path, are computed on first use
-    by `has_cyclic_nesting`.
-    """
+    """Function term naming a null.  Instances only ever hold ground
+    skolem terms, which `hom.apply_trigger` builds from a rule's frontier
+    values.  Height and groundness come from the arguments' cached values,
+    in O(arity), when the term is first built; `has_cyclic_nesting` fills
+    in the rest on first use."""
 
     fn: str
     args: tuple
@@ -129,7 +130,18 @@ class SkolemTerm(Term):
         return self
 
     def __reduce__(self):
-        return (SkolemTerm, (self.fn, self.args))
+        # Flat, so that pickle does not recurse: one (fn, args) row per
+        # skolem subterm, arguments first, a skolem argument by its row.
+        rows: dict = {}
+        stack: list = [self]
+        while stack:
+            todo = [a for a in stack[-1].args if a.__class__ is SkolemTerm and a not in rows]
+            if todo:
+                stack.extend(todo)
+            else:
+                rows.setdefault(stack.pop(), len(rows))
+        table = [(t.fn, tuple([rows.get(a, a) for a in t.args])) for t in rows]
+        return (_skolem_from_table, (table,))
 
     def __str__(self) -> str:
         # Iterative: chase nulls nest deeper than the recursion limit.  The
@@ -170,6 +182,14 @@ class SkolemTerm(Term):
         return "".join(out)
 
 
+def _skolem_from_table(table: list) -> SkolemTerm:
+    """The term of `SkolemTerm.__reduce__`'s table: its last row."""
+    built: list = []
+    for fn, args in table:
+        built.append(SkolemTerm(fn, tuple([built[a] if a.__class__ is int else a for a in args])))
+    return built[-1]
+
+
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class IndexedConstant(Term):
     """Fresh constant <var, index> standing for variable `var` of the
@@ -203,12 +223,12 @@ class IndexedConstant(Term):
 class ArgPlan:
     """How a function-free pattern's arguments match a ground argument
     tuple: `consts` holds (position, ground term) pairs compared by
-    identity, and `slots` (position, variable name) pairs.  `names` holds
-    the slot names in position order and `vars` their set.  Every match compiles its pattern here, so an
+    identity, `slots` (position, variable name) pairs, and `vars` the set
+    of slot names.  Every match compiles its pattern here, so an
     argument that is neither a variable nor ground (a skolem term over
     variables) raises ValueError instead of being mis-matched."""
 
-    __slots__ = ("consts", "slots", "names", "vars")
+    __slots__ = ("consts", "slots", "vars")
 
     def __init__(self, args: tuple):
         consts, slots = [], []
@@ -221,8 +241,7 @@ class ArgPlan:
                 raise ValueError("pattern argument %s is neither a variable nor ground" % t)
         self.consts = tuple(consts)
         self.slots = tuple(slots)
-        self.names = tuple([name for _, name in slots])
-        self.vars = frozenset(self.names)
+        self.vars = frozenset([name for _, name in slots])
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -255,6 +274,8 @@ class Atom:
 
     def __reduce__(self):
         return (Atom, (self.pred, self.args))
+
+    __copy__ = __deepcopy__ = _itself
 
     def __str__(self) -> str:
         if not self.args:
@@ -505,27 +526,25 @@ def rule_set_size(rs: RuleSet) -> int:
 
 class Instance:
     """Set of ground atoms with predicate indexes, derivation-step bookkeeping
-    and an undo log.  Step 0 marks database atoms, and the constructor adds
-    its atoms at step 0.
+    and an undo log.  Step 0 marks database atoms: only the constructor
+    adds them, `add` takes steps from 1 up, and `rollback` keeps them.
 
-    The atoms live in one insertion-ordered dict from atom to the step that
-    first derived it, and `_hts` holds the height of the empty instance, 1,
-    then the instance height after each insertion, so the dict is also the
-    undo log: a backtracking search notes `len(inst)` before it applies a
-    trigger and calls `rollback` with that size afterwards, without
-    copying.  Each predicate keeps its atoms in
-    insertion order three ways: all of them, the derived ones (step > 0) and
-    the database ones, so the derived-first candidate order of the chained
-    search (`activeness`) needs no partitioning."""
+    One insertion-ordered dict maps each atom to the step that first
+    derived it, and `_hts` holds the height after each insertion (1 when
+    empty), so the dict is also the undo log: a search notes `len(inst)`
+    before a trigger and rolls back to it afterwards, without copying.
+    Each predicate keeps one list of its atoms in insertion order, its
+    database atoms first (`_database` counts them)."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._fda: dict = {}  # atom -> first derivation step, in insertion order
         self._hts: list = [1]
         self._by_pred: dict = {}
-        self._derived: dict = {}
-        self._database: dict = {}
         for a in atoms:
-            self.add(a, 0)
+            self.add(a, 1)
+        self._fda = dict.fromkeys(self._fda, 0)  # they are the database
+        self._database_size = len(self._fda)
+        self._database = {pred: len(same) for pred, same in self._by_pred.items()}
 
     def __contains__(self, a: Atom) -> bool:
         return a in self._fda
@@ -539,11 +558,11 @@ class Instance:
     def by_pred(self, pred: str) -> Sequence[Atom]:
         return self._by_pred.get(pred, ())
 
-    def derived_by_pred(self, pred: str) -> Sequence[Atom]:
-        return self._derived.get(pred, ())
-
-    def database_by_pred(self, pred: str) -> Sequence[Atom]:
-        return self._database.get(pred, ())
+    def derived_first(self, pred: str) -> Sequence[Atom]:
+        """The atoms of `pred`: the derived, then the database ones."""
+        atoms = self._by_pred.get(pred, ())
+        n = self._database.get(pred, 0)
+        return atoms[n:] + atoms[:n] if 0 < n < len(atoms) else atoms
 
     def first_derived_at(self, a: Atom) -> int:
         return self._fda[a]
@@ -552,8 +571,10 @@ class Instance:
         return self._hts[-1]
 
     def add(self, a: Atom, step: int) -> bool:
-        """Insert `a` with derivation step `step`; False, with nothing
+        """Insert `a` with derivation step `step` >= 1; False, with nothing
         changed, when the atom was already present."""
+        if step < 1:
+            raise ValueError("derivation steps start at 1; step 0 is the constructor's")
         if a in self._fda:
             return False
         ht = self._hts[-1]
@@ -565,17 +586,18 @@ class Instance:
         self._fda[a] = step
         self._hts.append(ht)
         self._by_pred.setdefault(a.pred, []).append(a)
-        (self._derived if step > 0 else self._database).setdefault(a.pred, []).append(a)
         return True
 
     def rollback(self, size: int) -> None:
-        """Remove the atoms added since the instance held `size` of them."""
+        """Remove the atoms added since the instance held `size` of them;
+        the database atoms stay, so `size` may not be below their number."""
+        if size < self._database_size:
+            raise ValueError("cannot roll back below the %d database atoms" % self._database_size)
         fda = self._fda
         while len(fda) > size:
-            a, step = fda.popitem()
+            a = fda.popitem()[0]
             self._hts.pop()
             self._by_pred[a.pred].pop()
-            (self._derived if step > 0 else self._database)[a.pred].pop()
 
 
 def full_relation_atoms(pred: str, arity: int, domain: Sequence[Term]) -> Iterator[Atom]:

@@ -4,7 +4,8 @@ These mirror the worked examples of the analysis this package implements:
 two handshake-protocol sets, an access-control policy, a single rule whose
 self-cycle is vacuous, two three-rule sets exercising chained simulation
 and renaming, the one-rule walk set whose restricted chase diverges, and a
-pair where only a Datalog-first strategy terminates.
+pair where only a Datalog-first strategy terminates.  Also the generator
+parameters of the benchmark's `generated` corpus (`bench/workloads.py`).
 """
 
 import chase_sentinel as cs
@@ -79,3 +80,9 @@ def triad_guarded() -> cs.RuleSet:
 
 def datalog_first_pair() -> cs.RuleSet:
     return cs.parse_rules(DATALOG_FIRST_PAIR)
+
+
+# the benchmark's `generated` workload parameters: sets 0..199 of
+# `cs.generate(cs.GenParams(seed=s, **GENERATED))`
+GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
+                 body_atoms=1, head_atoms=2, head_shape="discrete")

@@ -18,8 +18,10 @@ components of `chase_sentinel.acyclicity` replaced; and the whole-term
 walk of the cyclic-nesting test that the cached function sets of
 `chase_sentinel.model` replaced; and the step-by-step witness replay that
 replaying a witness as a restricted `ChaseTrace` replaced; and the
-derived-first matcher with a near-miss hook and the chained search over
-it that the per-search caches of `chase_sentinel.activeness` replaced; and
+derived-first matcher with a near-miss hook, its candidates partitioned
+by `Instance.first_derived_at`, and the chained search over it, which
+the cached trigger heads and body images of `chase_sentinel.activeness`
+replaced; and
 `_chain_through`, the forward chain rule over the steps each trigger
 consumed from, which the chained flag that `chase_sentinel.activeness`
 keeps per trail step replaced (both references build their witness chains
@@ -992,11 +994,12 @@ def is_active_wrt_reference(
 
 
 # ---------------------------------------------------------------------------
-# The chained search as it was before its per-search caches: the compiled
-# matcher in derived-first order with a near-miss hook, which
-# `find_homomorphisms` offered as its `derived_first` and `on_miss` mode,
-# and the recursive search over it, which builds every trigger head and
-# every body image anew and scans every database candidate every time.
+# The chained search as it was before its caches: the compiled matcher in
+# derived-first order with a near-miss hook, which `find_homomorphisms`
+# offered as its `derived_first` and `on_miss` mode, and the recursive
+# search over it, which builds every trigger head and every body image
+# anew.  Its candidates come from `_candidates_reference`, not from
+# `Instance.derived_first`.
 
 
 def find_homomorphisms_derived_first(
@@ -1018,10 +1021,7 @@ def find_homomorphisms_derived_first(
         pattern = patterns[depth]
         plan = pattern.plan
         arity = len(pattern.args)
-        candidates = itertools.chain(
-            inst.derived_by_pred(pattern.pred), inst.database_by_pred(pattern.pred)
-        )
-        for cand in candidates:
+        for cand in _candidates_reference(inst, pattern.pred, True):
             if probe is not None:
                 probe()
             trail: list = []

@@ -22,7 +22,7 @@ from chase_sentinel.deps import DependencyGraph, dependency_graph
 from chase_sentinel.model import Position, Variable
 
 import fixtures
-from fixtures import access_control, handshake, handshake_trusted, vacuous_self
+from fixtures import GENERATED, access_control, handshake, handshake_trusted, vacuous_self
 from oracles import connected_components_reference, is_wa_reference
 
 
@@ -108,11 +108,6 @@ def test_connected_components():
     comps3 = connected_components(dependency_graph(ac))
     names = [tuple(r.id for r in c) for c in comps3]
     assert ("r2", "r3") in names  # the key/enters cluster is one component
-
-
-# the benchmark's `generated` workload parameters
-GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
-                 body_atoms=1, head_atoms=2, head_shape="discrete")
 
 
 def _corpus(name):

@@ -1,7 +1,8 @@
 """Skolem terms nested far deeper than the interpreter's recursion limit:
-hashing, equality, height, printing, instance updates and the chase must
-all work on them without recursing down the term."""
+hashing, equality, height, printing, pickling, copying, instance updates
+and the chase must all work on them without recursing down the term."""
 
+import copy
 import pickle
 import random
 import sys
@@ -169,3 +170,16 @@ def test_cached_nesting_stays_out_of_repr_equality_and_pickling():
     assert repr(t) == text and t == fresh and hash(t) == hash(fresh)
     assert pickle.dumps(t) == pickle.dumps(fresh)
     assert has_cyclic_nesting(pickle.loads(pickle.dumps(t)))
+
+
+def test_deep_terms_and_atoms_pickle_and_copy_to_themselves():
+    # pickle and deepcopy walk what a value hands them; a tower deeper than
+    # the recursion limit must not be walked recursively
+    t = _tower(DEPTH)
+    shared = cs.SkolemTerm("g", (t, cs.SkolemTerm("h", (t, cs.Variable("X"))), t))
+    for x in (t, cs.atom("e", cs.Constant("b"), t), shared, cs.atom("p", shared)):
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+        assert copy.deepcopy(x) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy([x, x]) == [x, x]

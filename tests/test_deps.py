@@ -15,7 +15,7 @@ from chase_sentinel.deps import (
 from chase_sentinel.model import Constant, Instance, Variable, apply_atom, atom
 
 import fixtures
-from fixtures import access_control, handshake, triad, vacuous_self
+from fixtures import GENERATED, access_control, handshake, triad, vacuous_self
 from oracles import (
     depends_on_brute_force,
     depends_on_reference,
@@ -319,10 +319,6 @@ WIDE_PIECE_RULES = [
     [c2] s(B,C) :- p(B,W), p(C,W).
     """,
 ]
-
-# the benchmark's `generated` workload parameters
-GENERATED = dict(count=10, predicate_pool=20, arity=2, max_repeated_relations=3,
-                 body_atoms=1, head_atoms=2, head_shape="discrete")
 
 
 def _differential_corpus(name):

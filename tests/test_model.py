@@ -141,21 +141,37 @@ def test_instance_rollback():
     assert inst.first_derived_at(cs.atom("p", cs.Constant("a"))) == 0
 
 
+def test_database_atoms_come_only_from_the_constructor():
+    a, b = cs.atom("p", cs.Constant("a")), cs.atom("p", cs.Constant("b"))
+    inst = Instance([a])
+    with pytest.raises(ValueError):
+        inst.add(b, 0)
+    with pytest.raises(ValueError):
+        inst.add(b, -1)
+    assert inst.add(b, 1) is True
+    with pytest.raises(ValueError):
+        inst.rollback(0)
+    assert inst.atoms() == (a, b) and list(inst.derived_first("p")) == [b, a]
+    inst.rollback(1)
+    assert inst.atoms() == (a,) and list(inst.derived_first("p")) == [a]
+
+
 def _state(inst, preds):
     return (
         inst.atoms(),
         inst.ht(),
         [list(inst.by_pred(p)) for p in preds],
-        [list(inst.derived_by_pred(p)) for p in preds],
-        [list(inst.database_by_pred(p)) for p in preds],
+        [list(inst.derived_first(p)) for p in preds],
         [inst.first_derived_at(a) for a in inst.atoms()],
     )
 
 
 def test_rollback_matches_an_instance_built_from_the_first_atoms():
     # Random adds of flat and deep skolem atoms at mixed steps, repeats
-    # included; rolling back to n atoms must leave exactly the instance
-    # built from the first n, and adding the rest again must restore it.
+    # included; the step-0 atoms go to the constructor, the others are
+    # added after them.  Rolling back to n atoms must leave exactly the
+    # instance built from the first n, and adding the rest again must
+    # restore it; rolling back below the database atoms is refused.
     rng = random.Random(8)
     consts = [cs.Constant(c) for c in "abc"]
     preds = ("p", "q")
@@ -167,20 +183,28 @@ def test_rollback_matches_an_instance_built_from_the_first_atoms():
         return t
 
     def built(log):
-        inst = Instance()
+        inst = Instance(a for a, step in log if not step)
         for a, step in log:
-            inst.add(a, step)
+            if step:
+                inst.add(a, step)
         return inst
 
     for _ in range(200):
-        inst = Instance()
-        log = []  # (atom, step) of each add that changed the instance
+        drawn = []
         for _ in range(rng.randrange(1, 20)):
             a = cs.atom(rng.choice(preds), term(rng.choice([0, 0, 1, 3, 1500])), rng.choice(consts))
-            step = rng.choice([0, 0, 1, 2, 3])
-            if inst.add(a, step):
-                log.append((a, step))
+            drawn.append((a, rng.choice([0, 0, 1, 2, 3])))
+        inst = built(drawn)
+        # (atom, step) of each insertion that changed the instance
+        log = [(a, inst.first_derived_at(a)) for a in inst.atoms()]
+        database = sum(1 for _, step in log if not step)
         for n in sorted(rng.sample(range(len(log) + 1), min(3, len(log) + 1)), reverse=True):
+            if n < database:
+                before = _state(inst, preds)
+                with pytest.raises(ValueError):
+                    inst.rollback(n)
+                assert _state(inst, preds) == before
+                continue
             inst.rollback(n)
             assert _state(inst, preds) == _state(built(log[:n]), preds)
         for a, step in log[len(inst):]:

@@ -431,6 +431,9 @@ def test_soundness_smoke_generated_50():
 # The benchmark's `fixtures` budget (bench/workloads.py), count-only.
 _FIXTURES_BUDGET = Budget(max_steps=20_000, max_atoms=50_000, max_probes=50_000,
                           max_renamings=200, max_cycles=20_000)
+# and its `generated` budget
+_GENERATED_BUDGET = Budget(max_steps=20_000, max_atoms=50_000, max_probes=20_000,
+                           max_renamings=200, max_cycles=2_000)
 
 _FIXTURE_TEXTS = {
     "handshake": fixtures.HANDSHAKE,
@@ -459,20 +462,38 @@ def _shuffled_and_renamed(text, rng):
     return text
 
 
+def _flips_compared(text, conditions, variants, budget, rng):
+    """k = 1 verdicts of `text` and of `variants` shuffled-and-renamed
+    variants, under each condition; asserts that no decided verdict flips
+    and returns how many decided pairs were compared."""
+    decided = {cs.Verdict.TERMINATING, cs.Verdict.NOT_PROVEN}
+    compared = 0
+    texts = [_shuffled_and_renamed(text, rng) for _ in range(variants)]
+    for cond in conditions:
+        base = cs.k_safe(cs.parse_rules(text), 1, cond, budget=budget).verdict
+        for variant in texts:
+            got = cs.k_safe(cs.parse_rules(variant), 1, cond, budget=budget).verdict
+            if base in decided and got in decided:
+                assert got is base, (cond, text, variant)
+                compared += 1
+    return compared
+
+
 def test_decided_fixture_verdicts_survive_shuffling_and_renaming():
     # a decided verdict may not flip between Terminating and NotProven on a
     # variant: no answer may depend on the order of the rules or on which
-    # term objects their names map to
+    # term objects their names map to.  The fixture sets under WA and aGRD,
+    # then generated sets 0..59 under WA with the benchmark's `generated`
+    # budget (20k probes and 2,000 cycles per call).
     rng = random.Random(90210)
-    decided = {cs.Verdict.TERMINATING, cs.Verdict.NOT_PROVEN}
-    compared = 0
-    for name, text in _FIXTURE_TEXTS.items():
-        variants = [_shuffled_and_renamed(text, rng) for _ in range(2)]
-        for cond in (Condition.WA, Condition.AGRD):
-            base = cs.k_safe(cs.parse_rules(text), 1, cond, budget=_FIXTURES_BUDGET).verdict
-            for variant in variants:
-                got = cs.k_safe(cs.parse_rules(variant), 1, cond, budget=_FIXTURES_BUDGET).verdict
-                if base in decided and got in decided:
-                    assert got is base, (name, cond, variant)
-                    compared += 1
+    compared = sum(
+        _flips_compared(text, (Condition.WA, Condition.AGRD), 2, _FIXTURES_BUDGET, rng)
+        for text in _FIXTURE_TEXTS.values()
+    )
     assert compared >= 28
+    compared = 0
+    for seed in range(60):
+        rs = cs.generate(cs.GenParams(seed=seed, **fixtures.GENERATED))
+        text = cs.serialize(cs.SourceDocument(facts=(), rules=rs.rules))
+        compared += _flips_compared(text, (Condition.WA,), 1, _GENERATED_BUDGET, rng)
+    assert compared >= 55
