@@ -19,14 +19,12 @@ predecessor is the latest chained step it consumed from.
 (`ChaseTrace.replay`), then checks its chain through `hom.consumed_steps`,
 the helper the search reads the chain back with.
 
-The search matches each path rule's body, its atoms in `hom.order_atoms`
-order, against `Instance.derived_first`: the atoms the path derived, then
-the database atoms.  Each candidate tested is charged one probe, and each
-one that fails to match is a near miss, which `critdb.near_miss_recorder`
-turns into the merge it proposes, for `propose_merges`.  Only a step that
-consumes a derived atom extends the chain, so trying those first pays.
-Against insertion order, over one gated benchmark pass at seed 1 on a
-2-vCPU VM (`fixtures` was not timed):
+The search matches each path rule's body in derived-first order: the
+atoms the path derived, then the database atoms, each in insertion order,
+with the body atoms in `hom.order_atoms` order.  Only a step that consumes
+a derived atom extends the chain, so trying those first pays.  Measured
+over one gated benchmark pass at seed 1 on a 2-vCPU VM, against the same
+search in insertion order (`fixtures` was not timed):
 
     workload    order            time      probes   decided
     generated   insertion        318.7 s   51.9 M   198 of 200
@@ -34,29 +32,34 @@ Against insertion order, over one gated benchmark pass at seed 1 on a
     fixtures    insertion                   1.80 M    93 of 100
     fixtures    derived first               1.69 M    95 of 100
 
+Each candidate tested is charged one probe, and each candidate that fails
+to match is a near miss, which `critdb.near_miss_recorder` turns into the
+merge it proposes, for `propose_merges`.
+
 The search remembers the states whose subtree failed, and does not search
 them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
 and those derived by chain-reachable steps (step 1, and any step whose
 body image holds such an atom).  The key is exact, since the database is
 fixed for one search: the atom set fixes which triggers are active,
 whether a Datalog-first step is blocked, the height `min_height` tests,
-the body matches and their near misses, and the reached atoms fix whether
-a later step chains.  Only failing subtrees are skipped, so the first
-witness and the recorded merges are those of a search without the memo,
-with at most its probes and steps.  The last step skips a body match
-whose image holds no reached atom before testing its activeness: it
-cannot end a chain.
+the body matches in derived-first order and their near misses, and the
+reached atoms fix whether a later step chains.  Search order is kept and
+only failing subtrees are skipped, so the first witness and the recorded
+merges are those of a search without the memo, with at most its probes
+and steps.  Likewise the last step skips a body match whose image holds
+no reached atom before testing its activeness: it cannot end a chain.
 
-Two more answers are cached, and body matches are not (ROADMAP item 10).
+Two more answers are cached.
 - Trigger heads: the ground head atoms of a trigger depend only on its
   rule and frontier values (`hom.head_image`), not on the database, the
-  renaming or the search.  So they are kept on the rule
-  (`Rule.trigger_heads`), built once for all searches of a rule set, and
-  re-added whenever the trigger fires again; atoms and skolem terms are
-  immutable, so sharing them changes no instance.  A Datalog path rule is
-  active iff one of these atoms is missing.
+  renaming or the search.  So they outlive the search: they are kept on
+  the rule (`Rule.trigger_heads`), built once for all searches of a rule
+  set, and re-added whenever the trigger fires again.  Atoms and skolem
+  terms are immutable values, so sharing them changes no instance.  A
+  Datalog path rule is active iff one of these atoms is missing.
 - Body images: the matcher yields each match with the instance atoms it
-  matched, the trigger's body image, which the chain tests read.
+  matched, which are the trigger's body image, so the chain tests read
+  them instead of instantiating the body.
 So the search tests, applies and records exactly what it would without
 the caches, and only builds less.
 
@@ -133,11 +136,13 @@ class _Search:
     fixed path.  Each trigger is retracted by rolling the instance back to
     its length before the trigger fired.  Each applied trigger is charged
     to the meter as a step and the instance checked against the atom and
-    height limits, as in the chase loop.  `merges` collects the merges
-    the near misses propose, `failed` the keys of the states whose subtree
-    failed, and `trail` a (rule, bindings, added atoms, chained) record
-    per applied trigger, from which a witness and its chain are built
-    once, on success."""
+    height limits, as in the chase loop.  As it goes, the search records
+    in `merges` the merge that each indexed-constant near miss of a body
+    match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
+    `failed` holds the keys of the states whose subtree failed; trigger
+    heads are memoized on the rules (see the module docstring).  `trail`
+    holds a (rule, bindings, added atoms, chained) record per applied
+    trigger, from which a witness and its chain are built once, on success."""
 
     def __init__(
         self,
@@ -173,9 +178,10 @@ class _Search:
     def matches(self, conj: Sequence[Atom]) -> Iterator[Tuple[dict, tuple]]:
         """(h, image) for each homomorphism h of `conj` into the instance,
         in derived-first order, where `image` holds the instance atoms
-        matched, in `conj` order, charging probes and recording near
-        misses as the module docstring says.  The instance may change
-        while the matches are read if it is rolled back before the next."""
+        matched, in `conj` order.  One probe is charged per candidate and
+        each failed candidate's near miss recorded, as the module docstring
+        says.  The instance may change while the matches are read if it is
+        rolled back before the next."""
         inst, on_miss = self.inst, self.on_miss
         probe = self.meter.charge_probe
         order = [0] if len(conj) == 1 else order_atoms(conj, inst)

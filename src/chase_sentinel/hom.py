@@ -1,36 +1,44 @@
 """Homomorphism search from conjunctions into instances, plus triggers.
 
 The search backtracks over instance atoms per body atom, most-constrained
-atom first, candidates in instance insertion order, so analyses are
-reproducible run to run.  Given per-predicate counts of old atoms, the
-same search is semi-naive: it yields, in that order, only the
-homomorphisms that use a newer atom, which is how the skolem chase finds
-each round's triggers.  The chained search of `activeness` has its own
-matcher over the same parts (`order_atoms`, `match_args`): derived atoms
-first (`Instance.derived_first`), near misses recorded.
+atom first, candidates in instance insertion order.  Enumeration order is
+deterministic, so analyses are reproducible run to run.  Given
+per-predicate counts of old atoms, the same search is semi-naive: it
+yields, in that order, only the homomorphisms that use a newer atom, which
+is how the skolem chase finds each round's triggers.  The chained search of
+`activeness` has its own matcher over the same parts (`order_atoms`,
+`match_args`): derived atoms first (`Instance.derived_first`), near misses
+recorded.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
-once per atom and kept on it.  Patterns are function-free (a rule's atoms,
-or ground atoms), so no term is walked, and a pattern with a skolem term
-over variables fails to compile.  Terms are interned (see `model`), so
-comparing a ground argument or a bound variable is one `is` test.
+once per atom and kept on it: ground arguments are compared by identity,
+and variables bind or compare by identity.  Patterns are
+function-free (a rule's atoms, or ground atoms), so no term is walked; a
+pattern with a skolem term over variables fails to compile.  A rule's
+atoms are therefore compiled once per rule, not once per candidate;
 `order_atoms` reads the plans' variable sets, and needs none for one or
-two atoms.
+two atoms.  Terms are interned (see `model`): equal terms are one
+object, so a comparison is one `is` test.
 
 The chase and the chained search test and apply a trigger per step, so
 triggers take a short path.  `is_active_trigger` is a direct boolean
-backtrack over the rule head under the trigger's bindings, probe for
-probe the work of `find_homomorphisms` on the substituted head up to its
-first yield, without a generator per call or a copied binding per answer.
-The restricted chase hands it an `ArgIndex` of its growing instance, so a
-head atom with a constant or a bound argument tests only the atoms that
-share it.  The chained search keeps the scan: it rolls its instance back
-all the time, and an index kept in step with the rollbacks cost more than
-it saved when measured (ROADMAP item 10).  `head_image` builds each
-existential's skolem term once per trigger and fills every head atom from
-it (`instantiate`, with no term walk); `apply_trigger` adds them and
-returns the atoms it added, which a backtracking search retracts by
-rolling the instance back to its earlier length.
+backtrack over the rule head under the trigger's bindings: the head
+atoms in `order_atoms` order, candidates in insertion order, one probe
+per candidate tested, and it returns at the first extension.  That is the
+work `find_homomorphisms` does on the head with h substituted up to its
+first yield, probe for probe, without a generator per call or a copied
+binding per answer.  A Datalog rule is active iff one of its instantiated
+head atoms is missing.  The restricted chase hands it an `ArgIndex` of
+its growing instance, and a head atom with a constant or a bound argument
+then tests only the atoms that share it.  The chained search keeps the
+scan: it rolls its instance back all the time, and an index kept in step
+with the rollbacks cost more than it saved when measured (ROADMAP item
+10).  `instantiate` fills the variable slots of a function-free atom's
+plan, with no term walk.
+`head_image` builds each existential's skolem term once per trigger and
+fills every head atom from it.  `apply_trigger` adds them and returns only the
+atoms it added, and a backtracking search retracts them by rolling the
+instance back to its earlier length.
 """
 
 from __future__ import annotations

@@ -5,27 +5,30 @@ interned: each is built in `__new__` and stored in one process-wide table
 keyed by its class and parts (its name; its variable and index; its
 function or predicate and argument objects), so equal values built apart
 are one object.  Equality is therefore identity, and hashing is `object`'s
-own, with no Python-level call.  A copy is the value itself, and
-unpickling goes through the constructor.  A skolem term caches its height
-and groundness when built, and, once `has_cyclic_nesting` asked, the
-functions it contains and whether it is cyclic; `__init__` is `object`'s,
-so rebuilding a value resets none of this.  So a term nested thousands of
+own, with no Python-level call.  A copy is the value itself, and pickling
+goes through the constructor, so both return the interned object; a
+skolem term pickles as a flat table of its subterms, so a deep one does
+not recurse.  A skolem term caches its height and whether it is ground
+when first built, and, once `has_cyclic_nesting` asked, the functions it
+contains and whether it is cyclic; `__init__` is `object`'s, so
+rebuilding a value resets none of this.  A term nested thousands of
 levels deep hashes, compares, copies, measures and is checked for cycles
-in O(1), and pickles as a flat table.  The cached fields are left out of
-`repr`, so printed terms, witnesses and JSON are unchanged.  A pattern
-atom keeps its `ArgPlan`, built on first use.
+in O(1).  The cached fields are left out of
+`repr`, so printed terms, witnesses and JSON are unchanged.  An atom used
+as a pattern also keeps its `ArgPlan`, built on first use, so a rule's
+atoms are compiled for matching once.
 
-The table lives as long as the process and is never pruned: it costs less
-memory than the duplicates it replaced (peak RSS, medians of 5 benchmark
-runs at seed 1: `generated` 31.7 -> 30.1 MB, `chase` 26.5 -> 25.3 MB,
-`fixtures` within its spread, 27.5 -> 27.9 MB over runs of 27.5-28.2 MB).
+The table lives as long as the process and is never pruned.  It costs less
+memory than the duplicate terms and atoms it replaces: when it came in,
+the benchmark's peak RSS (medians of 5 runs at seed 1) fell on `generated`
+(31.7 -> 30.1 MB) and `chase` (26.5 -> 25.3 MB) and stayed within the
+run-to-run spread on `fixtures` (27.5 -> 27.9 MB, runs 27.5-28.2 MB).
 
 An Instance is the one mutable structure in the package.  Its insertion
 order is its undo log: `rollback(n)` drops every atom added after the
-first n, down to the database atoms it was built with, so the
-backtracking searches apply and retract trigger applications on the
-instance they are given.  No instance is ever copied: a chase run builds
-its own from the database's atoms.
+first n, so the backtracking searches apply and retract trigger
+applications on the instance they are given.  No instance is ever
+copied: a chase run builds its own from the database's atoms.
 """
 
 from __future__ import annotations
@@ -96,11 +99,15 @@ class Variable(_Named):
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class SkolemTerm(Term):
-    """Function term naming a null.  Instances only ever hold ground
-    skolem terms, which `hom.apply_trigger` builds from a rule's frontier
-    values.  Height and groundness come from the arguments' cached values,
-    in O(arity), when the term is first built; `has_cyclic_nesting` fills
-    in the rest on first use."""
+    """Function term naming a null.
+
+    Instances only ever hold ground skolem terms, which `hom.apply_trigger`
+    builds from a rule's frontier values.  Height and groundness are
+    computed from the arguments' cached values, in O(arity), when the term
+    is first built.  The set of functions the term contains, and whether
+    one of them occurs twice on a nesting path, are computed on first use
+    by `has_cyclic_nesting`.
+    """
 
     fn: str
     args: tuple
@@ -527,14 +534,18 @@ def rule_set_size(rs: RuleSet) -> int:
 class Instance:
     """Set of ground atoms with predicate indexes, derivation-step bookkeeping
     and an undo log.  Step 0 marks database atoms: only the constructor
-    adds them, `add` takes steps from 1 up, and `rollback` keeps them.
+    adds them, so they come before every derived atom, and `add` takes
+    steps from 1 up.
 
-    One insertion-ordered dict maps each atom to the step that first
-    derived it, and `_hts` holds the height after each insertion (1 when
-    empty), so the dict is also the undo log: a search notes `len(inst)`
-    before a trigger and rolls back to it afterwards, without copying.
-    Each predicate keeps one list of its atoms in insertion order, its
-    database atoms first (`_database` counts them)."""
+    The atoms live in one insertion-ordered dict from atom to the step that
+    first derived it, and `_hts` holds the height of the empty instance, 1,
+    then the instance height after each insertion, so the dict is also the
+    undo log: a backtracking search notes `len(inst)` before it applies a
+    trigger and calls `rollback` with that size afterwards, without
+    copying.  Each predicate keeps one list of its atoms in insertion
+    order, database atoms first, and `_database` counts those per
+    predicate, so `derived_first` gives the chained search (`activeness`)
+    its derived-first candidate order without partitioning."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._fda: dict = {}  # atom -> first derivation step, in insertion order
@@ -543,7 +554,6 @@ class Instance:
         for a in atoms:
             self.add(a, 1)
         self._fda = dict.fromkeys(self._fda, 0)  # they are the database
-        self._database_size = len(self._fda)
         self._database = {pred: len(same) for pred, same in self._by_pred.items()}
 
     def __contains__(self, a: Atom) -> bool:
@@ -589,15 +599,14 @@ class Instance:
         return True
 
     def rollback(self, size: int) -> None:
-        """Remove the atoms added since the instance held `size` of them;
-        the database atoms stay, so `size` may not be below their number."""
-        if size < self._database_size:
-            raise ValueError("cannot roll back below the %d database atoms" % self._database_size)
+        """Remove the atoms added since the instance held `size` of them."""
         fda = self._fda
         while len(fda) > size:
-            a = fda.popitem()[0]
+            a, step = fda.popitem()
             self._hts.pop()
             self._by_pred[a.pred].pop()
+            if not step:
+                self._database[a.pred] -= 1
 
 
 def full_relation_atoms(pred: str, arity: int, domain: Sequence[Term]) -> Iterator[Atom]:
