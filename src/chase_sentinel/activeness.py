@@ -64,7 +64,11 @@ So the search tests, applies and records exactly what it would without
 the caches, and only builds less.
 
 The search runs on an explicit stack, one frame per path position, so a
-long path needs no deep recursion.
+long path needs no deep recursion.  Its body matcher (`_Search.matches`)
+is one generator per body: a one-atom body, which every `generated` body
+is, is one loop over the candidates that yields a fresh binding per
+match; a longer body keeps one binding, one trail per depth and one
+candidate iterator per depth, and neither form recurses.
 """
 
 from __future__ import annotations
@@ -131,6 +135,9 @@ class SafetyVerdict:
     reason: Optional[str] = None
 
 
+_UNBOUND: dict = {}  # the bindings before a body's first atom, read only
+
+
 class _Search:
     """Backtracking search for a chained sequence of active triggers along a
     fixed path.  Each trigger is retracted by rolling the instance back to
@@ -179,38 +186,67 @@ class _Search:
         """(h, image) for each homomorphism h of `conj` into the instance,
         in derived-first order, where `image` holds the instance atoms
         matched, in `conj` order.  One probe is charged per candidate and
-        each failed candidate's near miss recorded, as the module docstring
-        says.  The instance may change while the matches are read if it is
-        rolled back before the next."""
+        each failed candidate's near miss recorded, under the bindings made
+        before its atom, as the module docstring says.  The instance may
+        change while the matches are read if it is rolled back before the
+        next.
+
+        A one-atom body matches each candidate into a fresh dict, which is
+        yielded as it is.  A longer one keeps one binding, one trail per
+        depth and one candidate iterator per depth, and goes down and back
+        up without recursion."""
         inst, on_miss = self.inst, self.on_miss
         probe = self.meter.charge_probe
-        order = [0] if len(conj) == 1 else order_atoms(conj, inst)
+        if len(conj) == 1:
+            (pattern,) = conj
+            plan, arity = pattern.plan, len(pattern.args)
+            trail: list = []
+            for cand in inst.derived_first(pattern.pred):
+                probe()
+                h: dict = {}
+                if len(cand.args) == arity and match_args(plan, cand.args, h, trail):
+                    yield h, (cand,)
+                else:
+                    on_miss(pattern, _UNBOUND, cand)
+                if trail:
+                    trail.clear()
+            return
+        order = order_atoms(conj, inst)
+        steps = [(at, conj[at], conj[at].plan, len(conj[at].args)) for at in order]
         last = len(order) - 1
         binding: dict = {}
         image: list = [None] * len(conj)
-
-        def search(depth: int) -> Iterator[Tuple[dict, tuple]]:
-            at = order[depth]
-            pattern = conj[at]
-            plan = pattern.plan
-            arity = len(pattern.args)
-            for cand in inst.derived_first(pattern.pred):
-                probe()
-                trail: list = []
-                if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
-                    image[at] = cand
-                    if depth == last:
-                        yield dict(binding), tuple(image)
-                    else:
-                        yield from search(depth + 1)
-                    for name in trail:
-                        del binding[name]
-                    continue
+        trails: list = [[] for _ in order]
+        scans: list = [None] * len(order)
+        scans[0] = iter(inst.derived_first(steps[0][1].pred))
+        depth = 0
+        while depth >= 0:
+            trail = trails[depth]
+            if trail:  # the bindings of the candidate this depth went down from
                 for name in trail:
                     del binding[name]
+                trail.clear()
+            at, pattern, plan, arity = steps[depth]
+            for cand in scans[depth]:
+                probe()
+                if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
+                    image[at] = cand
+                    if depth < last:
+                        depth += 1
+                        scans[depth] = iter(inst.derived_first(steps[depth][1].pred))
+                        break
+                    yield dict(binding), tuple(image)
+                    for name in trail:
+                        del binding[name]
+                    trail.clear()
+                    continue
+                if trail:
+                    for name in trail:
+                        del binding[name]
+                    trail.clear()
                 on_miss(pattern, binding, cand)
-
-        return search(0)
+            else:
+                depth -= 1
 
     def _found(self) -> None:
         """The witness of the trail, its chain read back from the last step."""

@@ -51,16 +51,18 @@ any piece-unifier passes both tests, one of the yielded unifiers does.
 This covers unifiers of several pieces and body atoms paired with more
 than one head atom.
 
-`depends_on` tests each unifier on images, under the map, of the atoms of
-both rules as (predicate, arguments) tuples, and stops at the first atom
-that decides a test; it builds no image atom, and no `PieceUnifier` but
-the one it returns.  It needs no search at all when every head atom of r2 occurs
+`depends_on` tests each unifier (in `_first_unifier`) on images, under
+the map, of the atoms of both rules as (predicate, arguments) tuples, and
+stops at the first atom that decides a test; it builds no image atom, and
+no `PieceUnifier` but the one it returns.  It needs no search at all when every head atom of r2 occurs
 in body(r2): then u(head(r2)) is contained in u(body(r2)) for every u,
 so no unifier is productive.
 
-`dependency_graph` runs `depends_on` only on the pairs where body(r2)
+`dependency_graph` runs the same test only on the pairs where body(r2)
 reads a predicate of head(r1), through an index from body predicate to
-rule; every other pair has no unifier.  Every traversal of the graph, in
+rule; every other pair has no unifier.  It needs only whether a unifier
+exists, so it asks for the raw one (`_first_unifier`) and builds no
+`PieceUnifier`.  Every traversal of the graph, in
 `acyclicity` and `cycles`, reads the cached `successors` and
 `predecessors` lists of `DependencyGraph`; none recurses per rule.
 """
@@ -217,6 +219,17 @@ def _images(rep: dict, atoms: tuple) -> list:
 def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
     """r2 depends on r1 when some piece-unifier of body(r2) with head(r1) is
     atom-erasing and productive; returns the first such unifier or None."""
+    found = _first_unifier(r2, r1)
+    if found is None:
+        return None
+    r1, rep, piece, heads = found
+    return _piece_unifier(r1, r2, rep, piece, heads)
+
+
+def _first_unifier(r2: Rule, r1: Rule) -> Optional[tuple]:
+    """The first atom-erasing and productive single-piece unifier of
+    body(r2) with head(r1), as r1 renamed apart and the representative
+    map, piece and heads that `_single_pieces` yields, or None."""
     # a unifier pairs atoms of one predicate, so most pairs end here
     if {a.pred for a in r1.head}.isdisjoint(a.pred for a in r2.body):
         return None
@@ -231,7 +244,7 @@ def depends_on(r2: Rule, r1: Rule) -> Optional[PieceUnifier]:
             # productive: some atom of u(head2) is new
             seen = rule1 + body2
             if any(a not in seen for a in rule2[len(r2.body) :]):
-                return _piece_unifier(r1, r2, rep, piece, heads)
+                return r1, rep, piece, heads
     return None
 
 
@@ -285,5 +298,5 @@ def dependency_graph(rs: RuleSet) -> DependencyGraph:
     edges = []
     for i, r1 in enumerate(rules):
         candidates = sorted({j for a in r1.head for j in readers.get(a.pred, ())})
-        edges.extend((i, j) for j in candidates if depends_on(rules[j], r1) is not None)
+        edges.extend((i, j) for j in candidates if _first_unifier(rules[j], r1) is not None)
     return DependencyGraph(rule_set=rs, edges=tuple(edges))

@@ -27,8 +27,12 @@ atoms in `order_atoms` order, candidates in insertion order, one probe
 per candidate tested, and it returns at the first extension.  That is the
 work `find_homomorphisms` does on the head with h substituted up to its
 first yield, probe for probe, without a generator per call or a copied
-binding per answer.  A Datalog rule is active iff one of its instantiated
-head atoms is missing.  The restricted chase hands it an `ArgIndex` of
+binding per answer.  The backtrack (`_extends`) matches two head atoms
+per call in nested loops and calls itself only for a third, and a
+two-atom head is put in order by comparing its two candidate counts, as
+`order_atoms` would; so the usual one- and two-atom heads cost one call,
+with no ordering list.  A Datalog rule is active iff one of its
+instantiated head atoms is missing.  The restricted chase hands it an `ArgIndex` of
 its growing instance, and a head atom with a constant or a bound argument
 then tests only the atoms that share it.  The chained search keeps the
 scan: it rolls its instance back all the time, and an index kept in step
@@ -236,16 +240,22 @@ def is_active_trigger(
     insertion order, charging `probe` once per candidate tested, and the
     test stops at the first extension: the candidates and probes are those
     of `find_homomorphisms` on the head atoms with h substituted, up to its
-    first yield.  Given an `ArgIndex` of `inst`, each head atom tests only
-    the atoms its `candidates` gives, still one probe per candidate, and
-    the answer is the same."""
+    first yield.  A two-atom head takes the size comparison `order_atoms`
+    makes for two atoms, so only a head of three or more calls it.  Given
+    an `ArgIndex` of `inst`, each head atom tests only the atoms its
+    `candidates` gives, still one probe per candidate, and the answer is
+    the same."""
     head = rule.head
     if rule.is_datalog:
         for a in head:
             if instantiate(a, h) not in inst:
                 return True
         return False
-    if len(head) > 1:
+    if len(head) == 2:
+        first, second = head
+        if len(inst.by_pred(first.pred)) > len(inst.by_pred(second.pred)):
+            head = (second, first)
+    elif len(head) > 2:
         head = [head[i] for i in order_atoms(head, inst, h)]
     return not _extends(head, 0, dict(h), inst, probe, index)
 
@@ -259,27 +269,51 @@ def _extends(
     index: Optional[ArgIndex],
 ) -> bool:
     """Some extension of `binding` maps patterns[depth:] into the
-    instance.  Bindings made on the way to a True answer are left in
+    instance.  One call matches two patterns in nested loops, each with
+    one trail, and calls itself only for a third.  A pattern's candidates
+    are its predicate's atoms, or those `index` gives under the bindings
+    made before it.  Bindings made on the way to a True answer are left in
     `binding`."""
-    pattern = patterns[depth]
-    plan = pattern.plan
-    arity = len(pattern.args)
-    deeper = depth + 1 < len(patterns)
-    trail: list = []
+    outer = patterns[depth]
+    outer_plan, outer_arity = outer.plan, len(outer.args)
+    inner = patterns[depth + 1] if depth + 1 < len(patterns) else None
+    if inner is not None:
+        inner_plan, inner_arity = inner.plan, len(inner.args)
+        deeper = depth + 2 < len(patterns)
+        if index is None:
+            inner_candidates = inst.by_pred(inner.pred)
     if index is None:
-        candidates = inst.by_pred(pattern.pred)
+        candidates = inst.by_pred(outer.pred)
     else:
-        candidates = index.candidates(pattern, binding)
+        candidates = index.candidates(outer, binding)
+    outer_trail: list = []
+    inner_trail: list = []
     for cand in candidates:
         if probe is not None:
             probe()
-        if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
-            if not deeper or _extends(patterns, depth + 1, binding, inst, probe, index):
+        if len(cand.args) == outer_arity and match_args(
+            outer_plan, cand.args, binding, outer_trail
+        ):
+            if inner is None:
                 return True
-        if trail:
-            for name in trail:
+            if index is not None:
+                inner_candidates = index.candidates(inner, binding)
+            for other in inner_candidates:
+                if probe is not None:
+                    probe()
+                if len(other.args) == inner_arity and match_args(
+                    inner_plan, other.args, binding, inner_trail
+                ):
+                    if not deeper or _extends(patterns, depth + 2, binding, inst, probe, index):
+                        return True
+                if inner_trail:
+                    for name in inner_trail:
+                        del binding[name]
+                    inner_trail.clear()
+        if outer_trail:
+            for name in outer_trail:
                 del binding[name]
-            trail.clear()
+            outer_trail.clear()
     return False
 
 

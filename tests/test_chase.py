@@ -415,11 +415,13 @@ def _index_answers_along(trace, rs):
 
 # Head atoms with a constant in the first or second position, beside a
 # bound argument or alone; neither the fixtures nor the generator write
-# constants in rules.
+# constants in rules.  k4's five-atom head takes the head test past its
+# two flat levels, and is found again once the rule has fired.
 CONSTANT_HEADS = """
 [k1] r(X,a,Z) :- p(X,Y).
 [k2] p(Z,X), r(b,X,Z) :- r(X,Y,Z).
 [k3] p(W,c) :- r(X,Y,Y).
+[k4] r(X,Z,W), p(Z,W), p(W,Z), r(Z,Z,c), p(W,X) :- p(X,Y), p(Y,X), r(X,Y,a), r(Y,Y,X).
 """
 
 

@@ -177,10 +177,12 @@ def test_dependency_graph_disjoint_rules():
 def test_dependency_graph_searches_only_pairs_that_share_a_predicate(monkeypatch):
     # A unifier pairs atoms of one predicate, so of the 360,000 ordered
     # pairs of the 600-rule ring only the 600 neighbours reach the search:
-    # rule i writes p(i+1), which only rule i+1 reads.
+    # rule i writes p(i+1), which only rule i+1 reads.  The graph asks for
+    # the raw unifier, so it builds no PieceUnifier and calls no
+    # `depends_on`.
     n = 600
     rs = cs.parse_rules("".join("[r%d] p%d(X) :- p%d(X).\n" % (i, (i + 1) % n, i) for i in range(n)))
-    calls = {"depends_on": 0, "_single_pieces": 0}
+    calls = {"depends_on": 0, "_first_unifier": 0, "_single_pieces": 0, "_piece_unifier": 0}
 
     def counted(name):
         function = getattr(deps, name)
@@ -194,7 +196,7 @@ def test_dependency_graph_searches_only_pairs_that_share_a_predicate(monkeypatch
     for name in calls:
         monkeypatch.setattr(deps, name, counted(name))
     graph = dependency_graph(rs)
-    assert calls == {"depends_on": n, "_single_pieces": n}
+    assert calls == {"depends_on": 0, "_first_unifier": n, "_single_pieces": n, "_piece_unifier": 0}
     assert graph.edges == tuple(sorted((i, (i + 1) % n) for i in range(n)))
     assert graph.successors[n - 1] == [0] and graph.predecessors[0] == [n - 1]
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import chase_sentinel as cs
-from chase_sentinel import activeness
+from chase_sentinel import activeness, hom
 from chase_sentinel.activeness import _Search
 from chase_sentinel.chase import Budget, Meter, skolem_chase
 from chase_sentinel.critdb import restricted_critical_db
@@ -189,6 +189,35 @@ def test_apply_trigger_records_steps_and_keeps_existing():
     assert all(inst.first_derived_at(a) == 1 for a in added)
 
 
+def test_head_test_orders_only_heads_of_three_or_more_atoms(monkeypatch):
+    # k_safe at k = 1 under WA on generated sets 0..59 with the `generated`
+    # workload's budget: one-atom bodies and two-atom heads, so no matcher
+    # or head test needs `order_atoms` (38,350 calls when every multi-atom
+    # head was ordered through it).
+    calls = [0]
+    order_atoms = hom.order_atoms
+
+    def counted(*args):
+        calls[0] += 1
+        return order_atoms(*args)
+
+    monkeypatch.setattr(hom, "order_atoms", counted)
+    monkeypatch.setattr(activeness, "order_atoms", counted)
+    budget = Budget(max_steps=20_000, max_atoms=50_000, max_probes=20_000, max_renamings=200,
+                    max_cycles=2_000)
+    verdicts = set()
+    for seed in range(60):
+        rs = cs.generate(cs.GenParams(seed=seed, **GENERATED))
+        verdicts.add(cs.k_safe(rs, 1, cs.Condition.WA, budget=budget).verdict)
+    assert calls[0] == 0
+    assert cs.Verdict.NOT_PROVEN in verdicts and cs.Verdict.TERMINATING in verdicts
+    # the three-atom head of the trusted handshake's r3 is still ordered
+    r3 = handshake_trusted().by_id["r3"]
+    inst = Instance([cs.atom("typeB", _c("a"), _c("b")), cs.atom("trustedServer", _c("s"))])
+    assert is_active_trigger(r3, {"X_1": _c("a"), "Y_1": _c("b")}, inst)
+    assert calls[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # Differential: the compiled match paths against the term-walking reference
 # in oracles.py.  `find_homomorphisms` in insertion order gives the same
@@ -274,6 +303,7 @@ DIFFERENTIAL_RULES = """
 [r3] q(W) :- p(W,W).
 [r4] p(U,V), p(V,U) :- q(U), p(U,a).
 [r5] s(X,Z), s(Z,X), t(X), u(Z) :- p(X,Y).
+[r6] s(X,Z), s(Z,W), p(W,a), t(Z), u(W) :- p(X,Y), p(Y,X), s(X,b), q(Y).
 """
 SCHEMA = (("p", 2), ("q", 1), ("s", 2), ("t", 1), ("u", 1))
 
@@ -281,7 +311,8 @@ SCHEMA = (("p", 2), ("q", 1), ("s", 2), ("t", 1), ("u", 1))
 def test_match_path_agrees_with_reference_on_random_skolem_instances():
     # Variables bound to skolem terms over indexed constants give near
     # misses next to them; three-atom heads give orders that bound
-    # variables decide.
+    # variables decide; r6's five-atom head and four-atom body take the
+    # head test and the matcher past their two flat levels.
     rs = cs.parse_rules(DIFFERENTIAL_RULES)
     flat = [_c("a"), _c("b"), cs.IndexedConstant("X", 1), cs.IndexedConstant("X", 2)]
     pool = list(flat)
@@ -296,6 +327,26 @@ def test_match_path_agrees_with_reference_on_random_skolem_instances():
         [cs.atom("s", x1, f_x1), cs.atom("s", f_x1, x2), cs.atom("t", x1), cs.atom("u", f_x1)]
     )
     _assert_same_search(rs.rules, nested_miss)
+    # r6's head under X = <X,1>, ordered t(Z), s(X,Z), s(Z,W), u(W),
+    # p(W,a): Z = <X,2> is found at the first two levels, W = w1 fails at
+    # u(W) below them, and W = w2 reaches p(W,a), which only `deep` holds.
+    # r6's body, ordered q(Y), p(X,Y), p(Y,X), s(X,b), meets a derived and
+    # a database near miss at its third level, in derived-first order.
+    y, w1, w2 = cs.IndexedConstant("Y", 2), cs.SkolemTerm("f_V_4", (x1,)), cs.SkolemTerm("f_V_4", (x2,))
+    body = [cs.atom("p", x1, y), cs.atom("p", y, x1), cs.atom("p", y, cs.IndexedConstant("X", 3)),
+            cs.atom("s", x1, _c("b")), cs.atom("q", y)]
+    head = [cs.atom("s", x1, f_x1), cs.atom("s", x1, x2), cs.atom("s", f_x1, w1),
+            cs.atom("s", x2, w1), cs.atom("s", x2, w2), cs.atom("t", x2), cs.atom("u", w2)]
+    deep, shallow = Instance(body + head), Instance(body + head)
+    for inst in (deep, shallow):
+        inst.add(cs.atom("p", y, cs.IndexedConstant("Z", 2)), 1)
+    deep.add(cs.atom("p", w2, _c("a")), 2)
+    deep.add(cs.atom("p", w1, _c("a")), 2)
+    r6 = rs.by_id["r6"]
+    for inst, active in ((deep, False), (shallow, True)):
+        (h,) = find_homomorphisms(r6.body, inst)
+        assert is_active_trigger(r6, h, inst) is active
+        _assert_same_search(rs.rules, inst)
     for seed in range(120):
         rng = random.Random(seed)
         drawn = []
