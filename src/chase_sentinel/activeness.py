@@ -32,9 +32,16 @@ search in insertion order (`fixtures` was not timed):
     fixtures    insertion                   1.80 M    93 of 100
     fixtures    derived first               1.69 M    95 of 100
 
-Each candidate tested is charged one probe, and each candidate that fails
-to match is a near miss, which `critdb.near_miss_recorder` turns into the
-merge it proposes, for `propose_merges`.
+Each candidate tested is charged one probe.  A candidate that fails to
+match may be a near miss (see `critdb`), and the matcher reads it off the
+comparison that failed: a body atom's join step compares its constant and
+bound slots with what it expects, and when every slot that differs holds
+two indexed constants of different index, none of them sent two ways, the
+merge those pairs propose goes into the search's `merges`, for
+`propose_merges`.  Nothing else is recorded.  Free and repeated variables
+are unbound before their atom, so they never make a near miss, and an
+atom with no bound slot and no indexed constant (every one-atom rule
+body) proposes nothing.
 
 The search remembers the states whose subtree failed, and does not search
 them again.  A state at depth i is keyed by i, the atoms steps 1..i derived,
@@ -65,10 +72,13 @@ the caches, and only builds less.
 
 The search runs on an explicit stack, one frame per path position, so a
 long path needs no deep recursion.  Its body matcher (`_Search.matches`)
-is one generator per body: a one-atom body, which every `generated` body
-is, is one loop over the candidates that yields a fresh binding per
-match; a longer body keeps one binding, one trail per depth and one
-candidate iterator per depth, and neither form recurses.
+is one generator per body, over the body's join steps for its atom order
+(`hom.join_steps`), built once per order and kept on the rule
+(`Rule.body_steps`).  A one-atom body, which every `generated` body is,
+is one loop over the candidates that yields a fresh binding per match,
+`dict(zip(names, args))` when the atom is all distinct variables; a
+longer body keeps one binding and one candidate iterator per depth, and
+neither form recurses.
 """
 
 from __future__ import annotations
@@ -93,7 +103,6 @@ from .chase import (
 from .critdb import (
     RenamingFunction,
     apply_renaming,
-    near_miss_recorder,
     propose_merges,
     restricted_critical_db,
 )
@@ -105,10 +114,10 @@ from .hom import (
     freeze_bindings,
     head_image,
     is_active_trigger,
-    match_args,
+    join_steps,
     order_atoms,
 )
-from .model import Atom, Instance, Rule, RuleSet
+from .model import Atom, IndexedConstant, Instance, Rule, RuleSet
 
 
 class Status(enum.Enum):
@@ -135,9 +144,6 @@ class SafetyVerdict:
     reason: Optional[str] = None
 
 
-_UNBOUND: dict = {}  # the bindings before a body's first atom, read only
-
-
 class _Search:
     """Backtracking search for a chained sequence of active triggers along a
     fixed path.  Each trigger is retracted by rolling the instance back to
@@ -145,7 +151,7 @@ class _Search:
     to the meter as a step and the instance checked against the atom and
     height limits, as in the chase loop.  As it goes, the search records
     in `merges` the merge that each indexed-constant near miss of a body
-    match proposes (`critdb.near_miss_recorder`), for `propose_merges`.
+    match proposes, in first-seen order, for `propose_merges`.
     `failed` holds the keys of the states whose subtree failed; trigger
     heads are memoized on the rules (see the module docstring).  `trail`
     holds a (rule, bindings, added atoms, chained) record per applied
@@ -167,7 +173,6 @@ class _Search:
         self.trail: List[tuple] = []
         self.failed: set = set()
         self.merges: Dict[frozenset, None] = {}
-        self.on_miss = near_miss_recorder(self.merges)
         self.witness_steps: Optional[List[TraceStep]] = None
         self.witness_chain: Optional[tuple] = None
 
@@ -182,69 +187,123 @@ class _Search:
                     return True
         return False
 
-    def matches(self, conj: Sequence[Atom]) -> Iterator[Tuple[dict, tuple]]:
+    def matches(
+        self, conj: Sequence[Atom], memo: Optional[dict] = None
+    ) -> Iterator[Tuple[dict, tuple]]:
         """(h, image) for each homomorphism h of `conj` into the instance,
         in derived-first order, where `image` holds the instance atoms
-        matched, in `conj` order.  One probe is charged per candidate and
-        each failed candidate's near miss recorded, under the bindings made
-        before its atom, as the module docstring says.  The instance may
-        change while the matches are read if it is rolled back before the
-        next.
+        matched, in `conj` order.  One probe is charged per candidate, and
+        each failed candidate's near miss is recorded, as the module
+        docstring says.  The instance may change while the matches are
+        read if it is rolled back before the next.
 
-        A one-atom body matches each candidate into a fresh dict, which is
-        yielded as it is.  A longer one keeps one binding, one trail per
-        depth and one candidate iterator per depth, and goes down and back
-        up without recursion."""
-        inst, on_miss = self.inst, self.on_miss
+        The atoms run as the join steps of their order, built once per
+        order into `memo` (a rule's `body_steps`; without one, per call).
+        A one-atom body that proposes nothing matches each candidate into
+        a fresh dict, which is yielded as it is.  Any other keeps one
+        binding and one candidate iterator per depth, and goes down and
+        back up without recursion."""
+        inst, merges = self.inst, self.merges
         probe = self.meter.charge_probe
         if len(conj) == 1:
-            (pattern,) = conj
-            plan, arity = pattern.plan, len(pattern.args)
-            trail: list = []
-            for cand in inst.derived_first(pattern.pred):
+            order: tuple = (0,)
+        elif len(conj) == 2:  # the size comparison `order_atoms` makes for two
+            first, second = conj
+            swap = len(inst.by_pred(first.pred)) > len(inst.by_pred(second.pred))
+            order = (1, 0) if swap else (0, 1)
+        else:
+            order = tuple(order_atoms(conj, inst))
+        if memo is None:
+            memo = {}
+        steps = memo.get(order)
+        if steps is None:
+            steps = memo[order] = join_steps(conj, order)
+        step = steps[0]
+        want = step.want  # the first atom has no bound slot
+        if len(steps) == 1 and not step.proposes:
+            get, arity, repeats, flat, names, free = (
+                step.get, step.arity, step.repeats, step.flat, step.names, step.free
+            )
+            for cand in inst.derived_first(step.pred):
                 probe()
-                h: dict = {}
-                if len(cand.args) == arity and match_args(plan, cand.args, h, trail):
+                args = cand.args
+                if (
+                    len(args) == arity
+                    and (get is None or get(args) == want)
+                    and (repeats is None or repeats[0](args) == repeats[1](args))
+                ):
+                    h = dict(zip(names, args)) if flat else {name: args[i] for i, name in free}
                     yield h, (cand,)
-                else:
-                    on_miss(pattern, _UNBOUND, cand)
-                if trail:
-                    trail.clear()
             return
-        order = order_atoms(conj, inst)
-        steps = [(at, conj[at], conj[at].plan, len(conj[at].args)) for at in order]
-        last = len(order) - 1
-        binding: dict = {}
+        last = len(steps) - 1
+        binding: dict = {}  # a depth's names are overwritten, never unbound
         image: list = [None] * len(conj)
-        trails: list = [[] for _ in order]
-        scans: list = [None] * len(order)
-        scans[0] = iter(inst.derived_first(steps[0][1].pred))
+        scans: list = [None] * len(steps)
+        wants: list = [None] * len(steps)
+        scans[0], wants[0] = iter(inst.derived_first(step.pred)), want
         depth = 0
         while depth >= 0:
-            trail = trails[depth]
-            if trail:  # the bindings of the candidate this depth went down from
-                for name in trail:
-                    del binding[name]
-                trail.clear()
-            at, pattern, plan, arity = steps[depth]
+            step = steps[depth]
+            get, arity, repeats, positions, proposes = (
+                step.get, step.arity, step.repeats, step.positions, step.proposes
+            )
+            want = wants[depth]
+            single = positions[0] if len(positions) == 1 else None
             for cand in scans[depth]:
                 probe()
-                if len(cand.args) == arity and match_args(plan, cand.args, binding, trail):
-                    image[at] = cand
-                    if depth < last:
-                        depth += 1
-                        scans[depth] = iter(inst.derived_first(steps[depth][1].pred))
-                        break
-                    yield dict(binding), tuple(image)
-                    for name in trail:
-                        del binding[name]
-                    trail.clear()
+                args = cand.args
+                if len(args) == arity:
+                    if get is None or get(args) == want:
+                        if repeats is None or repeats[0](args) == repeats[1](args):
+                            for i, name in step.free:
+                                binding[name] = args[i]
+                            image[step.at] = cand
+                            if depth < last:
+                                depth += 1
+                                step = steps[depth]
+                                scans[depth] = iter(inst.derived_first(step.pred))
+                                wants[depth] = step.expect(binding)
+                                break
+                            yield dict(binding), tuple(image)
+                        continue  # the compared slots agree: no near miss
+                    if not proposes:
+                        continue
+                    if single is not None:  # one compared slot, and it differs
+                        c = args[single]
+                        if (
+                            want.__class__ is IndexedConstant
+                            and c.__class__ is IndexedConstant
+                            and want.index != c.index
+                        ):
+                            merges.setdefault(
+                                frozenset(((want, c) if want.index > c.index else (c, want),))
+                            )
+                        continue
+                    pairs = zip(positions, want)
+                elif proposes:  # a shorter or longer atom: compare the common slots
+                    vals = want if len(positions) != 1 else (want,)
+                    pairs = [(i, p) for i, p in zip(positions, vals) if i < len(args)]
+                else:
                     continue
-                if trail:
-                    for name in trail:
-                        del binding[name]
-                    trail.clear()
-                on_miss(pattern, binding, cand)
+                # the near miss: every differing compared slot must hold two
+                # indexed constants of different index, each sent one way
+                merge: dict = {}
+                for i, p in pairs:
+                    c = args[i]
+                    if p is c:
+                        continue
+                    if (
+                        p.__class__ is not IndexedConstant
+                        or c.__class__ is not IndexedConstant
+                        or p.index == c.index
+                    ):
+                        break
+                    hi, lo = (p, c) if p.index > c.index else (c, p)
+                    if merge.setdefault(hi, lo) is not lo:
+                        break
+                else:
+                    if merge:
+                        merges.setdefault(frozenset(merge.items()))
             else:
                 depth -= 1
 
@@ -275,7 +334,7 @@ class _Search:
                 if key in failed or (not rule.is_datalog and self._datalog_blocked()):
                     failed.add(key)
                 else:
-                    frames.append([key, self.matches(rule.body), None])
+                    frames.append([key, self.matches(rule.body, rule.body_steps), None])
                 key = None
             if not frames:
                 return False

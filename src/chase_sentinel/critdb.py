@@ -14,11 +14,12 @@ cycle of a rule set reuses them.
 Renamings are proposed, not enumerated.  A near miss is a failed match of a
 body atom, under the bindings made so far, against an instance atom that
 differs from it only where both hold indexed constants (an unbound
-variable agrees with anything).  The chained search's matcher hands each
-failed candidate to the hook `near_miss_recorder` returns, which keeps
-each near miss as the merge it proposes: the higher index of every differing
-pair renamed to the lower.  A near miss with two constants of one index,
-or one constant that would go two ways, proposes nothing.
+variable agrees with anything).  The chained search's matcher
+(`activeness._Search.matches`) records each near miss as the merge it
+proposes, read off the comparison of the body atom's constant and bound
+slots that failed: the higher index of every differing pair renamed to
+the lower.  A near miss with two constants of one index, or one constant
+that would go two ways, proposes nothing.
 `propose_merges` makes one renaming of each distinct merge; it offers no
 union of several near misses: on every corpus tried, such a union changed
 no path status and no witness renaming.  `is_path_active` composes
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .chase import BudgetExceeded
 from .model import (
@@ -169,41 +170,6 @@ def apply_renaming(rn: RenamingFunction, db: Instance) -> Instance:
     if rn.is_identity:
         return db
     return Instance(rn.apply_atom(a) for a in db.atoms())
-
-
-def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, Atom], None]:
-    """The near-miss hook of the chained search's matcher
-    (`activeness._Search.matches`): `on_miss(pattern, binding, candidate)`
-    records the near miss of a failed candidate, under the bindings made
-    before `pattern`, into `merges`, each as the frozenset of the (higher,
-    lower) pairs of its merge, once each in first-seen order.
-
-    The hook substitutes one argument at a time and stops at the first
-    difference that is not between two indexed constants of different
-    indices, or that sends one constant two ways.  Patterns are
-    function-free, so an argument is a variable or ground."""
-
-    def on_miss(pattern: Atom, binding: dict, candidate: Atom) -> None:
-        merge: Dict[IndexedConstant, IndexedConstant] = {}
-        for p, c in zip(pattern.args, candidate.args):
-            if p.__class__ is Variable:
-                p = binding.get(p.name)
-                if p is None:
-                    continue  # unbound: agrees with anything
-            if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
-                if p is c:
-                    continue
-                if p.index == c.index:
-                    return
-                hi, lo = (p, c) if p.index > c.index else (c, p)
-                if merge.setdefault(hi, lo) is not lo:
-                    return
-            elif p is not c:
-                return
-        if merge:
-            merges.setdefault(frozenset(merge.items()))
-
-    return on_miss
 
 
 def propose_merges(merges: Iterable[frozenset]) -> List[RenamingFunction]:

@@ -6,9 +6,8 @@ deterministic, so analyses are reproducible run to run.  Given
 per-predicate counts of old atoms, the same search is semi-naive: it
 yields, in that order, only the homomorphisms that use a newer atom, which
 is how the skolem chase finds each round's triggers.  The chained search of
-`activeness` has its own matcher over the same parts (`order_atoms`,
-`match_args`): derived atoms first (`Instance.derived_first`), near misses
-recorded.
+`activeness` has its own matcher, over the join steps below: derived atoms
+first (`Instance.derived_first`), near misses recorded.
 
 Each pattern atom is matched through its `ArgPlan` (see `model`), built
 once per atom and kept on it: ground arguments are compared by identity,
@@ -20,6 +19,17 @@ atoms are therefore compiled once per rule, not once per candidate;
 two atoms.  Terms are interned (see `model`): equal terms are one
 object, so a comparison is one `is` test.
 
+A conjunction is also compiled whole, once per atom order, into *join
+steps* (`join_steps`): each atom's constant slots, its bound slots (a
+variable an earlier atom, or a trigger's frontier, binds), its free slots
+(a variable's first occurrence) and its repeat slots (a later one).  A
+step reads all its compared slots off a candidate with one
+`operator.itemgetter` call and compares them with what it expects in one
+comparison, so a candidate costs no Python-level call but its probe.  The
+steps of a rule's body and head are kept on the rule per order
+(`Rule.body_steps`, `Rule.head_steps`): a prototype that built them on
+every call read the `generated` benchmark's `wall_s` 14 % higher.
+
 The chase and the chained search test and apply a trigger per step, so
 triggers take a short path.  `is_active_trigger` is a direct boolean
 backtrack over the rule head under the trigger's bindings: the head
@@ -27,18 +37,21 @@ atoms in `order_atoms` order, candidates in insertion order, one probe
 per candidate tested, and it returns at the first extension.  That is the
 work `find_homomorphisms` does on the head with h substituted up to its
 first yield, probe for probe, without a generator per call or a copied
-binding per answer.  The backtrack (`_extends`) matches two head atoms
-per call in nested loops and calls itself only for a third, and a
-two-atom head is put in order by comparing its two candidate counts, as
-`order_atoms` would; so the usual one- and two-atom heads cost one call,
-with no ordering list.  A Datalog rule is active iff one of its
-instantiated head atoms is missing.  The restricted chase hands it an `ArgIndex` of
-its growing instance, and a head atom with a constant or a bound argument
-then tests only the atoms that share it.  The chained search keeps the
-scan: it rolls its instance back all the time, and an index kept in step
-with the rollbacks cost more than it saved when measured (ROADMAP item
-10).  `instantiate` fills the variable slots of a function-free atom's
-plan, with no term walk.
+binding per answer.  It runs the join steps of the ordered head, the
+frontier bound, on one frame stack, and scans the last head atom in place
+under each match of the one before, with no frame to enter and leave: on
+the restricted chase's head tests that frame cost about 9 % when
+measured.  It copies the trigger's bindings only once a head atom
+matches and a later one must read what it bound.  A two-atom
+head is put in order by comparing its two candidate counts, as
+`order_atoms` would, so only a head of three or more calls it.  A Datalog
+rule is active iff one of its instantiated head atoms is missing.  The
+restricted chase hands it an `ArgIndex` of its growing instance, and a
+head atom with a constant or a bound argument then tests only the atoms
+that share it.  The chained search keeps the scan: it rolls its instance
+back all the time, and an index kept in step with the rollbacks cost
+more than it saved when measured (ROADMAP item 10).  `instantiate` fills
+the variable slots of a function-free atom's plan, with no term walk.
 `head_image` builds each existential's skolem term once per trigger and
 fills every head atom from it.  `apply_trigger` adds them and returns only the
 atoms it added, and a backtracking search retracts them by rolling the
@@ -47,12 +60,15 @@ instance back to its earlier length.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     ArgPlan,
     Atom,
+    IndexedConstant,
     Instance,
     Rule,
     SkolemTerm,
@@ -178,6 +194,91 @@ def freeze_bindings(h: dict) -> tuple:
     return tuple(sorted(h.items()))
 
 
+class JoinStep:
+    """One pattern atom of a conjunction, compiled for one atom order.
+
+    Its slots split four ways.  A *constant* slot holds a ground term.  A
+    *bound* slot holds a variable that an earlier atom of the order (or,
+    in a head, the trigger's frontier) binds.  A *free* slot is the first
+    occurrence of a new variable, and a *repeat* slot a later occurrence
+    of one.  `positions` lists the constant slots, then the bound ones,
+    each in position order, and `get` reads them off a candidate's
+    arguments in one call; `expect` gives the values they must hold under
+    a binding.  `free` holds the (position, name) of each free slot, and
+    `repeats` a pair of getters whose results agree iff every repeat slot
+    holds what its first occurrence holds.  A `flat` atom is all free
+    slots, so its binding is `dict(zip(names, args))`.  `proposes` says
+    whether a failed candidate can be a near miss (see `critdb`): only a
+    bound slot or an indexed constant can differ by an indexed constant."""
+
+    __slots__ = ("at", "pred", "arity", "positions", "get", "free", "names", "flat", "repeats",
+                 "proposes", "lookup", "want")
+
+    def __init__(self, pattern: Atom, at: int, known: Collection[str]):
+        plan = pattern.plan
+        self.at, self.pred, self.arity = at, pattern.pred, len(pattern.args)
+        positions, consts, bound, free, repeats, firsts = [], [], [], [], [], []
+        proposes = False  # a failed candidate can be a near miss
+        for i, t in plan.consts:
+            positions.append(i)
+            consts.append(t)
+            proposes = proposes or t.__class__ is IndexedConstant
+        first: dict = {}
+        for i, name in plan.slots:
+            if name in known:
+                positions.append(i)
+                bound.append(name)
+            elif name in first:
+                repeats.append(i)
+                firsts.append(first[name])
+            else:
+                first[name] = i
+                free.append((i, name))
+        consts = tuple(consts)
+        self.positions, self.free, self.names = tuple(positions), tuple(free), tuple(first)
+        self.get = itemgetter(*positions) if positions else None
+        self.flat = len(free) == self.arity
+        self.repeats = (itemgetter(*repeats), itemgetter(*firsts)) if repeats else None
+        self.proposes = proposes or bool(bound)
+        self.want = consts[0] if len(consts) == 1 else consts
+        if not bound:
+            self.lookup = None
+        elif not consts:
+            self.lookup = itemgetter(*bound)
+        else:
+            self.lookup = partial(_after_consts, consts, itemgetter(*bound), len(bound) == 1)
+
+    def expect(self, binding: Mapping[str, Term]):
+        """What `get` must return for a candidate to match under `binding`:
+        the term its one compared slot must hold, or the tuple of those of
+        its compared slots, in `positions` order.  `want` is that answer
+        for a step with no bound slot, and otherwise `lookup` reads it off
+        the binding, in one `itemgetter` call when the step has no
+        constant slot."""
+        return self.want if self.lookup is None else self.lookup(binding)
+
+
+def _after_consts(
+    consts: tuple, lookup: Callable, single: bool, binding: Mapping[str, Term]
+) -> tuple:
+    """What a step with constant and bound slots expects: its constants,
+    then the values `lookup` reads off the binding (one value if `single`)."""
+    found = lookup(binding)
+    return consts + ((found,) if single else found)
+
+
+def join_steps(conj: Sequence[Atom], order: Sequence[int], bound: Collection[str] = ()) -> tuple:
+    """The atoms of `conj` in `order`, each compiled as a `JoinStep`; the
+    variables in `bound` are bound before the first."""
+    known = set(bound)
+    steps = []
+    for at in order:
+        step = JoinStep(conj[at], at, known)
+        known.update(step.names)
+        steps.append(step)
+    return tuple(steps)
+
+
 class ArgIndex:
     """The atoms of a growing instance by (predicate, argument position,
     term), each list in insertion order.
@@ -185,8 +286,8 @@ class ArgIndex:
     A predicate's atoms are indexed when it is first asked for, and then
     fed from the tail of its `Instance.by_pred` list on each later ask, so
     the index follows an instance that only grows; a rollback would leave
-    it stale.  `candidates` gives the atoms that share a pattern's rarest
-    bound argument, a subsequence of the predicate's atoms."""
+    it stale.  `candidates` gives the atoms that share a step's rarest
+    compared argument, a subsequence of the predicate's atoms."""
 
     __slots__ = ("inst", "_fed", "_positions")
 
@@ -195,11 +296,12 @@ class ArgIndex:
         self._fed: dict = {}  # predicate -> how many of its atoms are indexed
         self._positions: dict = {}  # predicate -> per position, term -> atoms
 
-    def candidates(self, pattern: Atom, binding: Mapping[str, Term]) -> Sequence[Atom]:
-        """The instance atoms of the pattern's predicate that hold, at one
-        position, the pattern's constant or bound variable there: those of
-        the position with the fewest, or all of them if nothing is bound."""
-        pred = pattern.pred
+    def candidates(self, step: JoinStep, want) -> Sequence[Atom]:
+        """The instance atoms of the step's predicate that hold, at one of
+        its compared positions (constant or bound), the value `vals` gives
+        there: those of the position with the fewest, the first such on a
+        tie, or all of them if the step compares nothing."""
+        pred = step.pred
         atoms = self.inst.by_pred(pred)
         positions = self._positions.setdefault(pred, [])
         fed = self._fed.get(pred, 0)
@@ -212,17 +314,10 @@ class ArgIndex:
                     positions[i].setdefault(t, []).append(a)
             self._fed[pred] = len(atoms)
         best = atoms
-        plan = pattern.plan
-        for i, t in plan.consts:
+        for i, t in zip(step.positions, want if len(step.positions) > 1 else (want,)):
             found = positions[i].get(t, ()) if i < len(positions) else ()
             if len(found) < len(best):
                 best = found
-        for i, name in plan.slots:
-            v = binding.get(name)
-            if v is not None:
-                found = positions[i].get(v, ()) if i < len(positions) else ()
-                if len(found) < len(best):
-                    best = found
         return best
 
 
@@ -241,80 +336,75 @@ def is_active_trigger(
     test stops at the first extension: the candidates and probes are those
     of `find_homomorphisms` on the head atoms with h substituted, up to its
     first yield.  A two-atom head takes the size comparison `order_atoms`
-    makes for two atoms, so only a head of three or more calls it.  Given
-    an `ArgIndex` of `inst`, each head atom tests only the atoms its
-    `candidates` gives, still one probe per candidate, and the answer is
-    the same."""
+    makes for two atoms, so only a head of three or more calls it.  The
+    ordered head runs as the rule's join steps for that order
+    (`Rule.head_steps`), the frontier bound.  Given an `ArgIndex` of
+    `inst`, each head atom tests only the atoms its `candidates` gives,
+    still one probe per candidate, and the answer is the same."""
     head = rule.head
     if rule.is_datalog:
         for a in head:
             if instantiate(a, h) not in inst:
                 return True
         return False
-    if len(head) == 2:
+    if len(head) == 1:
+        order: tuple = (0,)
+    elif len(head) == 2:
         first, second = head
-        if len(inst.by_pred(first.pred)) > len(inst.by_pred(second.pred)):
-            head = (second, first)
-    elif len(head) > 2:
-        head = [head[i] for i in order_atoms(head, inst, h)]
-    return not _extends(head, 0, dict(h), inst, probe, index)
-
-
-def _extends(
-    patterns: Sequence[Atom],
-    depth: int,
-    binding: dict,
-    inst: Instance,
-    probe: Optional[Callable[[], None]],
-    index: Optional[ArgIndex],
-) -> bool:
-    """Some extension of `binding` maps patterns[depth:] into the
-    instance.  One call matches two patterns in nested loops, each with
-    one trail, and calls itself only for a third.  A pattern's candidates
-    are its predicate's atoms, or those `index` gives under the bindings
-    made before it.  Bindings made on the way to a True answer are left in
-    `binding`."""
-    outer = patterns[depth]
-    outer_plan, outer_arity = outer.plan, len(outer.args)
-    inner = patterns[depth + 1] if depth + 1 < len(patterns) else None
-    if inner is not None:
-        inner_plan, inner_arity = inner.plan, len(inner.args)
-        deeper = depth + 2 < len(patterns)
-        if index is None:
-            inner_candidates = inst.by_pred(inner.pred)
-    if index is None:
-        candidates = inst.by_pred(outer.pred)
+        order = (1, 0) if len(inst.by_pred(first.pred)) > len(inst.by_pred(second.pred)) else (0, 1)
     else:
-        candidates = index.candidates(outer, binding)
-    outer_trail: list = []
-    inner_trail: list = []
-    for cand in candidates:
-        if probe is not None:
-            probe()
-        if len(cand.args) == outer_arity and match_args(
-            outer_plan, cand.args, binding, outer_trail
-        ):
-            if inner is None:
-                return True
-            if index is not None:
-                inner_candidates = index.candidates(inner, binding)
-            for other in inner_candidates:
+        order = tuple(order_atoms(head, inst, h))
+    steps = rule.head_steps.get(order)
+    if steps is None:
+        steps = rule.head_steps[order] = join_steps(head, order, rule.frontier)
+    last = len(steps) - 1
+    binding = h  # copied before the first atom matched binds its variables
+    step = steps[0]
+    want = step.expect(h)
+    scan = iter(index.candidates(step, want) if index else inst.by_pred(step.pred))
+    stack: list = []  # (step, want, scan) of each depth above this one
+    while True:
+        get, arity, repeats = step.get, step.arity, step.repeats
+        for cand in scan:
+            if probe is not None:
+                probe()
+            args = cand.args
+            if not (
+                len(args) == arity
+                and (get is None or get(args) == want)
+                and (repeats is None or repeats[0](args) == repeats[1](args))
+            ):
+                continue
+            depth = len(stack)
+            if depth == last:
+                return False
+            if binding is h:
+                binding = dict(h)
+            for i, name in step.free:
+                binding[name] = args[i]
+            below = steps[depth + 1]
+            below_want = below.expect(binding)
+            below_scan = index.candidates(below, below_want) if index else inst.by_pred(below.pred)
+            if depth + 1 < last:
+                stack.append((step, want, scan))
+                step, want, scan = below, below_want, iter(below_scan)
+                break
+            # the last atom is scanned in place: no frame to enter and leave
+            get_, arity_, repeats_ = below.get, below.arity, below.repeats
+            for other in below_scan:
                 if probe is not None:
                     probe()
-                if len(other.args) == inner_arity and match_args(
-                    inner_plan, other.args, binding, inner_trail
+                args = other.args
+                if (
+                    len(args) == arity_
+                    and (get_ is None or get_(args) == below_want)
+                    and (repeats_ is None or repeats_[0](args) == repeats_[1](args))
                 ):
-                    if not deeper or _extends(patterns, depth + 2, binding, inst, probe, index):
-                        return True
-                if inner_trail:
-                    for name in inner_trail:
-                        del binding[name]
-                    inner_trail.clear()
-        if outer_trail:
-            for name in outer_trail:
-                del binding[name]
-            outer_trail.clear()
-    return False
+                    return False
+        else:
+            if not stack:
+                return True
+            step, want, scan = stack.pop()
 
 
 def instantiate(a: Atom, binding: Mapping[str, Term]) -> Atom:

@@ -467,6 +467,17 @@ class Rule:
         """Memo of the chained search: frontier values -> `hom.head_image`."""
         return {}
 
+    @cached_property
+    def body_steps(self) -> dict:
+        """Memo of the chained search: body atom order -> `hom.join_steps`."""
+        return {}
+
+    @cached_property
+    def head_steps(self) -> dict:
+        """Memo of `hom.is_active_trigger`: head atom order -> `hom.join_steps`,
+        the frontier bound."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RuleSet:

@@ -4,10 +4,10 @@ of a path under every renaming of its critical database, every
 piece-unifier of a rule pair, the relevance of a cycle, and the dependency
 of two rules with respect to one instance.  Also the term-walking
 homomorphism search that the compiled match path of `chase_sentinel.hom`
-replaced, with the orientation of its near misses into merges that
-`chase_sentinel.critdb.near_miss_recorder` replaced; the rescanning chase
-policies that the semi-naive skolem rounds and the trigger frontiers of
-`chase_sentinel.chase` replaced; and the generator-based activeness test
+replaced, with the orientation of its near misses into merges
+(`orient_reference`); the rescanning chase policies that the semi-naive
+skolem rounds and the trigger frontiers of `chase_sentinel.chase`
+replaced; and the generator-based activeness test
 and skolem-head instantiation that the direct trigger path of
 `chase_sentinel.hom` replaced; and the chained search without its memo of
 failed states and its chain test before activeness at the last step, which
@@ -21,7 +21,8 @@ replaying a witness as a restricted `ChaseTrace` replaced; and the
 derived-first matcher with a near-miss hook, its candidates partitioned
 by `Instance.first_derived_at`, and the chained search over it, which
 the cached trigger heads and body images of `chase_sentinel.activeness`
-replaced; and
+replaced, with `near_miss_recorder`, the near-miss hook that the join
+steps of `chase_sentinel.activeness._Search.matches` replaced; and
 `_chain_through`, the forward chain rule over the steps each trigger
 consumed from, which the chained flag that `chase_sentinel.activeness`
 keeps per trail step replaced (both references build their witness chains
@@ -69,7 +70,6 @@ from chase_sentinel.critdb import (
     RenamingFunction,
     all_renamings,
     apply_renaming,
-    near_miss_recorder,
     restricted_critical_db,
 )
 from chase_sentinel.hom import (
@@ -1039,6 +1039,42 @@ def find_homomorphisms_derived_first(
                 on_miss(pattern, binding, cand)
 
     yield from search(0)
+
+
+def near_miss_recorder(merges: Dict[frozenset, None]) -> Callable[[Atom, dict, Atom], None]:
+    """The near-miss hook the chained search's matcher
+    (`activeness._Search.matches`) called before it read near misses off
+    its own join steps: `on_miss(pattern, binding, candidate)` records the
+    near miss of a failed candidate, under the bindings made before
+    `pattern`, into `merges`, each as the frozenset of the (higher, lower)
+    pairs of its merge, once each in first-seen order.
+
+    The hook substitutes one argument at a time and stops at the first
+    difference that is not between two indexed constants of different
+    indices, or that sends one constant two ways.  Patterns are
+    function-free, so an argument is a variable or ground."""
+
+    def on_miss(pattern: Atom, binding: dict, candidate: Atom) -> None:
+        merge: Dict[IndexedConstant, IndexedConstant] = {}
+        for p, c in zip(pattern.args, candidate.args):
+            if p.__class__ is Variable:
+                p = binding.get(p.name)
+                if p is None:
+                    continue  # unbound: agrees with anything
+            if p.__class__ is IndexedConstant and c.__class__ is IndexedConstant:
+                if p is c:
+                    continue
+                if p.index == c.index:
+                    return
+                hi, lo = (p, c) if p.index > c.index else (c, p)
+                if merge.setdefault(hi, lo) is not lo:
+                    return
+            elif p is not c:
+                return
+        if merge:
+            merges.setdefault(frozenset(merge.items()))
+
+    return on_miss
 
 
 class ChainedSearchUncached:

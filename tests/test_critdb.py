@@ -9,7 +9,6 @@ from chase_sentinel.critdb import (
     RenamingFunction,
     all_renamings,
     apply_renaming,
-    near_miss_recorder,
     propose_merges,
     restricted_critical_db,
     skolem_critical_db,
@@ -17,7 +16,7 @@ from chase_sentinel.critdb import (
 from chase_sentinel.model import IndexedConstant
 
 from fixtures import vacuous_self, walk
-from oracles import indexed_constants, orient_reference
+from oracles import indexed_constants, near_miss_recorder, orient_reference
 
 
 def _proposals(near_misses):

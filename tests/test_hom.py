@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -26,10 +27,12 @@ from fixtures import (
 )
 from oracles import (
     apply_trigger_reference,
+    find_homomorphisms_derived_first,
     find_homomorphisms_reference,
     instance_terms,
     is_active_trigger_reference,
     near_miss_pairs_reference,
+    near_miss_recorder,
     orient_reference,
 )
 
@@ -218,6 +221,41 @@ def test_head_test_orders_only_heads_of_three_or_more_atoms(monkeypatch):
     assert calls[0] == 1
 
 
+def test_chained_search_runs_on_join_steps_built_once_per_order(monkeypatch):
+    # k_safe at k = 1 under WA on handshake and on generated sets 0..59:
+    # the chained matcher and the head test read every candidate off their
+    # join steps, with no `match_args` call, and the steps of each (rule,
+    # conjunction, order) are built once, into the rule's memo.
+    calls = {"match_args": 0, "join_steps": 0}
+    match_args, join_steps = hom.match_args, hom.join_steps
+
+    def counting_match_args(*args):
+        calls["match_args"] += 1
+        return match_args(*args)
+
+    def counting_join_steps(*args):
+        calls["join_steps"] += 1
+        return join_steps(*args)
+
+    monkeypatch.setattr(hom, "match_args", counting_match_args)
+    monkeypatch.setattr(hom, "join_steps", counting_join_steps)
+    monkeypatch.setattr(activeness, "join_steps", counting_join_steps)
+    fixtures_budget = Budget(max_steps=20_000, max_atoms=50_000, max_probes=50_000,
+                             max_renamings=200, max_cycles=20_000)
+    generated_budget = Budget(max_steps=20_000, max_atoms=50_000, max_probes=20_000,
+                              max_renamings=200, max_cycles=2_000)
+    runs = [(handshake(), fixtures_budget)] + [
+        (cs.generate(cs.GenParams(seed=seed, **GENERATED)), generated_budget) for seed in range(60)
+    ]
+    for rs, budget in runs:
+        cs.k_safe(rs, 1, cs.Condition.WA, budget=budget)
+    assert calls["match_args"] == 0
+    memo_entries = sum(len(r.body_steps) + len(r.head_steps) for rs, _ in runs for r in rs.rules)
+    assert calls["join_steps"] == memo_entries > 60
+    # the handshake's search ran both its rules' bodies and heads
+    assert all(r.body_steps and r.head_steps for r in runs[0][0].rules)
+
+
 # ---------------------------------------------------------------------------
 # Differential: the compiled match paths against the term-walking reference
 # in oracles.py.  `find_homomorphisms` in insertion order gives the same
@@ -366,25 +404,33 @@ def test_chained_matcher_agrees_with_reference_across_rollbacks(monkeypatch):
     # One search matches while derived atoms come and go: every match of
     # every rule body and head must give the reference's bindings, images
     # and probes, and the search's merges must be the reference's near
-    # misses so far, in first-seen order.  Every probe is a candidate
-    # tested: no scan is answered from a memo.
+    # misses so far, in first-seen order.  The matcher reads each candidate
+    # off its join steps alone: it makes no `match_args` call, and builds
+    # the steps of a conjunction once per atom order, into the memo it is
+    # handed, however often the order recurs.
     rs = cs.parse_rules(DIFFERENTIAL_RULES)
     flat = [_c("a"), _c("b"), cs.IndexedConstant("X", 1), cs.IndexedConstant("X", 2)]
     pool = flat + [cs.SkolemTerm("f_Z_1", (t,)) for t in flat]
-    tested = [0]
-    match_args = activeness.match_args
+    calls = {"match_args": 0}
+    built: collections.Counter = collections.Counter()
+    match_args, join_steps = hom.match_args, hom.join_steps
 
-    def counting(*args):
-        tested[0] += 1
+    def counting_match_args(*args):
+        calls["match_args"] += 1
         return match_args(*args)
 
-    monkeypatch.setattr(activeness, "match_args", counting)
+    def counting_join_steps(conj, order, bound=()):
+        built[conj, tuple(order)] += 1
+        return join_steps(conj, order, bound)
+
+    monkeypatch.setattr(hom, "match_args", counting_match_args)
+    monkeypatch.setattr(activeness, "join_steps", counting_join_steps)
+    memos = {conj: {} for rule in rs.rules for conj in (rule.body, rule.head)}
 
     def random_atom(rng):
         pred, arity = rng.choice(SCHEMA)
         return cs.Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
 
-    probes = 0
     for seed in range(40):
         rng = random.Random(seed)
         inst = Instance(random_atom(rng) for _ in range(rng.randrange(4, 12)))
@@ -401,13 +447,68 @@ def test_chained_matcher_agrees_with_reference_across_rollbacks(monkeypatch):
             for rule in rs.rules:
                 for conj in (rule.body, rule.head):
                     before = meter.probes
-                    got = list(search.matches(conj))
+                    got = list(search.matches(conj, memos[conj]))
                     images, ref_probes, ref_merges = _run_reference(conj, inst, True)
                     merges.update(dict.fromkeys(ref_merges))
                     assert (got, meter.probes - before) == (images, ref_probes), (seed, step)
                     assert list(search.merges) == list(merges), (seed, step)
-        probes += meter.probes
-    assert tested[0] == probes
+    assert calls["match_args"] == 0
+    assert set(built.values()) == {1}
+    assert set(built) == {(conj, order) for conj, memo in memos.items() for order in memo}
+    # orders recur: several per multi-atom conjunction, each built once
+    assert len(built) > len(memos)
+
+
+def test_folded_near_misses_agree_with_the_near_miss_recorder():
+    # The matcher reads near misses off its own comparisons; the hook it
+    # used to call, `near_miss_recorder`, re-compared every failed
+    # candidate.  On random conjunctions and instances both must record the
+    # same merges in the same order, with the same matches and probes.
+    # Patterns hold bound, free and repeated variables, plain constants and
+    # indexed ones; instances hold indexed constants of equal and of
+    # different index, plain constants and skolem terms, so near misses meet
+    # same-index pairs, a constant sent two ways, non-indexed differences and
+    # differing repeats.
+    x1, x2, x3, y1 = (cs.IndexedConstant(v, i) for v, i in (("X", 1), ("X", 2), ("X", 3), ("Y", 1)))
+    ground = [_c("a"), _c("b"), x1, x2, x3, y1] + [cs.SkolemTerm("f", (t,)) for t in (x1, x2)]
+    variables = [cs.Variable(v) for v in ("U", "V", "W")]
+    pattern_terms = variables * 3 + [_c("a"), x3, x1]
+    arities = {"p": 2, "q": 3}
+    recorded = [0, 0]  # near misses with a merge; searches recording one
+    for seed in range(300):
+        rng = random.Random(seed)
+        conj = tuple(
+            cs.Atom(pred, tuple(rng.choice(pattern_terms) for _ in range(arities[pred])))
+            for pred in (rng.choice("pq") for _ in range(rng.randrange(1, 4)))
+        )
+        drawn = [
+            (cs.Atom(pred, tuple(rng.choice(ground) for _ in range(arity))), rng.choice([0, 0, 1]))
+            for pred, arity in arities.items() for _ in range(rng.randrange(2, 9))
+        ]
+        inst = Instance(a for a, step in drawn if not step)
+        for a, step in drawn:
+            if step:
+                inst.add(a, step)
+        meter = Meter(Budget())
+        search = _Search((), inst, meter)
+        got = [h for h, _ in search.matches(conj)]
+        merges: dict = {}
+        probes = [0]
+
+        def probe():
+            probes[0] += 1
+
+        record = near_miss_recorder(merges)
+
+        def on_miss(pattern, binding, candidate):
+            before = len(merges)
+            record(pattern, binding, candidate)
+            recorded[0] += len(merges) > before
+
+        ref = list(find_homomorphisms_derived_first(conj, inst, probe, on_miss))
+        assert (got, meter.probes, list(search.merges)) == (ref, probes[0], list(merges)), seed
+        recorded[1] += bool(merges)
+    assert recorded[0] >= 150 and recorded[1] >= 90
 
 
 def _corpus_rules(corpus):
